@@ -5,7 +5,6 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -129,13 +128,6 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
   common::MemoryBudget* query_budget() {
     return qctx_ != nullptr ? qctx_->budget() : nullptr;
   }
-
-  Result<Table> FetchRecords(const std::vector<RecordKey>& keys,
-                             const std::vector<ScanColumn>& columns,
-                             ExecutionReport* report) override;
-
-  Result<Table> FetchAllRecords(const std::vector<ScanColumn>& columns,
-                                ExecutionReport* report) override;
 
   Result<std::unique_ptr<engine::RecordStream>> StreamRecords(
       const std::vector<RecordKey>& keys,
@@ -835,39 +827,6 @@ Result<std::vector<RecordKey>> WarehouseDataProvider::AllRecordKeys(
     }
   }
   return keys;
-}
-
-Result<Table> WarehouseDataProvider::FetchRecords(
-    const std::vector<RecordKey>& keys, const std::vector<ScanColumn>& columns,
-    ExecutionReport* report) {
-  // Materialising wrapper over the stream (kept for API compatibility and
-  // tests): drains every chunk into one table.
-  LAZYETL_ASSIGN_OR_RETURN(
-      std::unique_ptr<engine::RecordStream> stream,
-      StreamRecords(keys, columns, std::numeric_limits<size_t>::max(),
-                    report));
-  Table result;
-  bool first = true;
-  Table chunk;
-  while (true) {
-    LAZYETL_ASSIGN_OR_RETURN(bool more, stream->Next(&chunk));
-    if (!more) break;
-    if (first) {
-      result = std::move(chunk);
-      first = false;
-    } else {
-      LAZYETL_RETURN_NOT_OK(result.AppendTable(chunk));
-    }
-  }
-  return result;
-}
-
-Result<Table> WarehouseDataProvider::FetchAllRecords(
-    const std::vector<ScanColumn>& columns, ExecutionReport* report) {
-  LAZYETL_ASSIGN_OR_RETURN(std::vector<RecordKey> keys,
-                           AllRecordKeys(report));
-  report->records_requested += keys.size();
-  return FetchRecords(keys, columns, report);
 }
 
 // ---------------------------------------------------------------------------
@@ -1609,51 +1568,42 @@ Result<uint64_t> Warehouse::EstimateColdExtractionBytes(
   return bytes;
 }
 
-Result<QueryResult> Warehouse::Query(const std::string& sql,
-                                     const QueryOptions& query_options) {
-  Stopwatch total;
-  ExecutionReport report;
-  report.sql = sql;
+// ---------------------------------------------------------------------------
+// The query lifecycle. Compile (parse, bind, plan) is shared by Explain,
+// Query and OpenCursor. Prepare adds everything that touches shared state —
+// admission, lazy refresh/hydration, the sub-plan and result-cache probes,
+// opening the execution — and hands back a QueryCursor. OpenCursor streams
+// that cursor; Query drains it with an unbounded window. Completion (final
+// report, whole-result admission, release) is one step for both.
+// ---------------------------------------------------------------------------
 
-  common::AdmissionRequest request;
-  request.priority = query_options.priority;
-  request.client_id = query_options.client_id;
-  request.client_weight = query_options.client_weight;
-  request.queue_timeout_ms =
-      ResolveQueueTimeoutMs(query_options.queue_timeout_ms);
+struct Warehouse::CompiledQuery {
+  sql::BoundQuery bound;
+  engine::PlannedQuery planned;
+};
 
-  // Admission control: policy-driven ticket, held (RAII, via the
-  // QueryContext) for the query's whole lifetime. The ticket's budget —
-  // carved from the process-global cap — governs breaker state,
-  // extraction windows and (via the recycler's governor) cache
-  // admissions. Only footprint-aware admission needs the plan before the
-  // ticket; otherwise admit first, so the scheduler bound also caps
-  // concurrent metadata refresh/hydration work (the PR 4 shape).
-  common::QueryTicket ticket;
-  if (!options_.footprint_aware_admission) {
-    LAZYETL_ASSIGN_OR_RETURN(ticket, scheduler_->Admit(request));
-    LogOp(LogCategory::kQuery,
-          "query (ticket " + std::to_string(ticket.id()) + ", priority " +
-              common::QueryPriorityToString(request.priority) + "): " + sql);
-  }
-
+Result<Warehouse::CompiledQuery> Warehouse::Compile(const std::string& sql,
+                                                    bool refresh,
+                                                    ExecutionReport* report) {
+  report->sql = sql;
+  CompiledQuery compiled;
   Stopwatch phase;
   LAZYETL_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
-  report.parse_seconds = phase.ElapsedSeconds();
+  report->parse_seconds = phase.ElapsedSeconds();
 
   phase.Restart();
   sql::Binder binder(catalog_.get());
-  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
-  report.bind_seconds = phase.ElapsedSeconds();
+  LAZYETL_ASSIGN_OR_RETURN(compiled.bound, binder.Bind(stmt));
+  report->bind_seconds = phase.ElapsedSeconds();
 
-  if (IsLazyStrategy()) {
+  if (refresh && IsLazyStrategy()) {
     // Lazy refreshment (§3.3): before executing, verify the candidate
     // files' mtimes and re-load metadata of any that changed, so the
     // metadata phase of the plan sees the current repository state.
-    LAZYETL_RETURN_NOT_OK(RefreshStaleCandidates(bound, &report));
-  }
-  if (options_.strategy == LoadStrategy::kLazyFilenameOnly) {
-    LAZYETL_RETURN_NOT_OK(HydrateForQuery(bound, &report));
+    LAZYETL_RETURN_NOT_OK(RefreshStaleCandidates(compiled.bound, report));
+    if (options_.strategy == LoadStrategy::kLazyFilenameOnly) {
+      LAZYETL_RETURN_NOT_OK(HydrateForQuery(compiled.bound, report));
+    }
   }
 
   phase.Restart();
@@ -1661,197 +1611,14 @@ Result<QueryResult> Warehouse::Query(const std::string& sql,
   if (IsLazyStrategy()) lazy_tables.insert(kDataTable);
   engine::Planner planner(catalog_.get(), lazy_tables,
                           options_.enable_metadata_pruning);
-  LAZYETL_ASSIGN_OR_RETURN(engine::PlannedQuery planned, planner.Plan(bound));
-  report.plan_before = planned.naive_plan;
-  report.plan_after = planned.plan->ToString();
-  report.plan_seconds = phase.ElapsedSeconds();
+  LAZYETL_ASSIGN_OR_RETURN(compiled.planned, planner.Plan(compiled.bound));
+  report->plan_before = compiled.planned.naive_plan;
+  report->plan_after = compiled.planned.plan->ToString();
+  report->plan_seconds = phase.ElapsedSeconds();
   LogOp(LogCategory::kPlan,
         "compile-time reorganisation done (metadata predicates first)");
-
-  // Sub-plan cache: recognize the topmost breaker subtree and, when a
-  // still-valid materialization exists, substitute a CachedScan for it
-  // before admission — footprint estimation then sees the substituted
-  // plan, so a served sub-plan admits near-free. The original subtree is
-  // detached (not destroyed): the footprint path re-validates after its
-  // queue wait and reverts on staleness.
-  engine::PlanNodePtr* sub_slot = nullptr;
-  std::string subplan_fp;
-  uint64_t plan_epoch = 0;
-  engine::PlanNodePtr subplan_detached;
-  std::vector<engine::ResultDependency> subplan_deps;
-  bool subplan_hit = false;
-  auto dep_mtime_fn = [this](const engine::ResultDependency& dep) {
-    return CurrentMtime(dep.path);
-  };
-  if (plan_cache_ != nullptr) {
-    sub_slot = engine::FindCacheableSubPlan(&planned.plan);
-    if (sub_slot != nullptr) {
-      subplan_fp = engine::PlanFingerprint(**sub_slot);
-      if (subplan_fp.empty()) sub_slot = nullptr;
-    }
-    if (sub_slot != nullptr) {
-      plan_epoch = plan_cache_->epoch();
-      engine::CachedSubPlanPtr cached =
-          plan_cache_->ValidateAndGet(subplan_fp, dep_mtime_fn);
-      if (cached != nullptr) {
-        subplan_detached = std::move(*sub_slot);
-        *sub_slot = engine::MakeCachedScan(cached->table, "subplan");
-        subplan_deps = cached->deps;
-        subplan_hit = true;
-        report.plan_cache_hit = true;
-        report.plan_runtime +=
-            "sub-plan cache hit: breaker subtree replaced by CachedScan\n" +
-            planned.plan->ToString();
-        LogOp(LogCategory::kCache, "sub-plan served from plan cache");
-      }
-    }
-  }
-
-  // Footprint-aware admission: estimate from the just-built plan, then
-  // take the ticket.
-  if (options_.footprint_aware_admission) {
-    uint64_t lazy_bytes = 0;
-    if (IsLazyStrategy()) {
-      auto cold = EstimateColdExtractionBytes(bound);
-      if (cold.ok()) lazy_bytes = *cold;
-    }
-    request.estimated_bytes =
-        engine::EstimatePlanFootprint(*planned.plan, *catalog_, lazy_bytes);
-    // A still-valid cached whole result needs no execution memory: drop
-    // the estimate so the hit is never footprint-gated behind headroom it
-    // will not use (the authoritative probe below runs post-admission, at
-    // the same point as on the FIFO path).
-    if (options_.enable_result_cache &&
-        result_recycler_->ValidateAndGet(
-            sql,
-            [this](const engine::ResultDependency& dep) {
-              return CurrentMtime(dep.path);
-            }) != nullptr) {
-      request.estimated_bytes = 0;
-    }
-    LAZYETL_ASSIGN_OR_RETURN(ticket, scheduler_->Admit(request));
-    LogOp(LogCategory::kQuery,
-          "query (ticket " + std::to_string(ticket.id()) + ", priority " +
-              common::QueryPriorityToString(request.priority) +
-              ", estimated footprint " +
-              std::to_string(request.estimated_bytes) + " B): " + sql);
-
-    // The cached sub-plan was validated before queueing for admission;
-    // files may have changed while this query waited. Re-validate and
-    // fall back to the detached original subtree on staleness —
-    // correctness never depends on the cache.
-    if (subplan_hit) {
-      bool fresh = true;
-      for (const auto& dep : subplan_deps) {
-        if (CurrentMtime(dep.path) != dep.mtime) {
-          fresh = false;
-          break;
-        }
-      }
-      if (!fresh) {
-        *sub_slot = std::move(subplan_detached);
-        subplan_deps.clear();
-        subplan_hit = false;
-        report.plan_cache_hit = false;
-        report.plan_runtime.clear();
-      }
-    }
-  }
-
-  // Whole-result recycling.
-  if (options_.enable_result_cache) {
-    auto mtime_fn = [this](const engine::ResultDependency& dep) {
-      return CurrentMtime(dep.path);
-    };
-    engine::CachedResultPtr cached =
-        result_recycler_->ValidateAndGet(sql, mtime_fn);
-    if (cached != nullptr) {
-      result_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      // The executed path gets these from Executor::Execute (via the
-      // QueryContext); the early return must fill them itself.
-      report.ticket_id = ticket.id();
-      report.queue_wait_seconds = ticket.queue_wait_seconds();
-      report.admitted_budget_bytes = ticket.admitted_budget_bytes();
-      report.priority = common::QueryPriorityToString(request.priority);
-      report.client_id = request.client_id;
-      report.estimated_footprint_bytes = request.estimated_bytes;
-      report.result_cache_hit = true;
-      report.result_rows = cached->table.num_rows();
-      report.total_seconds = total.ElapsedSeconds();
-      LogOp(LogCategory::kCache, "query answered from result cache");
-      QueryResult qr{cached->table, std::move(report)};
-      return qr;
-    }
-  }
-
-  phase.Restart();
-  // Per-query execution state: the context adopts the admission ticket
-  // (so the slot is held until execution finishes) and labels its spill
-  // directory with the ticket id; the provider carries the query's
-  // result-cache dependencies.
-  engine::QueryContext qctx(std::move(ticket), options_.spill_dir);
-  WarehouseDataProvider provider(this, &qctx);
-  // Budget and spill state come from the QueryContext; ExecutorOptions
-  // carries only the knobs the context does not own.
-  engine::ExecutorOptions exec_options;
-  exec_options.batch_rows = options_.batch_rows;
-  exec_options.query_threads = options_.query_threads;
-  engine::Executor executor(catalog_.get(), &provider, exec_options);
-  Table result;
-  if (plan_cache_ != nullptr && sub_slot != nullptr && !subplan_hit) {
-    // Sub-plan miss: execute the breaker subtree first, admit its
-    // materialization together with the dependency set the execution
-    // recorded, then run the remainder of the plan over the cached
-    // table. Byte-identical to single-phase execution: the breaker's
-    // output is deterministic, and the remainder consumes the same rows
-    // in the same order.
-    const bool sub_is_root = (sub_slot == &planned.plan);
-    LAZYETL_ASSIGN_OR_RETURN(Table sub_result,
-                             executor.Execute(**sub_slot, &report, &qctx));
-    auto sub_table = std::make_shared<Table>(std::move(sub_result));
-    engine::CachedSubPlan entry;
-    entry.table = sub_table;
-    entry.deps = provider.deps();
-    entry.admitted_at = NowNanos();
-    plan_cache_->Admit(subplan_fp, std::move(entry), plan_epoch);
-    if (sub_is_root) {
-      result = *sub_table;
-    } else {
-      *sub_slot = engine::MakeCachedScan(sub_table, "subplan");
-      LAZYETL_ASSIGN_OR_RETURN(
-          result, executor.Execute(*planned.plan, &report, &qctx));
-    }
-  } else {
-    LAZYETL_ASSIGN_OR_RETURN(result,
-                             executor.Execute(*planned.plan, &report, &qctx));
-  }
-  report.execute_seconds = phase.ElapsedSeconds();
-  report.result_rows = result.num_rows();
-  report.total_seconds = total.ElapsedSeconds();
-
-  if (options_.enable_result_cache) {
-    engine::CachedResult cached;
-    cached.table = result;
-    cached.deps = provider.deps();
-    // A sub-plan served from cache contributes files this execution never
-    // opened; the whole result still depends on them.
-    cached.deps.insert(cached.deps.end(), subplan_deps.begin(),
-                       subplan_deps.end());
-    cached.admitted_at = NowNanos();
-    result_recycler_->Admit(sql, std::move(cached));
-  }
-  LogOp(LogCategory::kQuery,
-        "query done: " + std::to_string(report.result_rows) + " rows in " +
-            std::to_string(report.total_seconds) + "s");
-  return QueryResult{std::move(result), std::move(report)};
+  return compiled;
 }
-
-// ---------------------------------------------------------------------------
-// QueryCursor: the streaming form of Query(). The front half (admission,
-// parse/bind, lazy refresh/hydration, planning, cache probes) mirrors
-// Query() step for step so report fields and admission behavior are
-// identical; the back half suspends instead of draining.
-// ---------------------------------------------------------------------------
 
 struct QueryCursor::Impl {
   Stopwatch total;
@@ -1867,22 +1634,97 @@ struct QueryCursor::Impl {
   std::unique_ptr<WarehouseDataProvider> provider;
   std::unique_ptr<engine::Executor> executor;
   engine::PlannedQuery planned;
-  engine::PlanNodePtr subplan_detached;  // kept alive on a sub-plan hit
   std::unique_ptr<engine::ExecutionCursor> exec;
 
-  // Result-cache hit: stream the cached table in batch-sized chunks (the
-  // shared_ptr keeps it alive; the ticket is released at open — a cache
-  // hit needs no execution resources).
-  engine::CachedResultPtr cached;
-  size_t cached_offset = 0;
+  // A result already whole in memory — a result-cache hit, or a sub-plan
+  // materialization that is the entire plan — is served in batch-sized
+  // slices instead of being executed.
+  std::shared_ptr<const Table> served;
+  size_t served_offset = 0;
+
+  // Whole-result admission at completion. `result_cache` is null when the
+  // tier is off or already answered the query. The result is retained
+  // while it spans at most `retain_limit` batches (0 = unbounded: Query()
+  // retains everything, a cursor only what fits its backpressure window);
+  // a result that outgrows the limit is dropped and never admitted.
+  engine::ResultRecycler* result_cache = nullptr;
+  std::vector<engine::ResultDependency> subplan_deps;
+  size_t retain_limit = 0;
+  bool retaining = false;
+  size_t retained_batches = 0;
+  Table retained;
 
   size_t batch_rows = engine::kDefaultBatchRows;
   uint64_t rows_streamed = 0;
   uint64_t peak_buffered_bytes = 0;
   bool emitted_first = false;
-  bool finished = false;
-  bool closed = false;
   bool released = false;
+
+  // The next in-order batch (the first always carries the schema);
+  // false at end of stream, after Complete. Errors release like Close.
+  Result<bool> Pull(engine::Batch* batch) {
+    if (served != nullptr) {
+      const size_t total_rows = served->num_rows();
+      if (emitted_first && served_offset >= total_rows) return Complete();
+      const size_t n = std::min(batch_rows, total_rows - served_offset);
+      batch->view = served->Slice(served_offset, n);
+      served_offset += n;
+    } else {
+      auto more = exec->Next(batch);
+      if (!more.ok()) {
+        Release();
+        return more.status();
+      }
+      if (!*more) return Complete();
+    }
+    emitted_first = true;
+    rows_streamed += batch->num_rows();
+    if (retaining) LAZYETL_RETURN_NOT_OK(Retain(batch->view));
+    return true;
+  }
+
+  Status Retain(const storage::TableSlice& view) {
+    if (retain_limit != 0 && retained_batches == retain_limit) {
+      retaining = false;
+      retained = Table();
+      return Status::OK();
+    }
+    if (retained_batches++ > 0) return retained.AppendSlice(view);
+    retained = view.Materialize();
+    return Status::OK();
+  }
+
+  // End of stream, shared by both paths: admit a result retained whole,
+  // with every file it depends on (a sub-plan served from cache
+  // contributes files this execution never opened), then release.
+  // Returns false, the end-of-stream answer of Pull.
+  bool Complete() {
+    if (result_cache != nullptr && retaining) {
+      engine::CachedResult entry;
+      entry.table = retained;
+      entry.deps = provider->deps();
+      entry.deps.insert(entry.deps.end(), subplan_deps.begin(),
+                        subplan_deps.end());
+      entry.admitted_at = NowNanos();
+      result_cache->Admit(report.sql, std::move(entry));
+    }
+    Release();
+    LogOp(LogCategory::kQuery,
+          "query done: " + std::to_string(rows_streamed) + " rows in " +
+              std::to_string(report.total_seconds) + "s");
+    return false;
+  }
+
+  // Drains the query into one table — Query()'s whole back half.
+  Result<QueryResult> Drain() {
+    engine::Batch batch;
+    while (true) {
+      LAZYETL_ASSIGN_OR_RETURN(bool more, Pull(&batch));
+      if (!more) break;
+      batch = engine::Batch();
+    }
+    return QueryResult{std::move(retained), std::move(report)};
+  }
 
   // Exactly-once teardown: cancel + join the drive loop, close the
   // operator tree (finalizing the report), then release the query
@@ -1890,25 +1732,18 @@ struct QueryCursor::Impl {
   void Release() {
     if (released) return;
     released = true;
-    const bool ran = exec != nullptr || cached != nullptr;
     if (exec != nullptr) {
       exec->Close();
       peak_buffered_bytes = exec->peak_buffered_bytes();
-      report.execute_seconds = exec_phase.ElapsedSeconds();
     }
+    if (qctx != nullptr) report.execute_seconds = exec_phase.ElapsedSeconds();
     report.result_rows = rows_streamed;
     report.total_seconds = total.ElapsedSeconds();
     exec.reset();
     executor.reset();
     provider.reset();
     qctx.reset();
-    cached.reset();
-    if (ran) {
-      LogOp(LogCategory::kQuery,
-            "cursor done: " + std::to_string(rows_streamed) +
-                " rows streamed in " + std::to_string(report.total_seconds) +
-                "s");
-    }
+    served.reset();
   }
 };
 
@@ -1917,9 +1752,7 @@ QueryCursor::QueryCursor() : impl_(std::make_unique<Impl>()) {}
 QueryCursor::~QueryCursor() { Close(); }
 
 void QueryCursor::Close() {
-  if (impl_ == nullptr || impl_->closed) return;
-  impl_->closed = true;
-  impl_->Release();
+  if (impl_ != nullptr) impl_->Release();
 }
 
 const engine::ExecutionReport& QueryCursor::report() const {
@@ -1935,53 +1768,19 @@ uint64_t QueryCursor::peak_buffered_bytes() const {
 
 Result<bool> QueryCursor::Next(storage::Table* out) {
   Impl& im = *impl_;
-  if (im.closed || im.finished) return false;
-
-  if (im.cached != nullptr) {
-    size_t total_rows = im.cached->table.num_rows();
-    if (im.emitted_first && im.cached_offset >= total_rows) {
-      im.finished = true;
-      im.Release();
-      return false;
-    }
-    size_t n = std::min(im.batch_rows, total_rows - im.cached_offset);
-    *out = im.cached->table.Slice(im.cached_offset, n).Materialize();
-    im.cached_offset += n;
-    im.emitted_first = true;
-    im.rows_streamed += n;
-    return true;
-  }
-
+  if (im.released) return false;
   engine::Batch batch;
-  auto more = im.exec->Next(&batch);
-  if (!more.ok()) {
-    // Mid-stream failure (extraction I/O, spill breaker): release
-    // everything now; the error is sticky.
-    im.finished = true;
-    im.Release();
-    return more.status();
-  }
-  if (!*more) {
-    im.finished = true;
-    im.Release();
-    return false;
-  }
-  *out = batch.view.Materialize();
-  im.emitted_first = true;
-  im.rows_streamed += batch.num_rows();
-  return true;
+  LAZYETL_ASSIGN_OR_RETURN(bool more, im.Pull(&batch));
+  if (more) *out = batch.view.Materialize();
+  return more;
 }
 
-Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
-    const std::string& sql) {
-  return OpenCursor(sql, QueryOptions());
-}
-
-Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
-    const std::string& sql, const QueryOptions& query_options) {
+Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
+    const std::string& sql, const QueryOptions& query_options,
+    size_t window_batches) {
   auto cursor = std::unique_ptr<QueryCursor>(new QueryCursor());
   QueryCursor::Impl& im = *cursor->impl_;
-  im.report.sql = sql;
+  ExecutionReport& report = im.report;
   im.batch_rows = options_.batch_rows == SIZE_MAX ? engine::kDefaultBatchRows
                                                   : options_.batch_rows;
 
@@ -1992,69 +1791,68 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
   request.queue_timeout_ms =
       ResolveQueueTimeoutMs(query_options.queue_timeout_ms);
 
-  // Admission: identical to Query() — ticket first unless footprint-aware
-  // (the scheduler records queue waits and timeouts the same way, so
-  // queue_wait_seconds and queries_timed_out cover the cursor path too).
+  // Admission control: policy-driven ticket, held (RAII, via the
+  // QueryContext) for the query's whole lifetime. The ticket's budget —
+  // carved from the process-global cap — governs breaker state,
+  // extraction windows and (via the recycler's governor) cache
+  // admissions. Only footprint-aware admission needs the plan before the
+  // ticket; otherwise admit first, so the scheduler bound also caps
+  // concurrent metadata refresh/hydration work. A queue timeout fails
+  // here with DeadlineExceeded before any state is touched.
   common::QueryTicket ticket;
-  if (!options_.footprint_aware_admission) {
+  auto admit = [&]() -> Status {
     LAZYETL_ASSIGN_OR_RETURN(ticket, scheduler_->Admit(request));
+    report.ticket_id = ticket.id();
+    report.queue_wait_seconds = ticket.queue_wait_seconds();
+    report.admitted_budget_bytes = ticket.admitted_budget_bytes();
+    report.priority = common::QueryPriorityToString(request.priority);
+    report.client_id = request.client_id;
+    report.estimated_footprint_bytes = request.estimated_bytes;
     LogOp(LogCategory::kQuery,
-          "cursor (ticket " + std::to_string(ticket.id()) + ", priority " +
-              common::QueryPriorityToString(request.priority) + "): " + sql);
-  }
+          "query (ticket " + std::to_string(ticket.id()) + ", priority " +
+              report.priority +
+              (options_.footprint_aware_admission
+                   ? ", estimated footprint " +
+                         std::to_string(request.estimated_bytes) + " B"
+                   : "") +
+              "): " + sql);
+    return Status::OK();
+  };
+  if (!options_.footprint_aware_admission) LAZYETL_RETURN_NOT_OK(admit());
 
-  Stopwatch phase;
-  LAZYETL_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
-  im.report.parse_seconds = phase.ElapsedSeconds();
+  LAZYETL_ASSIGN_OR_RETURN(CompiledQuery compiled,
+                           Compile(sql, /*refresh=*/true, &report));
+  im.planned = std::move(compiled.planned);
 
-  phase.Restart();
-  sql::Binder binder(catalog_.get());
-  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
-  im.report.bind_seconds = phase.ElapsedSeconds();
-
-  if (IsLazyStrategy()) {
-    LAZYETL_RETURN_NOT_OK(RefreshStaleCandidates(bound, &im.report));
-  }
-  if (options_.strategy == LoadStrategy::kLazyFilenameOnly) {
-    LAZYETL_RETURN_NOT_OK(HydrateForQuery(bound, &im.report));
-  }
-
-  phase.Restart();
-  std::set<std::string> lazy_tables;
-  if (IsLazyStrategy()) lazy_tables.insert(kDataTable);
-  engine::Planner planner(catalog_.get(), lazy_tables,
-                          options_.enable_metadata_pruning);
-  LAZYETL_ASSIGN_OR_RETURN(im.planned, planner.Plan(bound));
-  im.report.plan_before = im.planned.naive_plan;
-  im.report.plan_after = im.planned.plan->ToString();
-  im.report.plan_seconds = phase.ElapsedSeconds();
-
-  // Sub-plan cache: hits are honored exactly as in Query(); on a miss the
-  // original plan executes unchanged (the streaming path materializes no
-  // breaker output to admit).
+  // Sub-plan cache: recognize the topmost breaker subtree and, when a
+  // still-valid materialization exists, substitute a CachedScan for it
+  // before admission — footprint estimation then sees the substituted
+  // plan, so a served sub-plan admits near-free. The original subtree is
+  // detached (not destroyed): the footprint path re-validates after its
+  // queue wait and reverts on staleness.
   auto dep_mtime_fn = [this](const engine::ResultDependency& dep) {
     return CurrentMtime(dep.path);
   };
   engine::PlanNodePtr* sub_slot = nullptr;
-  std::vector<engine::ResultDependency> subplan_deps;
-  bool subplan_hit = false;
+  std::string subplan_fp;
+  uint64_t plan_epoch = 0;
+  engine::PlanNodePtr subplan_detached;
   if (plan_cache_ != nullptr) {
     sub_slot = engine::FindCacheableSubPlan(&im.planned.plan);
-    std::string subplan_fp;
     if (sub_slot != nullptr) {
       subplan_fp = engine::PlanFingerprint(**sub_slot);
       if (subplan_fp.empty()) sub_slot = nullptr;
     }
     if (sub_slot != nullptr) {
-      engine::CachedSubPlanPtr cached_sub =
+      plan_epoch = plan_cache_->epoch();
+      engine::CachedSubPlanPtr cached =
           plan_cache_->ValidateAndGet(subplan_fp, dep_mtime_fn);
-      if (cached_sub != nullptr) {
-        im.subplan_detached = std::move(*sub_slot);
-        *sub_slot = engine::MakeCachedScan(cached_sub->table, "subplan");
-        subplan_deps = cached_sub->deps;
-        subplan_hit = true;
-        im.report.plan_cache_hit = true;
-        im.report.plan_runtime +=
+      if (cached != nullptr) {
+        subplan_detached = std::move(*sub_slot);
+        *sub_slot = engine::MakeCachedScan(cached->table, "subplan");
+        im.subplan_deps = cached->deps;
+        report.plan_cache_hit = true;
+        report.plan_runtime +=
             "sub-plan cache hit: breaker subtree replaced by CachedScan\n" +
             im.planned.plan->ToString();
         LogOp(LogCategory::kCache, "sub-plan served from plan cache");
@@ -2062,66 +1860,63 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
     }
   }
 
+  // Footprint-aware admission: estimate from the just-built plan, then
+  // take the ticket.
   if (options_.footprint_aware_admission) {
     uint64_t lazy_bytes = 0;
     if (IsLazyStrategy()) {
-      auto cold = EstimateColdExtractionBytes(bound);
+      auto cold = EstimateColdExtractionBytes(compiled.bound);
       if (cold.ok()) lazy_bytes = *cold;
     }
     request.estimated_bytes =
         engine::EstimatePlanFootprint(*im.planned.plan, *catalog_, lazy_bytes);
+    // A still-valid cached whole result needs no execution memory: drop
+    // the estimate so the hit is never footprint-gated behind headroom it
+    // will not use (the authoritative probe below runs post-admission, at
+    // the same point as on the FIFO path).
     if (options_.enable_result_cache &&
         result_recycler_->ValidateAndGet(sql, dep_mtime_fn) != nullptr) {
       request.estimated_bytes = 0;
     }
-    LAZYETL_ASSIGN_OR_RETURN(ticket, scheduler_->Admit(request));
-    LogOp(LogCategory::kQuery,
-          "cursor (ticket " + std::to_string(ticket.id()) + ", priority " +
-              common::QueryPriorityToString(request.priority) +
-              ", estimated footprint " +
-              std::to_string(request.estimated_bytes) + " B): " + sql);
-    // Re-validate the cached sub-plan after the queue wait, reverting to
-    // the detached subtree on staleness (see Query()).
-    if (subplan_hit) {
-      bool fresh = true;
-      for (const auto& dep : subplan_deps) {
-        if (CurrentMtime(dep.path) != dep.mtime) {
-          fresh = false;
-          break;
-        }
-      }
-      if (!fresh) {
-        *sub_slot = std::move(im.subplan_detached);
-        subplan_hit = false;
-        im.report.plan_cache_hit = false;
-        im.report.plan_runtime.clear();
-      }
+    LAZYETL_RETURN_NOT_OK(admit());
+
+    // The cached sub-plan was validated before queueing for admission;
+    // files may have changed while this query waited. Re-validate and
+    // fall back to the detached original subtree on staleness —
+    // correctness never depends on the cache.
+    if (report.plan_cache_hit &&
+        !std::all_of(im.subplan_deps.begin(), im.subplan_deps.end(),
+                     [&](const engine::ResultDependency& dep) {
+                       return dep_mtime_fn(dep) == dep.mtime;
+                     })) {
+      *sub_slot = std::move(subplan_detached);
+      im.subplan_deps.clear();
+      report.plan_cache_hit = false;
+      report.plan_runtime.clear();
     }
   }
 
-  // Whole-result recycling: a still-valid cached result streams out in
-  // batch-sized chunks. The ticket is released here — serving from cache
-  // needs no execution slot, matching the materializing early return.
+  // Whole-result recycling. Serving from cache needs no execution
+  // resources: the ticket is released as this returns.
+  im.retain_limit = window_batches;
+  im.retaining = window_batches == 0;  // Query() always keeps its result
   if (options_.enable_result_cache) {
-    engine::CachedResultPtr cached =
-        result_recycler_->ValidateAndGet(sql, dep_mtime_fn);
-    if (cached != nullptr) {
+    if (engine::CachedResultPtr cached =
+            result_recycler_->ValidateAndGet(sql, dep_mtime_fn)) {
       result_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      im.report.ticket_id = ticket.id();
-      im.report.queue_wait_seconds = ticket.queue_wait_seconds();
-      im.report.admitted_budget_bytes = ticket.admitted_budget_bytes();
-      im.report.priority = common::QueryPriorityToString(request.priority);
-      im.report.client_id = request.client_id;
-      im.report.estimated_footprint_bytes = request.estimated_bytes;
-      im.report.result_cache_hit = true;
-      im.report.result_rows = cached->table.num_rows();
-      im.report.total_seconds = im.total.ElapsedSeconds();
-      im.cached = std::move(cached);
-      LogOp(LogCategory::kCache, "cursor answered from result cache");
+      report.result_cache_hit = true;
+      im.served = std::shared_ptr<const Table>(cached, &cached->table);
+      LogOp(LogCategory::kCache, "query answered from result cache");
       return cursor;
     }
+    im.result_cache = result_recycler_.get();
+    im.retaining = true;  // a cursor retains what it may admit
   }
 
+  // Per-query execution state: the context adopts the admission ticket
+  // (so the slot is held until the query completes or closes) and labels
+  // its spill directory with the ticket id; the provider carries the
+  // query's result-cache dependencies.
   im.exec_phase.Restart();
   im.qctx = std::make_unique<engine::QueryContext>(std::move(ticket),
                                                    options_.spill_dir);
@@ -2129,35 +1924,57 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
   engine::ExecutorOptions exec_options;
   exec_options.batch_rows = options_.batch_rows;
   exec_options.query_threads = options_.query_threads;
-  im.executor = std::make_unique<engine::Executor>(catalog_.get(),
-                                                   im.provider.get(),
-                                                   exec_options);
+  im.executor = std::make_unique<engine::Executor>(
+      catalog_.get(), im.provider.get(), exec_options);
+
+  if (sub_slot != nullptr && !report.plan_cache_hit) {
+    // Sub-plan miss: execute the breaker subtree first, admit its
+    // materialization together with the dependency set the execution
+    // recorded, then run the remainder of the plan over the cached
+    // table. Byte-identical to single-phase execution: the breaker's
+    // output is deterministic, and the remainder consumes the same rows
+    // in the same order.
+    LAZYETL_ASSIGN_OR_RETURN(
+        Table sub_result,
+        im.executor->Execute(**sub_slot, &report, im.qctx.get()));
+    auto sub_table = std::make_shared<Table>(std::move(sub_result));
+    engine::CachedSubPlan entry;
+    entry.table = sub_table;
+    entry.deps = im.provider->deps();
+    entry.admitted_at = NowNanos();
+    plan_cache_->Admit(subplan_fp, std::move(entry), plan_epoch);
+    if (sub_slot == &im.planned.plan) {
+      im.served = std::move(sub_table);
+      return cursor;
+    }
+    *sub_slot = engine::MakeCachedScan(sub_table, "subplan");
+  }
   LAZYETL_ASSIGN_OR_RETURN(
-      im.exec,
-      im.executor->OpenCursor(*im.planned.plan, &im.report, im.qctx.get(),
-                              options_.cursor_window_batches));
+      im.exec, im.executor->OpenCursor(*im.planned.plan, &report,
+                                       im.qctx.get(), window_batches));
   return cursor;
+}
+
+Result<QueryResult> Warehouse::Query(const std::string& sql,
+                                     const QueryOptions& query_options) {
+  LAZYETL_ASSIGN_OR_RETURN(std::unique_ptr<QueryCursor> cursor,
+                           Prepare(sql, query_options, /*window_batches=*/0));
+  return cursor->impl_->Drain();
+}
+
+Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
+    const std::string& sql) {
+  return OpenCursor(sql, QueryOptions());
+}
+
+Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
+    const std::string& sql, const QueryOptions& query_options) {
+  return Prepare(sql, query_options, options_.cursor_window_batches);
 }
 
 Result<engine::ExecutionReport> Warehouse::Explain(const std::string& sql) {
   ExecutionReport report;
-  report.sql = sql;
-  Stopwatch phase;
-  LAZYETL_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
-  report.parse_seconds = phase.ElapsedSeconds();
-  phase.Restart();
-  sql::Binder binder(catalog_.get());
-  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
-  report.bind_seconds = phase.ElapsedSeconds();
-  phase.Restart();
-  std::set<std::string> lazy_tables;
-  if (IsLazyStrategy()) lazy_tables.insert(kDataTable);
-  engine::Planner planner(catalog_.get(), lazy_tables,
-                          options_.enable_metadata_pruning);
-  LAZYETL_ASSIGN_OR_RETURN(engine::PlannedQuery planned, planner.Plan(bound));
-  report.plan_before = planned.naive_plan;
-  report.plan_after = planned.plan->ToString();
-  report.plan_seconds = phase.ElapsedSeconds();
+  LAZYETL_RETURN_NOT_OK(Compile(sql, /*refresh=*/false, &report).status());
   report.total_seconds =
       report.parse_seconds + report.bind_seconds + report.plan_seconds;
   return report;

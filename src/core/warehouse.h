@@ -227,13 +227,16 @@ struct QueryOptions {
 // released exactly once. Single consumer: Next/Close from one thread at
 // a time; different cursors are independent and may run concurrently.
 //
-// Semantics match Query() batch-for-batch: batches arrive in serial seq
-// order, so their concatenation is byte-identical to Query(sql).table;
-// the first batch always carries the result schema (possibly with zero
-// rows). A still-valid cached whole result is streamed in batch-sized
-// chunks. Streamed results are not admitted to the whole-result cache
-// (they are never materialized server-side); sub-plan cache hits are
-// honored, misses execute the original plan without populating the tier.
+// Query() is a drain of this same prepared query, so batches arrive in
+// serial seq order and their concatenation is byte-identical to
+// Query(sql).table; the first batch always carries the result schema
+// (possibly with zero rows). A still-valid cached whole result is
+// streamed in batch-sized chunks. Both cache tiers are warmed as by
+// Query(): a sub-plan miss materializes and admits the breaker subtree
+// before streaming the rest, and a stream that runs to the end is
+// admitted to the whole-result cache when it spanned at most
+// cursor_window_batches batches — the cursor retains no more than its
+// backpressure window, so wider results stream without being admitted.
 class QueryCursor {
  public:
   ~QueryCursor();
@@ -312,22 +315,25 @@ class Warehouse {
   // repository roots (so Refresh() keeps working).
   Result<LoadStats> AttachPersisted(const std::string& persist_dir);
 
-  // Parses, binds, plans, and executes `sql`. The report documents plan
-  // reorganisation, run-time rewriting, extraction and cache activity —
-  // plus, under concurrent serving, the admission ticket, queue wait,
-  // priority class and carved budget. Safe to call from many threads at
-  // once. The one-argument form runs with default QueryOptions (NORMAL
-  // priority, anonymous tenant, warehouse-default timeout).
+  // Parses, binds, plans, and executes `sql`: prepares the same query
+  // OpenCursor() would and drains it with an unbounded window into one
+  // table. The report documents plan reorganisation, run-time rewriting,
+  // extraction and cache activity — plus, under concurrent serving, the
+  // admission ticket, queue wait, priority class and carved budget. Safe
+  // to call from many threads at once. The one-argument form runs with
+  // default QueryOptions (NORMAL priority, anonymous tenant,
+  // warehouse-default timeout).
   Result<QueryResult> Query(const std::string& sql);
   Result<QueryResult> Query(const std::string& sql,
                             const QueryOptions& query_options);
 
-  // Streaming form of Query(): admits through the same scheduler (same
-  // priorities, fair share, queue timeouts — a timeout fails here with
-  // Status::DeadlineExceeded before any state is touched), then returns a
+  // Streaming form of Query(), sharing its whole lifecycle: admission
+  // (a queue timeout fails here with Status::DeadlineExceeded before any
+  // state is touched), lazy refresh, planning and cache probes, then a
   // cursor that yields the result batch-by-batch. See QueryCursor for
-  // lifecycle and backpressure; WarehouseOptions::cursor_window_batches
-  // bounds what a slow consumer can keep buffered.
+  // lifecycle, backpressure and cache admission;
+  // WarehouseOptions::cursor_window_batches bounds what a slow consumer
+  // can keep buffered.
   Result<std::unique_ptr<QueryCursor>> OpenCursor(const std::string& sql);
   Result<std::unique_ptr<QueryCursor>> OpenCursor(
       const std::string& sql, const QueryOptions& query_options);
@@ -418,6 +424,23 @@ class Warehouse {
   // candidate files, from registry metadata — the cold-extraction term of
   // the plan footprint estimate.
   Result<uint64_t> EstimateColdExtractionBytes(const sql::BoundQuery& query);
+
+  // Parse, bind and plan, timing each phase into `report`. With
+  // `refresh`, the lazy strategies first re-load stale candidate files and
+  // hydrate filename-only metadata, so the plan sees the current
+  // repository; Explain passes false and touches no data.
+  struct CompiledQuery;
+  Result<CompiledQuery> Compile(const std::string& sql, bool refresh,
+                                engine::ExecutionReport* report);
+
+  // The one front half of Query() and OpenCursor(): admission, Compile,
+  // the sub-plan probe (with post-queue re-validation), the result-cache
+  // probe, and — unless a cached result answers — the opened execution.
+  // `window_batches` bounds both the backpressure window and the batches
+  // retained for result-cache admission (0 = unbounded).
+  Result<std::unique_ptr<QueryCursor>> Prepare(
+      const std::string& sql, const QueryOptions& query_options,
+      size_t window_batches);
 
   // Resolves a query's effective admission-queue timeout from its options
   // and the warehouse default (see QueryOptions::queue_timeout_ms).

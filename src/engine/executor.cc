@@ -23,24 +23,6 @@ using storage::TableSlice;
 
 namespace {
 
-// Default streaming adapter: one chunk holding the whole fetched table.
-// Providers that can extract incrementally override StreamRecords.
-class SingleChunkStream : public RecordStream {
- public:
-  explicit SingleChunkStream(Table table) : table_(std::move(table)) {}
-
-  Result<bool> Next(Table* out) override {
-    if (done_) return false;
-    done_ = true;
-    *out = std::move(table_);
-    return true;
-  }
-
- private:
-  Table table_;
-  bool done_ = false;
-};
-
 // Cache-aware morsel sizing: LAZYETL_MORSEL_ROWS overrides the default
 // rows-per-batch (and thus per-morsel) when the caller did not configure
 // one explicitly. Values outside [64, 1M] — or non-numeric ones — are
@@ -57,24 +39,6 @@ size_t ResolveMorselRows(size_t configured) {
 }
 
 }  // namespace
-
-Result<std::unique_ptr<RecordStream>> LazyDataProvider::StreamRecords(
-    const std::vector<RecordKey>& keys, const std::vector<ScanColumn>& columns,
-    size_t batch_rows, ExecutionReport* report) {
-  (void)batch_rows;
-  LAZYETL_ASSIGN_OR_RETURN(Table data, FetchRecords(keys, columns, report));
-  return std::unique_ptr<RecordStream>(
-      std::make_unique<SingleChunkStream>(std::move(data)));
-}
-
-Result<std::unique_ptr<RecordStream>> LazyDataProvider::StreamAllRecords(
-    const std::vector<ScanColumn>& columns, size_t batch_rows,
-    ExecutionReport* report) {
-  (void)batch_rows;
-  LAZYETL_ASSIGN_OR_RETURN(Table data, FetchAllRecords(columns, report));
-  return std::unique_ptr<RecordStream>(
-      std::make_unique<SingleChunkStream>(std::move(data)));
-}
 
 Result<Table> HashJoinTables(const Table& left, const Table& right,
                              const std::vector<std::string>& left_keys,

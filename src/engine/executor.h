@@ -50,30 +50,19 @@ class LazyDataProvider {
  public:
   virtual ~LazyDataProvider() = default;
 
-  // Produces a table holding `columns` (named by output_name) for exactly
-  // the requested records. Expected columns are a subset of the data
-  // table's schema (file_id, seq_no, sample_time, sample_value).
-  virtual Result<storage::Table> FetchRecords(
-      const std::vector<RecordKey>& keys,
-      const std::vector<ScanColumn>& columns, ExecutionReport* report) = 0;
-
-  // The §3.1 worst case: every record of the repository.
-  virtual Result<storage::Table> FetchAllRecords(
-      const std::vector<ScanColumn>& columns, ExecutionReport* report) = 0;
-
-  // Streaming fetch: the same records as FetchRecords, emitted file-by-file
-  // in chunks of at most `batch_rows` rows. The default adapts
-  // FetchRecords into a single-chunk stream; providers that can extract
-  // incrementally should override it to bound peak memory.
+  // Streams `columns` (named by output_name) for exactly the requested
+  // records, file-by-file in chunks of at most `batch_rows` rows. Expected
+  // columns are a subset of the data table's schema (file_id, seq_no,
+  // sample_time, sample_value).
   virtual Result<std::unique_ptr<RecordStream>> StreamRecords(
       const std::vector<RecordKey>& keys,
       const std::vector<ScanColumn>& columns, size_t batch_rows,
-      ExecutionReport* report);
+      ExecutionReport* report) = 0;
 
-  // Streaming variant of FetchAllRecords.
+  // The §3.1 worst case: every record of the repository.
   virtual Result<std::unique_ptr<RecordStream>> StreamAllRecords(
       const std::vector<ScanColumn>& columns, size_t batch_rows,
-      ExecutionReport* report);
+      ExecutionReport* report) = 0;
 };
 
 struct ExecutorOptions {

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 #include "common/log.h"
@@ -158,13 +159,13 @@ void QueryServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     conns.swap(connections_);
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
+  for (Connection& c : conns) {
+    if (c.thread.joinable()) c.thread.join();
   }
 }
 
@@ -195,10 +196,33 @@ void QueryServer::AcceptLoop() {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd_to, sizeof(snd_to));
     connections_total_.fetch_add(1);
     std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.emplace_back([this, fd] {
-      ServeConnection(fd);
+    // Reap: a done thread has left its critical section, so the join
+    // only waits for it to return.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections_.erase(it);
+    }
+    // The new thread marks its entry done under conn_mu_, which is held
+    // here until the entry's thread handle is assigned.
+    auto conn = connections_.emplace(connections_.end());
+    try {
+      conn->thread = std::thread([this, fd, conn] {
+        ServeConnection(fd);
+        ::close(fd);
+        std::lock_guard<std::mutex> done_lock(conn_mu_);
+        conn->done = true;
+      });
+    } catch (const std::system_error&) {
+      // Out of threads or stack space: refuse this connection instead of
+      // letting the exception take the daemon down.
+      connections_.erase(conn);
       ::close(fd);
-    });
+      queries_rejected_.fetch_add(1);
+    }
   }
 }
 

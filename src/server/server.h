@@ -27,21 +27,24 @@
 //   GET /healthz       200 "ok".
 //
 // Lifecycle: Start binds/listens and spawns the accept loop;
-// connections are served one thread each and joined by Stop, which also
-// closes the listener. Every cursor is closed on every exit path
-// (clean end, mid-stream error, client disconnect), so an abandoned
-// stream releases its admission ticket, budget carve and spill
-// directory exactly once.
+// connections are served one thread each. The accept loop joins
+// finished connection threads as new connections arrive, so an exited
+// thread never keeps its stack mapped for the daemon's lifetime; Stop
+// joins the rest and closes the listener. A connection whose thread
+// cannot be created is closed and counted in queries_rejected. Every
+// cursor is closed on every exit path (clean end, mid-stream error,
+// client disconnect), so an abandoned stream releases its admission
+// ticket, budget carve and spill directory exactly once.
 
 #ifndef LAZYETL_SERVER_SERVER_H_
 #define LAZYETL_SERVER_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -99,8 +102,15 @@ class QueryServer {
   int port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
+  // One entry per connection thread; `done` (guarded by conn_mu_) is set
+  // by the thread as it exits, and the accept loop joins and erases done
+  // entries. A list, so each thread can hold its own entry's iterator.
+  struct Connection {
+    std::thread thread;
+    bool done = false;
+  };
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;
 
   std::atomic<uint64_t> connections_total_{0};
   std::atomic<uint64_t> queries_ok_{0};

@@ -437,6 +437,14 @@ class CacheTiersTest : public ::testing::Test {
   mseed::GeneratedRepository repo_;
 };
 
+// Runs `sql` through Query() or, when `streamed`, through a drained
+// OpenCursor() — the two entry points share one lifecycle, so either
+// must warm the tiers for the other.
+Result<core::QueryResult> RunQuery(core::Warehouse* wh, const std::string& sql,
+                                   bool streamed) {
+  return streamed ? lazyetl::testing::DrainCursor(wh, sql) : wh->Query(sql);
+}
+
 TEST_F(CacheTiersTest, CachedEqualsUncachedAcrossThreadsAndBudgets) {
   const std::vector<std::string> queries = {
       lazyetl::testing::kPaperQ1,
@@ -458,16 +466,19 @@ TEST_F(CacheTiersTest, CachedEqualsUncachedAcrossThreadsAndBudgets) {
     // ~0 = unlimited is the option default; 1 MiB starves the pool so
     // every admission runs the yield/reject path mid-query.
     for (uint64_t pool : {uint64_t{0}, uint64_t{1} << 20}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " pool=" + std::to_string(pool));
-      auto on = OpenTiers(/*column=*/1, /*plan=*/1, pool, threads);
-      for (int round = 0; round < 2; ++round) {  // cold, then warm
-        for (size_t q = 0; q < queries.size(); ++q) {
-          auto r = on->Query(queries[q]);
-          ASSERT_OK(r);
-          ExpectTablesEqual(baseline[q], r->table,
-                            "query " + std::to_string(q) + " round " +
-                                std::to_string(round));
+      for (bool streamed : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " pool=" + std::to_string(pool) +
+                     " streamed=" + std::to_string(streamed));
+        auto on = OpenTiers(/*column=*/1, /*plan=*/1, pool, threads);
+        for (int round = 0; round < 2; ++round) {  // cold, then warm
+          for (size_t q = 0; q < queries.size(); ++q) {
+            auto r = RunQuery(on.get(), queries[q], streamed);
+            ASSERT_OK(r);
+            ExpectTablesEqual(baseline[q], r->table,
+                              "query " + std::to_string(q) + " round " +
+                                  std::to_string(round));
+          }
         }
       }
     }
@@ -497,25 +508,36 @@ TEST_F(CacheTiersTest, ColumnTierServesRepeatedExtractions) {
 }
 
 TEST_F(CacheTiersTest, PlanTierServesRepeatedBreakers) {
-  auto wh = OpenTiers(/*column=*/0, /*plan=*/1, /*pool_budget=*/0);
-  auto cold = wh->Query(lazyetl::testing::kPaperQ2);
-  ASSERT_OK(cold);
-  EXPECT_FALSE(cold->report.plan_cache_hit);
+  // A streamed sub-plan miss admits exactly as Query() does, and either
+  // entry point is served by what the other admitted.
+  for (bool cold_streamed : {false, true}) {
+    for (bool warm_streamed : {false, true}) {
+      SCOPED_TRACE("cold_streamed=" + std::to_string(cold_streamed) +
+                   " warm_streamed=" + std::to_string(warm_streamed));
+      auto wh = OpenTiers(/*column=*/0, /*plan=*/1, /*pool_budget=*/0);
+      auto cold =
+          RunQuery(wh.get(), lazyetl::testing::kPaperQ2, cold_streamed);
+      ASSERT_OK(cold);
+      EXPECT_FALSE(cold->report.plan_cache_hit);
 
-  auto warm = wh->Query(lazyetl::testing::kPaperQ2);
-  ASSERT_OK(warm);
-  EXPECT_TRUE(warm->report.plan_cache_hit);
-  // The whole breaker subtree was skipped: nothing was extracted.
-  EXPECT_EQ(warm->report.records_extracted, 0u);
-  EXPECT_EQ(warm->report.files_opened, 0u);
-  ExpectTablesEqual(cold->table, warm->table, "plan-tier warm");
-  // The substituted plan is reported for introspection.
-  EXPECT_NE(warm->report.plan_runtime.find("CachedScan"), std::string::npos);
+      auto warm =
+          RunQuery(wh.get(), lazyetl::testing::kPaperQ2, warm_streamed);
+      ASSERT_OK(warm);
+      EXPECT_TRUE(warm->report.plan_cache_hit);
+      // The whole breaker subtree was skipped: nothing was extracted.
+      EXPECT_EQ(warm->report.records_extracted, 0u);
+      EXPECT_EQ(warm->report.files_opened, 0u);
+      ExpectTablesEqual(cold->table, warm->table, "plan-tier warm");
+      // The substituted plan is reported for introspection.
+      EXPECT_NE(warm->report.plan_runtime.find("CachedScan"),
+                std::string::npos);
 
-  auto stats = wh->Stats();
-  EXPECT_EQ(stats.plan_cache.hits, 1u);
-  EXPECT_EQ(stats.plan_cache.admissions, 1u);
-  EXPECT_GT(stats.plan_cache.current_bytes, 0u);
+      auto stats = wh->Stats();
+      EXPECT_EQ(stats.plan_cache.hits, 1u);
+      EXPECT_EQ(stats.plan_cache.admissions, 1u);
+      EXPECT_GT(stats.plan_cache.current_bytes, 0u);
+    }
+  }
 }
 
 TEST_F(CacheTiersTest, ExplicitOffBeatsEnvironmentAndReportsNothing) {
@@ -534,32 +556,35 @@ TEST_F(CacheTiersTest, ExplicitOffBeatsEnvironmentAndReportsNothing) {
 }
 
 TEST_F(CacheTiersTest, FileModificationInvalidatesBothTiers) {
-  auto wh = OpenTiers(/*column=*/1, /*plan=*/1, /*pool_budget=*/0);
-  const std::string sql =
-      "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'HGN' "
-      "AND F.channel = 'BHZ'";
-  ASSERT_OK(wh->Query(sql));
-  auto warm = wh->Query(sql);
-  ASSERT_OK(warm);
-  EXPECT_TRUE(warm->report.plan_cache_hit);
-
-  // Touch the file the query depends on: mtime moves, content does not.
   std::string target;
   for (const auto& f : repo_.files) {
     if (f.station == "HGN" && f.channel == "BHZ") target = f.path;
   }
   ASSERT_FALSE(target.empty());
-  fs::last_write_time(target, fs::file_time_type::clock::now() +
-                                  std::chrono::seconds(2));
+  for (bool streamed : {false, true}) {
+    SCOPED_TRACE("streamed=" + std::to_string(streamed));
+    auto wh = OpenTiers(/*column=*/1, /*plan=*/1, /*pool_budget=*/0);
+    const std::string sql =
+        "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'HGN' "
+        "AND F.channel = 'BHZ'";
+    ASSERT_OK(RunQuery(wh.get(), sql, streamed));
+    auto warm = RunQuery(wh.get(), sql, streamed);
+    ASSERT_OK(warm);
+    EXPECT_TRUE(warm->report.plan_cache_hit);
 
-  auto after = wh->Query(sql);
-  ASSERT_OK(after);
-  // Both tiers noticed: the plan entry failed dependency validation (or
-  // was cleared by the metadata republish) and the column windows were
-  // re-extracted under the new mtime.
-  EXPECT_FALSE(after->report.plan_cache_hit);
-  EXPECT_GT(after->report.records_extracted, 0u);
-  ExpectTablesEqual(warm->table, after->table, "same content after touch");
+    // Touch the file the query depends on: mtime moves, content does not.
+    fs::last_write_time(target, fs::last_write_time(target) +
+                                    std::chrono::seconds(2));
+
+    auto after = RunQuery(wh.get(), sql, streamed);
+    ASSERT_OK(after);
+    // Both tiers noticed: the plan entry failed dependency validation (or
+    // was cleared by the metadata republish) and the column windows were
+    // re-extracted under the new mtime.
+    EXPECT_FALSE(after->report.plan_cache_hit);
+    EXPECT_GT(after->report.records_extracted, 0u);
+    ExpectTablesEqual(warm->table, after->table, "same content after touch");
+  }
 }
 
 TEST_F(CacheTiersTest, RefreshClearsThePlanTier) {
@@ -600,6 +625,54 @@ TEST_F(CacheTiersTest, ClearCachesDropsEveryTier) {
   EXPECT_EQ(stats.plan_cache.entries, 0u);
   EXPECT_EQ(stats.cache.entries, 0u);
   EXPECT_EQ(stats.cache_pool.used_bytes, 0u);
+}
+
+// A cursor retains at most its backpressure window for whole-result
+// admission: a streamed scan wider than the window is never admitted, and
+// its resident result bytes stay far below the materialized table.
+TEST_F(CacheTiersTest, StreamWiderThanWindowIsNotAdmitted) {
+  const char* sql =
+      "SELECT D.sample_value, D.sample_time FROM mseed.dataview "
+      "WHERE F.channel = 'BHZ';";
+  constexpr size_t kBatchRows = 128;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::WarehouseOptions options;
+    options.strategy = core::LoadStrategy::kLazy;
+    options.query_threads = threads;
+    options.batch_rows = kBatchRows;
+    auto opened = core::Warehouse::Open(options);
+    ASSERT_OK(opened);
+    std::unique_ptr<core::Warehouse> wh = std::move(*opened);
+    ASSERT_OK(wh->AttachRepository(dir_.path()));
+
+    auto cursor = wh->OpenCursor(sql);
+    ASSERT_OK(cursor);
+    Table batch;
+    uint64_t rows = 0;
+    while (true) {
+      auto more = (*cursor)->Next(&batch);
+      ASSERT_OK(more);
+      if (!*more) break;
+      rows += batch.num_rows();
+    }
+    const uint64_t peak = (*cursor)->peak_buffered_bytes();
+    EXPECT_EQ(wh->Stats().result_cache_entries, 0u);
+
+    // Nothing was admitted, so Query() executes; it retains its whole
+    // result and admits it.
+    auto queried = wh->Query(sql);
+    ASSERT_OK(queried);
+    EXPECT_FALSE(queried->report.result_cache_hit);
+    ASSERT_GT(queried->table.num_rows(),
+              wh->options().cursor_window_batches * kBatchRows);
+    EXPECT_EQ(rows, queried->table.num_rows());
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak * 10, queried->table.MemoryBytes())
+        << "peak=" << peak
+        << " materialized=" << queried->table.MemoryBytes();
+    EXPECT_EQ(wh->Stats().result_cache_entries, 1u);
+  }
 }
 
 // TSan target: concurrent queries over one warehouse with both tiers on

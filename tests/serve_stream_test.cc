@@ -108,10 +108,17 @@ TEST_F(ServeStreamTest, StreamedMatchesMaterializedAcrossConfigs) {
         ASSERT_OK(expected);
         std::vector<std::string> expected_rows =
             server::JsonRows(expected->table);
+        // Query() admitted its result; drop it so pass 0 streams an
+        // executed query. Pass 1 is then answered from the whole-result
+        // cache that pass 0 warmed — unless the result is wider than the
+        // cursor's retention window, which is never admitted. Parity must
+        // hold on both the execution and the cache path.
+        wh->ClearCaches();
+        const bool wide = expected->table.num_rows() >
+                          wh->options().cursor_window_batches * kTestBatchRows;
 
-        // Two passes so the second may stream a cached whole result —
-        // parity must hold on both the execution and the cache path.
         for (int pass = 0; pass < 2; ++pass) {
+          const uint64_t hits_before = wh->Stats().result_cache_hits;
           server::ClientOptions copts;
           copts.priority = kPriorities[pass % 2];
           auto streamed =
@@ -127,6 +134,9 @@ TEST_F(ServeStreamTest, StreamedMatchesMaterializedAcrossConfigs) {
           for (size_t r = 0; r < expected_rows.size(); ++r) {
             ASSERT_EQ(streamed->rows[r], expected_rows[r]) << "row " << r;
           }
+          EXPECT_EQ(wh->Stats().result_cache_hits - hits_before,
+                    pass == 1 && !wide ? 1u : 0u)
+              << "pass " << pass;
         }
       }
       srv.Stop();
@@ -436,6 +446,45 @@ TEST_F(ServeStreamTest, ConcurrentClientsStreamConsistently) {
   srv.Stop();
   EXPECT_EQ(wh->Stats().queries_active, 0u);
   EXPECT_EQ(srv.counters().queries_ok, static_cast<uint64_t>(kClients));
+}
+
+// --- Connection threads are reaped ----------------------------------------
+
+// This process's virtual size in KiB, from /proc/self/status.
+uint64_t VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+TEST_F(ServeStreamTest, SequentialConnectionsDoNotGrowVirtualMemory) {
+  // Every one-shot connection gets its own thread. Threads that exited
+  // but were never joined keep their stack mappings (8 MiB each by
+  // default), so without reaping 2,000 connections would grow VmSize by
+  // ~16 GB while the live thread count stays flat.
+  auto wh = OpenServing(repo(), 1, 0);
+  server::QueryServer srv(wh.get());
+  ASSERT_STATUS_OK(srv.Start());
+  const char* sql = kParityQueries[2];
+  ASSERT_OK(server::RunStreamedQuery("127.0.0.1", srv.port(), sql));
+  const uint64_t before_kib = VmSizeKiB();
+  ASSERT_GT(before_kib, 0u);
+
+  constexpr int kConnections = 2000;
+  for (int i = 0; i < kConnections; ++i) {
+    auto streamed = server::RunStreamedQuery("127.0.0.1", srv.port(), sql);
+    ASSERT_OK(streamed);
+    ASSERT_EQ(streamed->http_status, 200) << streamed->error_body;
+  }
+  const uint64_t after_kib = VmSizeKiB();
+  EXPECT_LT(after_kib, before_kib + 256 * 1024)
+      << "VmSize grew from " << before_kib << " KiB to " << after_kib
+      << " KiB over " << kConnections << " connections";
+  srv.Stop();
+  EXPECT_EQ(srv.counters().queries_ok, uint64_t{kConnections} + 1);
 }
 
 }  // namespace

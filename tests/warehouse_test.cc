@@ -14,6 +14,7 @@
 namespace lazyetl::core {
 namespace {
 
+using lazyetl::testing::DrainCursor;
 using lazyetl::testing::MustGenerate;
 using lazyetl::testing::MustOpen;
 using lazyetl::testing::ScopedTempDir;
@@ -274,6 +275,67 @@ TEST_F(WarehouseTest, OperationLogRecordsPhases) {
   EXPECT_TRUE(saw_metadata_load);
   EXPECT_TRUE(saw_rewrite);
   EXPECT_TRUE(saw_extract);
+}
+
+void ExpectSameReport(const QueryResult& queried, const QueryResult& streamed) {
+  const engine::ExecutionReport& q = queried.report;
+  const engine::ExecutionReport& c = streamed.report;
+  EXPECT_NE(q.ticket_id, 0u);
+  EXPECT_NE(c.ticket_id, 0u);
+  EXPECT_EQ(q.priority, c.priority);
+  EXPECT_EQ(q.client_id, c.client_id);
+  EXPECT_EQ(q.estimated_footprint_bytes, c.estimated_footprint_bytes);
+  EXPECT_EQ(q.result_cache_hit, c.result_cache_hit);
+  EXPECT_EQ(q.plan_cache_hit, c.plan_cache_hit);
+  EXPECT_EQ(q.result_rows, c.result_rows);
+  EXPECT_EQ(q.plan_before, c.plan_before);
+  EXPECT_EQ(q.plan_after, c.plan_after);
+  ASSERT_EQ(queried.table.num_rows(), streamed.table.num_rows());
+  for (size_t r = 0; r < queried.table.num_rows(); ++r) {
+    for (size_t col = 0; col < queried.table.num_columns(); ++col) {
+      EXPECT_TRUE(queried.table.GetValue(r, col)
+                      .Equals(streamed.table.GetValue(r, col)));
+    }
+  }
+}
+
+// Query() drains the same prepared query OpenCursor() streams, so both
+// report the same admission, cache and plan facts — on the executed path
+// and on the result-cache-hit path, under FIFO and footprint admission.
+TEST_F(WarehouseTest, QueryAndCursorReportTheSameLifecycle) {
+  for (bool footprint : {false, true}) {
+    SCOPED_TRACE(footprint ? "footprint-aware" : "fifo");
+    WarehouseOptions options;
+    options.strategy = LoadStrategy::kLazy;
+    options.footprint_aware_admission = footprint;
+    options.max_concurrent_queries = 2;
+    auto opened = Warehouse::Open(options);
+    ASSERT_OK(opened);
+    std::unique_ptr<Warehouse> wh = std::move(*opened);
+    ASSERT_OK(wh->AttachRepository(dir_.path()));
+    QueryOptions qopts;
+    qopts.priority = common::QueryPriority::kHigh;
+    qopts.client_id = "tenant-a";
+    const std::string sql = lazyetl::testing::kPaperQ2;
+
+    // Executed path: each run starts from cold caches.
+    auto queried = wh->Query(sql, qopts);
+    ASSERT_OK(queried);
+    wh->ClearCaches();
+    auto streamed = DrainCursor(wh.get(), sql, qopts);
+    ASSERT_OK(streamed);
+    EXPECT_FALSE(queried->report.result_cache_hit);
+    ExpectSameReport(*queried, *streamed);
+
+    // The stream ran to the end within its window, so it was admitted:
+    // a second cursor and a Query() are both whole-result cache hits.
+    auto streamed_hit = DrainCursor(wh.get(), sql, qopts);
+    ASSERT_OK(streamed_hit);
+    auto queried_hit = wh->Query(sql, qopts);
+    ASSERT_OK(queried_hit);
+    EXPECT_TRUE(streamed_hit->report.result_cache_hit);
+    ExpectSameReport(*queried_hit, *streamed_hit);
+  }
 }
 
 }  // namespace

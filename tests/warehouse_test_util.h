@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "common/macros.h"
 #include "core/warehouse.h"
 #include "mseed/repository.h"
 #include "test_util.h"
@@ -44,6 +45,27 @@ inline std::unique_ptr<core::Warehouse> MustOpen(
   auto stats = (*wh)->AttachRepository(root);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return std::move(*wh);
+}
+
+// Drains OpenCursor(sql) into one table plus the final report — the
+// streamed counterpart of Query(sql).
+inline Result<core::QueryResult> DrainCursor(
+    core::Warehouse* wh, const std::string& sql,
+    const core::QueryOptions& options = {}) {
+  LAZYETL_ASSIGN_OR_RETURN(auto cursor, wh->OpenCursor(sql, options));
+  core::QueryResult out;
+  storage::Table batch;
+  for (bool first = true;; first = false) {
+    LAZYETL_ASSIGN_OR_RETURN(bool more, cursor->Next(&batch));
+    if (!more) break;
+    if (first) {
+      out.table = batch;
+    } else {
+      LAZYETL_RETURN_NOT_OK(out.table.AppendTable(batch));
+    }
+  }
+  out.report = cursor->report();
+  return out;
 }
 
 // The two queries of the paper's Fig. 1, adapted to the generated
