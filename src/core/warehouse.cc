@@ -21,6 +21,7 @@
 #include "engine/expr_eval.h"
 #include "engine/operators/operator.h"
 #include "engine/planner.h"
+#include "engine/pruning.h"
 #include "engine/query_context.h"
 #include "mseed/dataless.h"
 #include "mseed/repository.h"
@@ -1285,42 +1286,87 @@ Result<LoadStats> Warehouse::AttachRepository(const std::string& root) {
   return stats;
 }
 
+namespace {
+
+// Lazy refresh stats only the files whose *cached* metadata satisfies the
+// query's file-level predicates, so only predicates that a file's contents
+// cannot change may prune: a file may be appended to or rewritten in place,
+// but its identity (uri, file id, network, station, location, channel)
+// never changes under one path. Content columns such as start_time,
+// end_time or file_size never prune.
+bool IdentityComparison(const engine::ColumnComparison& cmp) {
+  if (cmp.column->base_table != kFilesTable) return false;
+  const std::string& column = cmp.column->base_column;
+  return column == "file_id" || column == "uri" || column == "network" ||
+         column == "station" || column == "location" || column == "channel";
+}
+
+// The identity predicate `e` implies, or null when it implies none: an AND
+// keeps its identity side(s), an OR only when both sides are.
+sql::BoundExprPtr IdentityPart(const sql::BoundExpr& e) {
+  const bool is_and = e.kind == sql::ExprKind::kBinary &&
+                      e.bin_op == sql::BinaryOp::kAnd;
+  const bool is_or = e.kind == sql::ExprKind::kBinary &&
+                     e.bin_op == sql::BinaryOp::kOr;
+  if (is_and || is_or) {
+    sql::BoundExprPtr left = IdentityPart(*e.children[0]);
+    sql::BoundExprPtr right = IdentityPart(*e.children[1]);
+    if (left == nullptr || right == nullptr) {
+      if (is_or) return nullptr;
+      return left != nullptr ? std::move(left) : std::move(right);
+    }
+    auto both = std::make_unique<sql::BoundExpr>();
+    both->kind = e.kind;
+    both->bin_op = e.bin_op;
+    both->type = e.type;
+    both->children.push_back(std::move(left));
+    both->children.push_back(std::move(right));
+    return both;
+  }
+  engine::ColumnComparison cmp;
+  if (engine::MatchColumnComparison(e, &cmp) && IdentityComparison(cmp)) {
+    return e.Clone();
+  }
+  return nullptr;
+}
+
+void CollectColumnRefs(const sql::BoundExpr& e,
+                       std::vector<const sql::BoundExpr*>* refs) {
+  if (e.kind == sql::ExprKind::kColumnRef) refs->push_back(&e);
+  for (const auto& child : e.children) CollectColumnRefs(*child, refs);
+}
+
+}  // namespace
+
 Result<std::vector<int64_t>> Warehouse::CandidateFileIds(
     const sql::BoundQuery& query) {
   LAZYETL_ASSIGN_OR_RETURN(TablePtr files, FilesTable());
   LAZYETL_ASSIGN_OR_RETURN(size_t fid_idx, files->ColumnIndex("file_id"));
   const auto& fids = files->column(fid_idx).int64_data();
 
-  // With file-level conjuncts, evaluate them over a qualified view of the
-  // files table ("F.station", ...) to prune the candidate set. Runs on an
-  // immutable snapshot — no registry lock needed.
-  if (query.view != nullptr && query.where != nullptr) {
-    std::vector<sql::BoundExprPtr> file_preds;
-    for (auto& conjunct : engine::SplitConjuncts(*query.where)) {
-      std::vector<std::string> tables;
-      conjunct->CollectTables(&tables);
-      if (tables.size() == 1 && tables[0] == kFilesTable) {
-        file_preds.push_back(std::move(conjunct));
-      }
-    }
-    if (!file_preds.empty()) {
-      Table qualified;
-      for (size_t i = 0; i < files->num_columns(); ++i) {
-        LAZYETL_RETURN_NOT_OK(qualified.AddColumn(
-            "F." + files->column_name(i), files->column(i)));
-      }
-      sql::BoundExprPtr combined =
-          engine::CombineConjuncts(std::move(file_preds));
-      LAZYETL_ASSIGN_OR_RETURN(
-          storage::SelectionVector sel,
-          engine::EvaluatePredicate(*combined, qualified));
-      std::vector<int64_t> out;
-      out.reserve(sel.size());
-      for (uint32_t row : sel) out.push_back(fids[row]);
-      return out;
-    }
+  sql::BoundExprPtr identity =
+      query.where != nullptr ? IdentityPart(*query.where) : nullptr;
+  if (identity == nullptr) return std::vector<int64_t>(fids.begin(), fids.end());
+
+  // Evaluate over a zero-copy view of the immutable snapshot (no registry
+  // lock needed), each column named the way the predicate refers to it:
+  // "F.station" in the dataview, "station" on the base table.
+  std::vector<const sql::BoundExpr*> refs;
+  CollectColumnRefs(*identity, &refs);
+  storage::TableSlice view;
+  std::set<std::string> added;
+  for (const sql::BoundExpr* ref : refs) {
+    if (!added.insert(ref->display).second) continue;
+    LAZYETL_ASSIGN_OR_RETURN(size_t idx, files->ColumnIndex(ref->base_column));
+    view.AddColumn(ref->display, &files->column(idx));
   }
-  return std::vector<int64_t>(fids.begin(), fids.end());
+  view.SetRange(0, files->num_rows());
+  LAZYETL_ASSIGN_OR_RETURN(storage::SelectionVector sel,
+                           engine::EvaluatePredicate(*identity, view));
+  std::vector<int64_t> out;
+  out.reserve(sel.size());
+  for (uint32_t row : sel) out.push_back(fids[row]);
+  return out;
 }
 
 Status Warehouse::ReloadModifiedFileLocked(FileEntry* entry,
@@ -1361,11 +1407,8 @@ Status Warehouse::ReloadModifiedFileLocked(FileEntry* entry,
   return Status::OK();
 }
 
-Status Warehouse::RefreshStaleCandidates(const sql::BoundQuery& query,
-                                         ExecutionReport* report) {
-  LAZYETL_ASSIGN_OR_RETURN(std::vector<int64_t> candidates,
-                           CandidateFileIds(query));
-
+Status Warehouse::RefreshStaleCandidates(
+    const std::vector<int64_t>& candidates, ExecutionReport* report) {
   // Pass 1 (shared): snapshot the registry state of the candidates.
   struct Checked {
     int64_t fid = 0;
@@ -1385,6 +1428,7 @@ Status Warehouse::RefreshStaleCandidates(const sql::BoundQuery& query,
   }
 
   // Pass 2 (no lock): stat the candidates.
+  report->files_stat_checked += checks.size();
   std::vector<int64_t> changed;
   for (const Checked& c : checks) {
     auto st = mseed::StatFile(c.path);
@@ -1490,6 +1534,7 @@ Result<LoadStats> Warehouse::AttachPersisted(const std::string& persist_dir) {
 }
 
 Status Warehouse::HydrateForQuery(const sql::BoundQuery& query,
+                                  const std::vector<int64_t>& candidates,
                                   ExecutionReport* report) {
   // Only dataview queries and direct queries on R/D need record metadata.
   bool needs_records = false;
@@ -1501,8 +1546,6 @@ Status Warehouse::HydrateForQuery(const sql::BoundQuery& query,
   }
   if (!needs_records) return Status::OK();
 
-  LAZYETL_ASSIGN_OR_RETURN(std::vector<int64_t> candidates,
-                           CandidateFileIds(query));
   std::vector<int64_t> todo;
   {
     std::shared_lock lock(meta_mu_);
@@ -1545,10 +1588,8 @@ int64_t Warehouse::ResolveQueueTimeoutMs(int64_t query_timeout_ms) const {
   return options_.queue_timeout_ms > 0 ? options_.queue_timeout_ms : 0;
 }
 
-Result<uint64_t> Warehouse::EstimateColdExtractionBytes(
-    const sql::BoundQuery& query) {
-  LAZYETL_ASSIGN_OR_RETURN(std::vector<int64_t> candidates,
-                           CandidateFileIds(query));
+uint64_t Warehouse::EstimateColdExtractionBytes(
+    const std::vector<int64_t>& candidates) const {
   uint64_t bytes = 0;
   std::shared_lock lock(meta_mu_);
   for (int64_t fid : candidates) {
@@ -1580,6 +1621,9 @@ Result<uint64_t> Warehouse::EstimateColdExtractionBytes(
 struct Warehouse::CompiledQuery {
   sql::BoundQuery bound;
   engine::PlannedQuery planned;
+  // Files the lazy refresh statted: the one candidate set of this query,
+  // shared by refresh, hydration and the cold-footprint estimate.
+  std::vector<int64_t> candidates;
 };
 
 Result<Warehouse::CompiledQuery> Warehouse::Compile(const std::string& sql,
@@ -1599,10 +1643,16 @@ Result<Warehouse::CompiledQuery> Warehouse::Compile(const std::string& sql,
   if (refresh && IsLazyStrategy()) {
     // Lazy refreshment (§3.3): before executing, verify the candidate
     // files' mtimes and re-load metadata of any that changed, so the
-    // metadata phase of the plan sees the current repository state.
-    LAZYETL_RETURN_NOT_OK(RefreshStaleCandidates(compiled.bound, report));
+    // metadata phase of the plan sees the current repository state. The
+    // candidates are pruned on identity columns only, which a reload
+    // cannot change.
+    LAZYETL_ASSIGN_OR_RETURN(compiled.candidates,
+                             CandidateFileIds(compiled.bound));
+    LAZYETL_RETURN_NOT_OK(
+        RefreshStaleCandidates(compiled.candidates, report));
     if (options_.strategy == LoadStrategy::kLazyFilenameOnly) {
-      LAZYETL_RETURN_NOT_OK(HydrateForQuery(compiled.bound, report));
+      LAZYETL_RETURN_NOT_OK(
+          HydrateForQuery(compiled.bound, compiled.candidates, report));
     }
   }
 
@@ -1863,11 +1913,9 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
   // Footprint-aware admission: estimate from the just-built plan, then
   // take the ticket.
   if (options_.footprint_aware_admission) {
-    uint64_t lazy_bytes = 0;
-    if (IsLazyStrategy()) {
-      auto cold = EstimateColdExtractionBytes(compiled.bound);
-      if (cold.ok()) lazy_bytes = *cold;
-    }
+    const uint64_t lazy_bytes =
+        IsLazyStrategy() ? EstimateColdExtractionBytes(compiled.candidates)
+                         : 0;
     request.estimated_bytes =
         engine::EstimatePlanFootprint(*im.planned.plan, *catalog_, lazy_bytes);
     // A still-valid cached whole result needs no execution memory: drop

@@ -415,20 +415,25 @@ class Warehouse {
   Status ReloadModifiedFileLocked(FileEntry* entry, CatalogWriter* writer,
                                   uint64_t* bytes_read);
 
-  // File ids matching the query's file-level predicates (all files when
-  // the query has none). Used to bound hydration and staleness checks.
-  // Reads only an immutable catalog snapshot — no lock needed.
+  // File ids whose cached metadata matches the identity part of the
+  // query's file-level predicates (all files when there is none): the
+  // comparisons on uri, file_id, network, station, location or channel,
+  // which an append or in-place rewrite of a file cannot change. Bounds
+  // the staleness checks, hydration and the cold-footprint estimate. Reads only an immutable catalog snapshot — no
+  // lock needed.
   Result<std::vector<int64_t>> CandidateFileIds(const sql::BoundQuery& query);
 
   // Footprint-aware admission: summed source-file bytes of the query's
   // candidate files, from registry metadata — the cold-extraction term of
   // the plan footprint estimate.
-  Result<uint64_t> EstimateColdExtractionBytes(const sql::BoundQuery& query);
+  uint64_t EstimateColdExtractionBytes(
+      const std::vector<int64_t>& candidates) const;
 
   // Parse, bind and plan, timing each phase into `report`. With
-  // `refresh`, the lazy strategies first re-load stale candidate files and
-  // hydrate filename-only metadata, so the plan sees the current
-  // repository; Explain passes false and touches no data.
+  // `refresh`, the lazy strategies first compute the query's candidate
+  // files, re-load the stale ones and hydrate filename-only metadata, so
+  // the plan sees the current repository; Explain passes false and touches
+  // no data.
   struct CompiledQuery;
   Result<CompiledQuery> Compile(const std::string& sql, bool refresh,
                                 engine::ExecutionReport* report);
@@ -446,17 +451,18 @@ class Warehouse {
   // and the warehouse default (see QueryOptions::queue_timeout_ms).
   int64_t ResolveQueueTimeoutMs(int64_t query_timeout_ms) const;
 
-  // Lazy refresh (§3.3) at query time: stats the candidate files and
-  // re-loads metadata of any whose mtime changed since it was read.
-  // Takes meta_mu_ shared for the checks, exclusive only when a stale
-  // file must actually be re-loaded.
-  Status RefreshStaleCandidates(const sql::BoundQuery& query,
+  // Lazy refresh (§3.3) at query time: stats the candidate files
+  // (counted in files_stat_checked) and re-loads metadata of any whose
+  // mtime or size changed since it was read. Takes meta_mu_ shared for the
+  // checks, exclusive only when a stale file must actually be re-loaded.
+  Status RefreshStaleCandidates(const std::vector<int64_t>& candidates,
                                 engine::ExecutionReport* report);
 
-  // Filename-only strategy: hydrate record metadata of the files matching
-  // the query's file-level predicates (called before planning when the
-  // query needs R or D columns). Same locking shape as the lazy refresh.
+  // Filename-only strategy: hydrate record metadata of the candidate files
+  // when the query needs R or D columns (called before planning). Same
+  // locking shape as the lazy refresh.
   Status HydrateForQuery(const sql::BoundQuery& query,
+                         const std::vector<int64_t>& candidates,
                          engine::ExecutionReport* report);
 
   // Current mtime of a file, or -1 when it cannot be statted.

@@ -83,6 +83,9 @@ struct ExecutionReport {
   uint64_t samples_extracted = 0;
   uint64_t bytes_read = 0;
 
+  // Lazy refresh at query time: candidate files statted for staleness.
+  uint64_t files_stat_checked = 0;
+
   // Deferred metadata (filename-only initial loading).
   uint64_t files_hydrated = 0;
 

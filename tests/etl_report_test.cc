@@ -111,6 +111,7 @@ TEST(ExecutionReportTest, ToStringContainsEverything) {
   report.records_extracted = 7;
   report.samples_extracted = 700;
   report.bytes_read = 3584;
+  report.files_stat_checked = 5;
   report.files_hydrated = 4;
   report.result_cache_hit = true;
   report.plan_before = "NaivePlan\n";
@@ -125,6 +126,7 @@ TEST(ExecutionReportTest, ToStringContainsEverything) {
   EXPECT_NE(s.find("hits 3"), std::string::npos);
   EXPECT_NE(s.find("misses 6"), std::string::npos);
   EXPECT_NE(s.find("stale 1"), std::string::npos);
+  EXPECT_NE(s.find("stat-checked 5 files"), std::string::npos);
   EXPECT_NE(s.find("hydrated 4 files"), std::string::npos);
   EXPECT_NE(s.find("result served from recycler cache"), std::string::npos);
   EXPECT_NE(s.find("NaivePlan"), std::string::npos);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "core/schema.h"
@@ -47,12 +48,55 @@ void ModifyFile(const std::string& path, double seconds = 45.0) {
   fs::last_write_time(path, now + std::chrono::seconds(2));
 }
 
+// Appends `samples` samples starting at `start` to `path` as new records
+// (a growing "live" archive; a `start` before the file's first sample makes
+// an out-of-order append) and visibly advances its mtime.
+void AppendSamples(const std::string& path, NanoTime start, size_t samples) {
+  auto md = mseed::ScanMetadata(path);
+  ASSERT_OK(md);
+  mseed::TimeSeries more;
+  more.network = md->network;
+  more.station = md->station;
+  more.location = md->location;
+  more.channel = md->channel;
+  more.sample_rate = md->sample_rate;
+  more.start_time = start;
+  mseed::SynthOptions synth;
+  synth.seed = 5555;
+  more.samples = mseed::GenerateSeismogram(samples, synth);
+  ASSERT_OK(mseed::AppendToMseedFile(
+      path, more, mseed::WriterOptions{},
+      static_cast<int32_t>(md->records.size() + 1)));
+  fs::last_write_time(path, fs::file_time_type::clock::now() +
+                                std::chrono::seconds(2));
+}
+
+int64_t CountOf(Warehouse* wh, const std::string& sql) {
+  auto result = wh->Query(sql);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result->table.GetValue(0, 0).int64_value() : -1;
+}
+
 class RefreshTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto cfg = SmallRepoConfig();
     cfg.num_days = 1;
     repo_ = MustGenerate(dir_.path(), cfg);
+  }
+
+  // Answers the COUNT query `sql` on a lazy warehouse, runs `change` on the
+  // repository without calling Refresh(), and expects the same warehouse
+  // to change its answer to the one a freshly opened warehouse gives.
+  void ExpectFreshAnswerAfter(const std::string& sql,
+                              const std::function<void()>& change) {
+    auto wh = MustOpen(LoadStrategy::kLazy, dir_.path());
+    const int64_t before = CountOf(wh.get(), sql);
+    change();
+    auto fresh = MustOpen(LoadStrategy::kLazy, dir_.path());
+    const int64_t expected = CountOf(fresh.get(), sql);
+    EXPECT_NE(expected, before);
+    EXPECT_EQ(CountOf(wh.get(), sql), expected);
   }
 
   ScopedTempDir dir_;
@@ -269,30 +313,78 @@ TEST_F(RefreshTest, AppendToFileExtendsSeries) {
   auto before = wh->Query(sql);
   ASSERT_OK(before);
 
-  // Append 10 more seconds to the file (a growing "live" archive).
+  // Append 10 more seconds to the file.
   auto md = mseed::ScanMetadata(gf.path);
   ASSERT_OK(md);
-  mseed::TimeSeries more;
-  more.network = md->network;
-  more.station = md->station;
-  more.location = md->location;
-  more.channel = md->channel;
-  more.sample_rate = md->sample_rate;
-  more.start_time = md->end_time + kNanosPerSecond / 40;
-  mseed::SynthOptions synth;
-  synth.seed = 5555;
-  more.samples = mseed::GenerateSeismogram(400, synth);
-  ASSERT_OK(mseed::AppendToMseedFile(
-      gf.path, more, mseed::WriterOptions{},
-      static_cast<int32_t>(md->records.size() + 1)));
-  fs::last_write_time(gf.path,
-                      fs::file_time_type::clock::now() +
-                          std::chrono::seconds(2));
+  AppendSamples(gf.path, md->end_time + kNanosPerSecond / 40, 400);
 
   auto after = wh->Query(sql);
   ASSERT_OK(after);
   EXPECT_EQ(after->table.GetValue(0, 0).int64_value(),
             before->table.GetValue(0, 0).int64_value() + 400);
+}
+
+// The lazy refresh stats only files whose cached metadata can match the
+// query, so a bound on a column that an append or rewrite moves must not
+// narrow that set: each query below excludes the file before the change
+// and includes it after.
+
+TEST_F(RefreshTest, AppendPastEndTimeBoundIsSeen) {
+  const auto& gf = repo_.files[1];
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+  ExpectFreshAnswerAfter(
+      "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = '" + gf.station +
+          "' AND F.channel = '" + gf.channel + "' AND F.end_time > '" +
+          FormatTimestamp(md->end_time) + "'",
+      [&] {
+        AppendSamples(gf.path, md->end_time + kNanosPerSecond / 40, 400);
+      });
+}
+
+TEST_F(RefreshTest, AppendPastFileSizeBoundIsSeen) {
+  const auto& gf = repo_.files[1];
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+  ExpectFreshAnswerAfter(
+      "SELECT COUNT(*) FROM mseed.files WHERE station = '" + gf.station +
+          "' AND file_size > " + std::to_string(md->file_size),
+      [&] {
+        AppendSamples(gf.path, md->end_time + kNanosPerSecond / 40, 400);
+      });
+}
+
+TEST_F(RefreshTest, OutOfOrderAppendBelowStartTimeBoundIsSeen) {
+  const auto& gf = repo_.files[1];
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+  ExpectFreshAnswerAfter(
+      "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = '" + gf.station +
+          "' AND F.channel = '" + gf.channel + "' AND F.start_time < '" +
+          FormatTimestamp(md->start_time) + "'",
+      [&] {
+        AppendSamples(gf.path, md->start_time - 60 * kNanosPerSecond, 400);
+      });
+}
+
+TEST_F(RefreshTest, ShrinkingRewriteBelowFileSizeBoundIsSeen) {
+  const auto& gf = repo_.files[1];
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+  ExpectFreshAnswerAfter(
+      "SELECT COUNT(*) FROM mseed.files WHERE station = '" + gf.station +
+          "' AND file_size < " + std::to_string(md->file_size),
+      [&] { ModifyFile(gf.path, 20.0); });
+}
+
+TEST_F(RefreshTest, ShrinkingRewriteBelowEndTimeBoundIsSeen) {
+  const auto& gf = repo_.files[1];
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+  ExpectFreshAnswerAfter(
+      "SELECT COUNT(*) FROM mseed.files WHERE station = '" + gf.station +
+          "' AND end_time < '" + FormatTimestamp(md->end_time) + "'",
+      [&] { ModifyFile(gf.path, 20.0); });
 }
 
 }  // namespace

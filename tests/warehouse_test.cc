@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 
 #include "common/log.h"
@@ -153,6 +154,71 @@ TEST_F(WarehouseTest, FilenameOnlyHydratesCandidatesOnly) {
   EXPECT_LE(result->report.files_hydrated, 2u);
   auto stats = wh->Stats();
   EXPECT_LT(stats.num_hydrated_files, stats.num_files);
+}
+
+// The lazy refresh stats only the files whose cached metadata satisfies
+// the identity part of the query's file-level predicates.
+TEST_F(WarehouseTest, LazyRefreshStatChecksIdentityCandidates) {
+  auto wh = MustOpen(LoadStrategy::kLazy, dir_.path());
+  auto checked = [&](const std::string& sql) -> uint64_t {
+    auto result = wh->Query(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return result.ok() ? result->report.files_stat_checked : 0;
+  };
+  auto files_where = [&](auto pred) -> uint64_t {
+    return std::count_if(repo_.files.begin(), repo_.files.end(), pred);
+  };
+  const uint64_t all = repo_.files.size();
+  NanoTime last_start = 0;
+  for (const auto& f : repo_.files) {
+    last_start = std::max(last_start, f.start_time);
+  }
+  const std::string a = FormatTimestamp(last_start);
+  const std::string b = FormatTimestamp(last_start + kNanosPerDay);
+
+  // Browse: the channel prunes; start_time bounds do not (an append or a
+  // rewrite moves them).
+  const uint64_t bhz = files_where([](const auto& f) {
+    return f.channel == "BHZ";
+  });
+  EXPECT_GT(bhz, 0u);
+  EXPECT_LT(bhz, all);
+  EXPECT_EQ(checked("SELECT COUNT(*) FROM mseed.files WHERE channel = 'BHZ' "
+                    "AND start_time >= '" + a + "' AND start_time < '" + b +
+                    "'"),
+            bhz);
+
+  // Content columns, NOT and last_modified prune nothing; an OR of
+  // identity comparisons does.
+  EXPECT_EQ(checked("SELECT COUNT(*) FROM mseed.files WHERE end_time > '" +
+                    a + "'"),
+            all);
+  EXPECT_EQ(checked("SELECT COUNT(*) FROM mseed.files WHERE file_size < 1"),
+            all);
+  EXPECT_EQ(checked("SELECT COUNT(*) FROM mseed.files WHERE NOT "
+                    "station = 'ISK'"),
+            all);
+  EXPECT_EQ(checked("SELECT COUNT(*) FROM mseed.files WHERE last_modified > "
+                    "'2000-01-01'"),
+            all);
+  EXPECT_EQ(checked("SELECT COUNT(*) FROM mseed.files WHERE station = 'ISK' "
+                    "OR (station = 'HGN' AND end_time > '" + a + "')"),
+            files_where([](const auto& f) {
+              return f.station == "ISK" || f.station == "HGN";
+            }));
+
+  // A dataview window query checks its station+channel files; the file
+  // bounds the planner infers from D.sample_time do not prune.
+  EXPECT_EQ(checked(lazyetl::testing::kPaperQ1),
+            files_where([](const auto& f) {
+              return f.station == "ISK" && f.channel == "BHE";
+            }));
+
+  // Eager warehouses never refresh at query time.
+  auto eager = MustOpen(LoadStrategy::kEager, dir_.path());
+  auto result = eager->Query(lazyetl::testing::kPaperQ1);
+  ASSERT_OK(result);
+  EXPECT_EQ(result->report.files_stat_checked, 0u);
 }
 
 TEST_F(WarehouseTest, CacheBudgetForcesEviction) {
