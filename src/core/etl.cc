@@ -1,5 +1,7 @@
 #include "core/etl.h"
 
+#include <utility>
+
 #include "common/macros.h"
 #include "mseed/writer.h"
 #include "storage/types.h"
@@ -10,7 +12,7 @@ using storage::Table;
 using storage::Value;
 
 Result<TransformedRecord> TransformRecord(const mseed::RecordHeader& header,
-                                          const std::vector<int32_t>& samples) {
+                                          std::vector<int32_t> samples) {
   if (samples.size() != header.num_samples) {
     return Status::CorruptData(
         "record advertises " + std::to_string(header.num_samples) +
@@ -27,7 +29,7 @@ Result<TransformedRecord> TransformRecord(const mseed::RecordHeader& header,
   for (size_t i = 0; i < samples.size(); ++i) {
     out.sample_times[i] = mseed::SampleTimeAt(start, rate, i);
   }
-  out.sample_values = samples;  // identity value transform (raw counts)
+  out.sample_values = std::move(samples);  // identity value transform
   return out;
 }
 

@@ -28,8 +28,10 @@ struct TransformedRecord {
   std::vector<int32_t> sample_values;
 };
 
+// Takes `samples` by value: callers that are done with the decoded samples
+// move them in, and they become the record's values without a copy.
 Result<TransformedRecord> TransformRecord(const mseed::RecordHeader& header,
-                                          const std::vector<int32_t>& samples);
+                                          std::vector<int32_t> samples);
 
 // Appends one F-table row describing `md` (with the given id).
 Status AppendFileRow(storage::Table* files, int64_t file_id,

@@ -141,19 +141,11 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
 
  private:
   friend class WarehouseRecordStream;
-  struct OutputBuffers {
-    std::vector<int64_t> file_ids;
-    std::vector<int64_t> seq_nos;
-    std::vector<int64_t> sample_times;
-    std::vector<int32_t> sample_values;
 
-    void Append(int64_t fid, int64_t seq, const std::vector<int64_t>& times,
-                const std::vector<int32_t>& values) {
-      file_ids.insert(file_ids.end(), times.size(), fid);
-      seq_nos.insert(seq_nos.end(), times.size(), seq);
-      sample_times.insert(sample_times.end(), times.begin(), times.end());
-      sample_values.insert(sample_values.end(), values.begin(), values.end());
-    }
+  // One requested record of a file, ready for assembly.
+  struct StagedRecord {
+    int64_t seq_no = 0;
+    engine::CachedRecordPtr record;
   };
 
   // One file's worth of pending extraction: which records to decode and,
@@ -167,7 +159,7 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
     NanoTime mtime = 0;
     std::vector<size_t> record_indexes;  // sorted by file offset
     std::vector<int64_t> seq_nos;        // parallel to record_indexes
-    std::vector<TransformedRecord> results;
+    std::vector<std::shared_ptr<CachedRecord>> results;
     Status status;
   };
 
@@ -175,8 +167,13 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
   // options().extraction_threads > 1. Only job-local state is touched.
   Status RunExtractionJobs(std::vector<ExtractJob>* jobs);
 
-  Result<Table> BuildOutput(OutputBuffers buffers,
-                            const std::vector<ScanColumn>& columns);
+  // Assembles one file's records, in order, into chunks of at most
+  // `batch_rows` rows holding the projected `columns` (at least one chunk,
+  // possibly empty). Each sample is copied once: from the shared record
+  // straight into its chunk's column.
+  static Result<std::vector<Table>> AssembleChunks(
+      int64_t file_id, const std::vector<StagedRecord>& records,
+      const std::vector<ScanColumn>& columns, size_t batch_rows);
 
   // Every record of the repository, hydrating record metadata as needed
   // (the §3.1 worst case).
@@ -214,8 +211,9 @@ class WarehouseRecordStream : public engine::RecordStream {
     std::vector<int64_t> seqs;  // requested records, in request order
   };
 
-  // An assembled per-file table waiting to be chunk-emitted, plus the
-  // window bytes it holds reserved on the query budget.
+  // An assembled chunk waiting to be emitted, plus the window bytes it
+  // holds reserved on the query budget (a file's last chunk carries the
+  // file's reservation).
   struct ReadyTable {
     Table table;
     uint64_t reserved = 0;
@@ -239,7 +237,7 @@ class WarehouseRecordStream : public engine::RecordStream {
   }
 
   // Cache pass + windowed extraction for the next run of files; pushes
-  // their assembled tables onto ready_.
+  // their assembled chunks onto ready_.
   Status AdvanceWindow();
 
   void ReleaseWindowBytes(uint64_t bytes) {
@@ -260,11 +258,7 @@ class WarehouseRecordStream : public engine::RecordStream {
 
   std::vector<FileRequest> files_;
   size_t next_file_ = 0;          // next file not yet cache-passed
-  std::deque<ReadyTable> ready_;  // assembled per-file tables, fid order
-  Table current_;                 // file table being chunk-emitted
-  uint64_t current_reserved_ = 0;
-  size_t current_offset_ = 0;
-  bool current_active_ = false;
+  std::deque<ReadyTable> ready_;  // assembled chunks, fid order
   uint64_t outstanding_ = 0;      // reserved window bytes not yet released
 
   uint64_t total_hits_ = 0;
@@ -286,13 +280,17 @@ Status WarehouseDataProvider::RunExtractionJobs(std::vector<ExtractJob>* jobs) {
     for (size_t i = 0; i < job->record_indexes.size(); ++i) {
       const mseed::RecordInfo& info =
           job->metadata->records[job->record_indexes[i]];
-      auto transformed = TransformRecord(info.header, (*samples)[i]);
+      auto transformed = TransformRecord(info.header, std::move((*samples)[i]));
       if (!transformed.ok()) {
         job->status = transformed.status().WithContext(
             "record " + std::to_string(job->seq_nos[i]) + " of " + job->path);
         return;
       }
-      job->results.push_back(std::move(*transformed));
+      auto record = std::make_shared<CachedRecord>();
+      record->sample_times = std::move(transformed->sample_times);
+      record->sample_values = std::move(transformed->sample_values);
+      record->file_mtime = job->mtime;
+      job->results.push_back(std::move(record));
     }
   };
 
@@ -310,8 +308,9 @@ Status WarehouseDataProvider::RunExtractionJobs(std::vector<ExtractJob>* jobs) {
   return Status::OK();
 }
 
-Result<Table> WarehouseDataProvider::BuildOutput(
-    OutputBuffers buffers, const std::vector<ScanColumn>& columns) {
+Result<std::vector<Table>> WarehouseDataProvider::AssembleChunks(
+    int64_t file_id, const std::vector<StagedRecord>& records,
+    const std::vector<ScanColumn>& columns, size_t batch_rows) {
   // Empty column list means "all columns under their stored names".
   std::vector<ScanColumn> cols = columns;
   if (cols.empty()) {
@@ -320,24 +319,80 @@ Result<Table> WarehouseDataProvider::BuildOutput(
             {"sample_time", "sample_time"},
             {"sample_value", "sample_value"}};
   }
-  Table out;
   for (const auto& sc : cols) {
-    Column col(storage::DataType::kInt64);
-    if (sc.base_column == "file_id") {
-      col = Column::FromInt64(buffers.file_ids);
-    } else if (sc.base_column == "seq_no") {
-      col = Column::FromInt64(buffers.seq_nos);
-    } else if (sc.base_column == "sample_time") {
-      col = Column::FromTimestamp(buffers.sample_times);
-    } else if (sc.base_column == "sample_value") {
-      col = Column::FromInt32(buffers.sample_values);
-    } else {
+    if (sc.base_column != "file_id" && sc.base_column != "seq_no" &&
+        sc.base_column != "sample_time" && sc.base_column != "sample_value") {
       return Status::ExecutionError("lazy data table has no column '" +
                                     sc.base_column + "'");
     }
-    LAZYETL_RETURN_NOT_OK(out.AddColumn(sc.output_name, std::move(col)));
   }
-  return out;
+
+  // A piece is the part of one record that falls into one chunk.
+  struct Piece {
+    const StagedRecord* staged;
+    size_t begin;
+    size_t length;
+  };
+  auto assemble = [&](const std::vector<Piece>& pieces,
+                      size_t rows) -> Result<Table> {
+    Table out;
+    for (const auto& sc : cols) {
+      Column col(storage::DataType::kInt64);
+      if (sc.base_column == "sample_value") {
+        std::vector<int32_t> values;
+        values.reserve(rows);
+        for (const Piece& p : pieces) {
+          const auto& src = p.staged->record->sample_values;
+          values.insert(values.end(), src.begin() + p.begin,
+                        src.begin() + p.begin + p.length);
+        }
+        col = Column::FromInt32(std::move(values));
+      } else {
+        std::vector<int64_t> values;
+        values.reserve(rows);
+        for (const Piece& p : pieces) {
+          if (sc.base_column == "file_id") {
+            values.insert(values.end(), p.length, file_id);
+          } else if (sc.base_column == "seq_no") {
+            values.insert(values.end(), p.length, p.staged->seq_no);
+          } else {
+            const auto& src = p.staged->record->sample_times;
+            values.insert(values.end(), src.begin() + p.begin,
+                          src.begin() + p.begin + p.length);
+          }
+        }
+        col = sc.base_column == "sample_time"
+                  ? Column::FromTimestamp(std::move(values))
+                  : Column::FromInt64(std::move(values));
+      }
+      LAZYETL_RETURN_NOT_OK(out.AddColumn(sc.output_name, std::move(col)));
+    }
+    return out;
+  };
+
+  std::vector<Table> chunks;
+  std::vector<Piece> pieces;
+  size_t rows = 0;
+  for (const StagedRecord& staged : records) {
+    const size_t n = staged.record->sample_times.size();
+    for (size_t begin = 0; begin < n;) {
+      const size_t length = std::min(n - begin, batch_rows - rows);
+      pieces.push_back({&staged, begin, length});
+      rows += length;
+      begin += length;
+      if (rows == batch_rows) {
+        LAZYETL_ASSIGN_OR_RETURN(Table chunk, assemble(pieces, rows));
+        chunks.push_back(std::move(chunk));
+        pieces.clear();
+        rows = 0;
+      }
+    }
+  }
+  if (rows > 0 || chunks.empty()) {
+    LAZYETL_ASSIGN_OR_RETURN(Table chunk, assemble(pieces, rows));
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
 }
 
 Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
@@ -479,7 +534,8 @@ Status WarehouseRecordStream::AdvanceWindow() {
   // immutable metadata snapshots outside it.
   struct PendingFile {
     const FileRequest* request = nullptr;
-    std::map<int64_t, TransformedRecord> staged;  // cache hits by seq_no
+    // Cache hits and fresh extractions by seq_no: the shared records.
+    std::map<int64_t, engine::CachedRecordPtr> staged;
     int job_index = -1;
     uint64_t reserved = 0;  // window bytes charged for this file
     // Decoded-column tier hit: the shared assembled table — no budget
@@ -568,7 +624,7 @@ Status WarehouseRecordStream::AdvanceWindow() {
         if (hit != nullptr) {
           ++report_->cache_hits;
           ++total_hits_;
-          pending.staged[seq] = {hit->sample_times, hit->sample_values};
+          pending.staged[seq] = std::move(hit);
         } else {
           if (stale) {
             ++report_->cache_stale;
@@ -629,11 +685,17 @@ Status WarehouseRecordStream::AdvanceWindow() {
 
   for (PendingFile& pending : window) {
     if (pending.column_hit != nullptr) {
-      // Emit a copy of the shared cached table: the entry itself stays
-      // zero-copy-shared across queries (dictionary columns share their
-      // dicts); the pipeline takes its own materialization, exactly as
-      // the extraction path would have built one.
-      ready_.push_back({*pending.column_hit, 0});
+      // Emit chunk copies of the shared cached table: the entry itself
+      // stays zero-copy-shared across queries (dictionary columns share
+      // their dicts); the pipeline takes its own materialization, in the
+      // chunks the extraction path would have built.
+      const Table& cached = *pending.column_hit;
+      size_t offset = 0;
+      do {
+        const size_t n = std::min(batch_rows_, cached.num_rows() - offset);
+        ready_.push_back({cached.Slice(offset, n).Materialize(), 0});
+        offset += n;
+      } while (offset < cached.num_rows());
       continue;
     }
     if (pending.job_index >= 0) {
@@ -644,24 +706,20 @@ Status WarehouseRecordStream::AdvanceWindow() {
       LogOp(LogCategory::kExtract,
             "extracted " + std::to_string(job.record_indexes.size()) +
                 " records from " + job.path);
+      const NanoTime now = NowNanos();
       for (size_t i = 0; i < job.record_indexes.size(); ++i) {
         const mseed::RecordInfo& info =
             job.metadata->records[job.record_indexes[i]];
-        TransformedRecord& transformed = job.results[i];
+        std::shared_ptr<CachedRecord>& record = job.results[i];
         report_->bytes_read += info.header.record_length;
         ++report_->records_extracted;
-        report_->samples_extracted += transformed.sample_values.size();
+        report_->samples_extracted += record->sample_values.size();
 
-        // Lazy loading (§3.3): admit the extracted+transformed record.
-        CachedRecord cached;
-        cached.sample_times = transformed.sample_times;
-        cached.sample_values = transformed.sample_values;
-        cached.file_mtime = job.mtime;
-        cached.admitted_at = NowNanos();
-        warehouse->recycler_->Admit({job.file_id, job.seq_nos[i]},
-                                    std::move(cached));
-
-        pending.staged[job.seq_nos[i]] = std::move(transformed);
+        // Lazy loading (§3.3): admit the extracted+transformed record —
+        // the same object this stream assembles from.
+        record->admitted_at = now;
+        warehouse->recycler_->Admit({job.file_id, job.seq_nos[i]}, record);
+        pending.staged[job.seq_nos[i]] = std::move(record);
       }
       extracted_desc_.push_back(job.path + " (" +
                                 std::to_string(job.record_indexes.size()) +
@@ -670,65 +728,48 @@ Status WarehouseRecordStream::AdvanceWindow() {
 
     // Deterministic assembly: by file, then by requested record order —
     // identical whether a record came from the cache or from extraction.
-    WarehouseDataProvider::OutputBuffers buffers;
+    std::vector<WarehouseDataProvider::StagedRecord> records;
+    records.reserve(pending.request->seqs.size());
     for (int64_t seq : pending.request->seqs) {
       auto it = pending.staged.find(seq);
       if (it == pending.staged.end()) continue;  // vanished record
-      buffers.Append(pending.request->fid, seq, it->second.sample_times,
-                     it->second.sample_values);
+      records.push_back({seq, std::move(it->second)});
     }
     LAZYETL_ASSIGN_OR_RETURN(
-        Table file_table,
-        provider_->BuildOutput(std::move(buffers), columns_));
+        std::vector<Table> chunks,
+        WarehouseDataProvider::AssembleChunks(pending.request->fid, records,
+                                              columns_, batch_rows_));
     if (warehouse->column_cache_ != nullptr) {
       // Admit the assembled output (even when staged entirely from
       // record-tier hits — the assembly itself is what this tier saves).
       // No tier lock is held here, so the pool may run cross-tier yield.
-      warehouse->column_cache_->Admit(
-          pending.request->fid, pending.request->mtime, columns_sig_,
-          pending.request->seqs, std::make_shared<Table>(file_table));
+      auto file_table = std::make_shared<Table>(chunks[0]);
+      for (size_t i = 1; i < chunks.size(); ++i) {
+        LAZYETL_RETURN_NOT_OK(file_table->AppendTable(chunks[i]));
+      }
+      warehouse->column_cache_->Admit(pending.request->fid,
+                                      pending.request->mtime, columns_sig_,
+                                      pending.request->seqs,
+                                      std::move(file_table));
     }
-    ready_.push_back({std::move(file_table), pending.reserved});
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      const bool last = i + 1 == chunks.size();
+      ready_.push_back({std::move(chunks[i]), last ? pending.reserved : 0});
+    }
   }
   return Status::OK();
 }
 
 Result<bool> WarehouseRecordStream::Next(Table* out) {
   while (true) {
-    if (current_active_) {
-      size_t rows = current_.num_rows();
-      if (current_offset_ < rows) {
-        size_t n = std::min(batch_rows_, rows - current_offset_);
-        if (current_offset_ == 0 && n == rows) {
-          *out = std::move(current_);
-          current_active_ = false;
-        } else {
-          *out = current_.Slice(current_offset_, n).Materialize();
-          current_offset_ += n;
-          if (current_offset_ >= rows) current_active_ = false;
-        }
-        if (!current_active_) {
-          ReleaseWindowBytes(current_reserved_);
-          current_reserved_ = 0;
-        }
-        emitted_ = true;
-        return true;
-      }
-      current_active_ = false;
-      ReleaseWindowBytes(current_reserved_);
-      current_reserved_ = 0;
-    }
     if (!ready_.empty()) {
-      current_ = std::move(ready_.front().table);
-      current_reserved_ = ready_.front().reserved;
+      ReadyTable chunk = std::move(ready_.front());
       ready_.pop_front();
-      current_offset_ = 0;
-      current_active_ = current_.num_rows() > 0;
-      if (!current_active_) {
-        ReleaseWindowBytes(current_reserved_);
-        current_reserved_ = 0;
-      }
-      continue;
+      ReleaseWindowBytes(chunk.reserved);
+      if (chunk.table.num_rows() == 0) continue;
+      *out = std::move(chunk.table);
+      emitted_ = true;
+      return true;
     }
     if (next_file_ < files_.size()) {
       LAZYETL_RETURN_NOT_OK(AdvanceWindow());
@@ -739,7 +780,9 @@ Result<bool> WarehouseRecordStream::Next(Table* out) {
       // Contract: at least one (possibly empty) chunk carries the schema.
       emitted_ = true;
       LAZYETL_ASSIGN_OR_RETURN(
-          *out, provider_->BuildOutput({}, columns_));
+          std::vector<Table> empty,
+          WarehouseDataProvider::AssembleChunks(0, {}, columns_, batch_rows_));
+      *out = std::move(empty[0]);
       return true;
     }
     return false;
@@ -1067,7 +1110,7 @@ Status Warehouse::LoadFileEagerLocked(FileEntry* entry, CatalogWriter* writer,
     const mseed::RecordInfo& info = full.metadata.records[i];
     LAZYETL_ASSIGN_OR_RETURN(
         TransformedRecord transformed,
-        TransformRecord(info.header, full.record_samples[i]));
+        TransformRecord(info.header, std::move(full.record_samples[i])));
     stats->samples_loaded += transformed.sample_values.size();
     LAZYETL_RETURN_NOT_OK(AppendDataRows(data, entry->file_id,
                                          info.header.sequence_number,

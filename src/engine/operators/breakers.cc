@@ -1008,6 +1008,55 @@ struct GroupedPartial {
   std::vector<int64_t> tag_row;
 };
 
+// The group-key columns of one Aggregate batch. When every grouping
+// expression is a plain column reference, `cols` point at the batch's own
+// columns, read from row `offset` on: a dictionary-encoded string stays
+// encoded, so GroupIdBuilder hashes and compares its codes, and a group's
+// value is decoded once, when AppendRange copies the group's first row
+// out. Otherwise every key is materialized into `owned` (a column
+// reference copies its viewed rows, still encoded; any other expression
+// is evaluated) and `offset` is 0.
+struct GroupKeyColumns {
+  std::vector<Column> owned;
+  std::vector<const Column*> cols;
+  size_t offset = 0;
+
+  Status Resolve(const std::vector<sql::BoundExprPtr>& exprs,
+                 const TableSlice& view) {
+    constexpr size_t kNotRaw = std::numeric_limits<size_t>::max();
+    std::vector<size_t> raw(exprs.size(), kNotRaw);
+    bool all_raw = true;
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      const sql::BoundExpr& e = *exprs[i];
+      if (e.kind == sql::ExprKind::kColumnRef && !e.is_aggregate) {
+        auto idx = view.ColumnIndex(e.display);
+        if (idx.ok()) raw[i] = *idx;
+      }
+      all_raw = all_raw && raw[i] != kNotRaw;
+    }
+    owned.clear();
+    cols.clear();
+    if (all_raw) {
+      offset = view.offset();
+      for (size_t idx : raw) cols.push_back(&view.column(idx));
+      return Status::OK();
+    }
+    offset = 0;
+    owned.reserve(exprs.size());
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      if (raw[i] != kNotRaw) {
+        owned.push_back(
+            view.column(raw[i]).CopyRange(view.offset(), view.num_rows()));
+      } else {
+        LAZYETL_ASSIGN_OR_RETURN(Column c, EvaluateExpr(*exprs[i], view));
+        owned.push_back(std::move(c));
+      }
+    }
+    for (const Column& c : owned) cols.push_back(&c);
+    return Status::OK();
+  }
+};
+
 // Reusable per-worker scratch: the per-batch hash table and key buffer
 // are the dominant per-batch allocations of the aggregate partials
 // (ROADMAP open item); hoisting them into one arena per worker makes the
@@ -1015,7 +1064,7 @@ struct GroupedPartial {
 struct GroupScratch {
   std::unordered_map<std::string, uint32_t> index;  // legacy row path only
   std::string key;
-  std::vector<Column> group_cols;
+  GroupKeyColumns group;
   std::vector<Column> arg_cols;
   // Vectorized path: batch group-id builder plus its column-pointer view.
   kernels::GroupIdBuilder builder;
@@ -1797,11 +1846,8 @@ class AggregateOperator : public BatchOperator {
   // buffer live in the per-worker scratch and are reused across batches.
   Status AggregateBatch(const TableSlice& view, uint64_t seq,
                         GroupScratch* scratch, GroupedPartial* partial) {
-    scratch->group_cols.clear();
-    for (const auto& g : node_->group_exprs) {
-      LAZYETL_ASSIGN_OR_RETURN(Column c, EvaluateExpr(*g, view));
-      scratch->group_cols.push_back(std::move(c));
-    }
+    LAZYETL_RETURN_NOT_OK(scratch->group.Resolve(node_->group_exprs, view));
+    const GroupKeyColumns& group = scratch->group;
     scratch->arg_cols.clear();
     for (const auto& a : node_->aggregates) {
       if (a.arg) {
@@ -1812,9 +1858,7 @@ class AggregateOperator : public BatchOperator {
       }
     }
     partial->seq = seq;
-    for (const Column& c : scratch->group_cols) {
-      partial->values.emplace_back(c.type());
-    }
+    for (const Column* c : group.cols) partial->values.emplace_back(c->type());
     for (size_t i = 0; i < node_->aggregates.size(); ++i) {
       partial->accs.emplace_back(node_->aggregates[i]);
       partial->accs.back().Prepare(scratch->arg_cols[i].type());
@@ -1841,20 +1885,17 @@ class AggregateOperator : public BatchOperator {
       // packed-key loop exactly), then pack a key only once per NEW group
       // and fold the whole batch through the grouped accumulator kernels.
       kernels::GroupIdBuilder& b = scratch->builder;
-      scratch->colptrs.clear();
-      for (const Column& c : scratch->group_cols) {
-        scratch->colptrs.push_back(&c);
-      }
       const size_t ngroups =
-          b.Build(scratch->colptrs.data(), scratch->colptrs.size(), 0, rows);
+          b.Build(group.cols.data(), group.cols.size(), group.offset, rows);
       for (size_t g = 0; g < ngroups; ++g) {
         const size_t row = b.first_row[g];
+        const size_t src = group.offset + row;
         key.clear();
-        for (const Column& c : scratch->group_cols) PackRowKey(c, row, &key);
+        for (const Column* c : group.cols) PackRowKey(*c, src, &key);
         partial->keys.push_back(key);
-        for (size_t i = 0; i < scratch->group_cols.size(); ++i) {
-          LAZYETL_RETURN_NOT_OK(partial->values[i].AppendRange(
-              scratch->group_cols[i], row, 1));
+        for (size_t i = 0; i < group.cols.size(); ++i) {
+          LAZYETL_RETURN_NOT_OK(
+              partial->values[i].AppendRange(*group.cols[i], src, 1));
         }
         partial->tag_seq.push_back(static_cast<int64_t>(seq));
         partial->tag_row.push_back(static_cast<int64_t>(row));
@@ -1869,15 +1910,16 @@ class AggregateOperator : public BatchOperator {
     }
     // Legacy per-row path (LAZYETL_DISABLE_VECTOR_AGG).
     for (size_t row = 0; row < rows; ++row) {
+      const size_t src = group.offset + row;
       key.clear();
-      for (const Column& c : scratch->group_cols) PackRowKey(c, row, &key);
+      for (const Column* c : group.cols) PackRowKey(*c, src, &key);
       auto [it, inserted] = scratch->index.emplace(
           key, static_cast<uint32_t>(partial->keys.size()));
       if (inserted) {
         partial->keys.push_back(key);
-        for (size_t i = 0; i < scratch->group_cols.size(); ++i) {
-          LAZYETL_RETURN_NOT_OK(partial->values[i].AppendRange(
-              scratch->group_cols[i], row, 1));
+        for (size_t i = 0; i < group.cols.size(); ++i) {
+          LAZYETL_RETURN_NOT_OK(
+              partial->values[i].AppendRange(*group.cols[i], src, 1));
         }
         partial->tag_seq.push_back(static_cast<int64_t>(seq));
         partial->tag_row.push_back(static_cast<int64_t>(row));
@@ -1891,13 +1933,8 @@ class AggregateOperator : public BatchOperator {
   }
 
   Status ConsumeBatch(const TableSlice& view, bool first_batch) {
-    // Evaluate grouping expressions and aggregate arguments per batch.
-    std::vector<Column> group_cols;
-    group_cols.reserve(node_->group_exprs.size());
-    for (const auto& g : node_->group_exprs) {
-      LAZYETL_ASSIGN_OR_RETURN(Column c, EvaluateExpr(*g, view));
-      group_cols.push_back(std::move(c));
-    }
+    // Resolve grouping keys and evaluate aggregate arguments per batch.
+    LAZYETL_RETURN_NOT_OK(group_.Resolve(node_->group_exprs, view));
     std::vector<Column> arg_cols;
     arg_cols.reserve(node_->aggregates.size());
     for (const auto& a : node_->aggregates) {
@@ -1909,8 +1946,8 @@ class AggregateOperator : public BatchOperator {
       }
     }
     if (first_batch) {
-      for (const Column& c : group_cols) {
-        group_values_.emplace_back(c.type());
+      for (const Column* c : group_.cols) {
+        group_values_.emplace_back(c->type());
       }
       for (size_t i = 0; i < accs_.size(); ++i) {
         accs_[i].Prepare(arg_cols[i].type());
@@ -1933,15 +1970,13 @@ class AggregateOperator : public BatchOperator {
       // Columnar serial consume: batch-local group ids, then one global
       // hash lookup per LOCAL group (not per row) to translate local ids
       // to global ones, then grouped accumulator kernels over the batch.
-      scratch_colptrs_.clear();
-      for (const Column& c : group_cols) scratch_colptrs_.push_back(&c);
       const size_t ngroups = builder_.Build(
-          scratch_colptrs_.data(), scratch_colptrs_.size(), 0, rows);
+          group_.cols.data(), group_.cols.size(), group_.offset, rows);
       global_gids_.resize(ngroups);
       for (size_t g = 0; g < ngroups; ++g) {
-        const size_t row = builder_.first_row[g];
+        const size_t src = group_.offset + builder_.first_row[g];
         key.clear();
-        for (const Column& c : group_cols) PackRowKey(c, row, &key);
+        for (const Column* c : group_.cols) PackRowKey(*c, src, &key);
         bool inserted;
         const uint32_t dst =
             group_vindex_.FindOrInsert(key, group_keys_, &inserted);
@@ -1949,9 +1984,9 @@ class AggregateOperator : public BatchOperator {
           group_keys_.push_back(key);
           ++group_count_;
           group_key_bytes_ += key.size();
-          for (size_t i = 0; i < group_cols.size(); ++i) {
+          for (size_t i = 0; i < group_.cols.size(); ++i) {
             LAZYETL_RETURN_NOT_OK(
-                group_values_[i].AppendRange(group_cols[i], row, 1));
+                group_values_[i].AppendRange(*group_.cols[i], src, 1));
           }
         }
         global_gids_[g] = dst;
@@ -1968,16 +2003,17 @@ class AggregateOperator : public BatchOperator {
     }
     // Legacy per-row path (LAZYETL_DISABLE_VECTOR_AGG).
     for (size_t row = 0; row < rows; ++row) {
+      const size_t src = group_.offset + row;
       key.clear();
-      for (const Column& c : group_cols) PackRowKey(c, row, &key);
+      for (const Column* c : group_.cols) PackRowKey(*c, src, &key);
       auto [it, inserted] = group_index_.emplace(
           key, static_cast<uint32_t>(group_count_));
       if (inserted) {
         ++group_count_;
         group_key_bytes_ += key.size();
-        for (size_t i = 0; i < group_cols.size(); ++i) {
+        for (size_t i = 0; i < group_.cols.size(); ++i) {
           LAZYETL_RETURN_NOT_OK(
-              group_values_[i].AppendRange(group_cols[i], row, 1));
+              group_values_[i].AppendRange(*group_.cols[i], src, 1));
         }
         for (auto& acc : accs_) acc.Resize(group_count_);
       }
@@ -2000,10 +2036,10 @@ class AggregateOperator : public BatchOperator {
   std::vector<Column> group_values_;  // representative values per group
   size_t group_count_ = 0;
   uint64_t group_key_bytes_ = 0;
-  // Serial-consume scratch for the vectorized path (ConsumeBatch only —
-  // the parallel paths use the per-worker GroupScratch instead).
+  // Serial-consume scratch (ConsumeBatch only — the parallel paths use the
+  // per-worker GroupScratch instead).
+  GroupKeyColumns group_;
   kernels::GroupIdBuilder builder_;
-  std::vector<const Column*> scratch_colptrs_;
   std::vector<uint32_t> global_gids_;
   TableEmitter emitter_;
   // Budget-mode state.

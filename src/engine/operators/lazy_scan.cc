@@ -10,13 +10,23 @@
 // memory is the metadata side plus one file's worth of records — never
 // the whole qualifying set.
 //
+// The join works per record, not per sample. A chunk's rows come in runs
+// of one record each (equal file_id, seq_no): one row per run probes the
+// metadata hash, and the run's rows take its matches. In the dataview a
+// record matches exactly one metadata row, so the chunk's data columns
+// move into the output unchanged; only metadata-side columns that nodes
+// above the scan reference (PlanNode::used_above) are gathered per
+// sample — a column used only by a metadata predicate or as a join key
+// never is.
+//
 // Parallelism: the record stream itself is stateful (cache admission,
 // report counters) and is pulled under a mutex in deterministic stream
-// order — each chunk's seq is its position in the stream. The expensive
-// per-chunk work (probing the read-only metadata hash, gathering and
-// assembling the joined batch) runs outside the lock, so several query
+// order — each chunk's seq is its position in the stream. The per-chunk
+// join (probing the read-only metadata hash, gathering and moving the
+// columns of the joined batch) runs outside the lock, so several query
 // workers overlap extraction with join work.
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <string>
@@ -27,6 +37,7 @@
 #include "common/log.h"
 #include "common/macros.h"
 #include "common/time.h"
+#include "engine/kernels.h"
 #include "engine/operators/internal.h"
 #include "engine/operators/join_build.h"
 #include "engine/operators/operator.h"
@@ -37,7 +48,6 @@ using storage::Column;
 using storage::DataType;
 using storage::SelectionVector;
 using storage::Table;
-using storage::TableSlice;
 
 namespace {
 
@@ -172,66 +182,116 @@ class LazyDataScanOperator : public BatchOperator {
         if (parallel_drive()) return false;
         if (!emitted_.exchange(true)) {
           std::lock_guard<std::mutex> lock(empty_mu_);
-          Table empty;
-          if (join_) {
-            LAZYETL_ASSIGN_OR_RETURN(empty, JoinChunk({}, data_empty_));
-          } else {
-            empty = std::move(data_empty_);
-          }
-          *out = Batch::Materialized(std::move(empty));
+          *out = Batch::Materialized(std::move(empty_));
           return true;
         }
         return false;
       }
-      if (!join_) {
-        if (chunk.num_rows() == 0) {
-          if (!emitted_.load()) {
-            std::lock_guard<std::mutex> lock(empty_mu_);
-            if (!empty_captured_) {
-              data_empty_ = std::move(chunk);
-              empty_captured_ = true;
-            }
-          }
-          continue;
-        }
-        emitted_.store(true);
-        *out = Batch::Materialized(std::move(chunk));
-        out->seq = seq;
-        return true;
+      Table rows;
+      if (join_) {
+        LAZYETL_ASSIGN_OR_RETURN(rows, JoinRecords(std::move(chunk)));
+      } else {
+        rows = std::move(chunk);
       }
-      TableSlice probe = chunk.Slice(0, chunk.num_rows());
-      SelectionVector build_sel;
-      SelectionVector probe_sel;
-      Stopwatch probe_timer;
-      LAZYETL_RETURN_NOT_OK(
-          build_.Probe(probe, node_->right_keys, &build_sel, &probe_sel));
-      RecordJoinProbeSeconds(probe_timer.ElapsedSeconds());
-      if (probe_sel.empty()) {
+      if (rows.num_rows() == 0) {
+        // Keep one empty batch: the schema for an empty result.
         if (!emitted_.load()) {
           std::lock_guard<std::mutex> lock(empty_mu_);
           if (!empty_captured_) {
-            data_empty_ = probe.Gather({});
+            empty_ = std::move(rows);
             empty_captured_ = true;
           }
         }
         continue;
       }
-      LAZYETL_ASSIGN_OR_RETURN(
-          Table joined, JoinChunk(build_sel, probe.Gather(probe_sel)));
       emitted_.store(true);
-      *out = Batch::Materialized(std::move(joined));
+      *out = Batch::Materialized(std::move(rows));
       out->seq = seq;
       return true;
     }
   }
 
  private:
-  Result<Table> JoinChunk(const SelectionVector& build_sel,
-                          const Table& data_rows) {
-    Table out = meta_.Gather(build_sel);
-    for (size_t i = 0; i < data_rows.num_columns(); ++i) {
-      LAZYETL_RETURN_NOT_OK(
-          out.AddColumn(data_rows.column_name(i), data_rows.column(i)));
+  // Joins one record chunk to the metadata side. The chunk's rows come in
+  // runs of equal (file_id, seq_no), one run per record (a record split
+  // across chunks starts a new run in the next): the first row of each run
+  // probes the metadata hash, and every row of the run takes that row's
+  // matches. The emitted order is that of a per-row probe: chunk rows in
+  // order, each with its metadata rows ascending.
+  Result<Table> JoinRecords(Table chunk) {
+    const size_t nkeys = node_->right_keys.size();
+    std::vector<const Column*> keys;
+    keys.reserve(nkeys);
+    for (const auto& name : node_->right_keys) {
+      LAZYETL_ASSIGN_OR_RETURN(const Column* c, chunk.ColumnByName(name));
+      keys.push_back(c);
+    }
+    const size_t n = chunk.num_rows();
+    SelectionVector run_start;
+    for (size_t r = 0; r < n; ++r) {
+      if (r == 0 ||
+          !kernels::JoinRowsEqual(keys.data(), keys.data(), nkeys, r - 1, r)) {
+        run_start.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    const size_t runs = run_start.size();
+
+    Stopwatch probe_timer;
+    Table heads;
+    for (size_t k = 0; k < nkeys; ++k) {
+      LAZYETL_RETURN_NOT_OK(heads.AddColumn(node_->right_keys[k],
+                                            keys[k]->Gather(run_start)));
+    }
+    SelectionVector head_build;  // matched metadata rows, per head ascending
+    SelectionVector head_run;    // the run of each match, ascending
+    LAZYETL_RETURN_NOT_OK(build_.Probe(heads.Slice(0, runs),
+                                       node_->right_keys, &head_build,
+                                       &head_run));
+    RecordJoinProbeSeconds(probe_timer.ElapsedSeconds());
+
+    // One metadata row per record (the dataview's unique key): every chunk
+    // row is emitted once, in place, so the data columns move unchanged.
+    bool in_place = head_run.size() == runs;
+    for (size_t j = 0; in_place && j < runs; ++j) {
+      in_place = head_run[j] == j;
+    }
+    SelectionVector build_sel;
+    SelectionVector probe_sel;
+    build_sel.reserve(n);
+    for (size_t j = 0; j < head_run.size();) {
+      const uint32_t run = head_run[j];
+      size_t last = j;
+      while (last < head_run.size() && head_run[last] == run) ++last;
+      const uint32_t begin = run_start[run];
+      const uint32_t end =
+          run + 1 < runs ? run_start[run + 1] : static_cast<uint32_t>(n);
+      if (in_place) {
+        build_sel.insert(build_sel.end(), end - begin, head_build[j]);
+      } else {
+        for (uint32_t row = begin; row < end; ++row) {
+          for (size_t m = j; m < last; ++m) {
+            build_sel.push_back(head_build[m]);
+            probe_sel.push_back(row);
+          }
+        }
+      }
+      j = last;
+    }
+
+    Table out;
+    for (size_t c = 0; c < meta_.num_columns(); ++c) {
+      if (!std::binary_search(node_->used_above.begin(),
+                              node_->used_above.end(),
+                              meta_.column_name(c))) {
+        continue;
+      }
+      LAZYETL_RETURN_NOT_OK(out.AddColumn(meta_.column_name(c),
+                                          meta_.column(c).Gather(build_sel)));
+    }
+    for (size_t c = 0; c < chunk.num_columns(); ++c) {
+      LAZYETL_RETURN_NOT_OK(out.AddColumn(
+          chunk.column_name(c), in_place ? std::move(chunk.column(c))
+                                         : chunk.column(c).Gather(probe_sel)));
     }
     return out;
   }
@@ -245,7 +305,7 @@ class LazyDataScanOperator : public BatchOperator {
   std::mutex stream_mu_;
   uint64_t next_seq_ = 0;     // guarded by stream_mu_
   std::mutex empty_mu_;
-  Table data_empty_;  // schema of the record chunks, for empty results
+  Table empty_;  // an empty output batch: the schema of an empty result
   bool empty_captured_ = false;
   std::atomic<bool> emitted_{false};
 };

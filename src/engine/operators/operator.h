@@ -22,6 +22,7 @@
 #ifndef LAZYETL_ENGINE_OPERATORS_OPERATOR_H_
 #define LAZYETL_ENGINE_OPERATORS_OPERATOR_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -95,14 +96,16 @@ class BatchOperator {
   // Called once before the first Next(); opens children first, then this
   // operator. Pipeline breakers do their consuming work in OpenImpl or
   // lazily on the first Next(); that work is counted in this operator's
-  // seconds (inclusive of the child pulls it performs).
+  // seconds, inclusive of the children's Open and of the child pulls it
+  // performs.
   Status Open() {
-    for (auto& c : children_) {
-      Status st = c->Open();
-      if (!st.ok()) return st;
-    }
     Stopwatch timer;
-    Status st = OpenImpl();
+    Status st;
+    for (auto& c : children_) {
+      st = c->Open();
+      if (!st.ok()) break;
+    }
+    if (st.ok()) st = OpenImpl();
     stats_.seconds += timer.ElapsedSeconds();  // Open is single-threaded
     return st;
   }
@@ -149,8 +152,13 @@ class BatchOperator {
   const OperatorStats& stats() const { return stats_; }
 
   // Appends this operator's counters, then its children's (pre-order).
+  // Self time is the inclusive time minus the children's inclusive time.
   virtual void AppendStats(std::vector<OperatorStats>* out) const {
-    out->push_back(stats_);
+    OperatorStats own = stats_;
+    double children = 0;
+    for (const auto& child : children_) children += child->stats().seconds;
+    own.self_seconds = std::max(0.0, own.seconds - children);
+    out->push_back(std::move(own));
     for (const auto& child : children_) child->AppendStats(out);
   }
 

@@ -281,6 +281,7 @@ class FilterScanOperator : public BatchOperator {
   // wholly to the Filter entry.
   void AppendStats(std::vector<OperatorStats>* out) const override {
     out->push_back(stats_);
+    out->back().self_seconds = stats_.seconds;
     OperatorStats scan = scan_stats_;
     scan.rows = scanned_rows_.load(std::memory_order_relaxed);
     scan.batches = scanned_batches_.load(std::memory_order_relaxed);

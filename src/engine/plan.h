@@ -61,6 +61,10 @@ struct PlanNode {
   // (the paper's worst case: the whole repository).
   std::string probe_file_id_column;  // e.g. "R.file_id"
   std::string probe_seq_no_column;   // e.g. "R.seq_no"
+  // kLazyDataScan with a metadata side: the column names that the nodes
+  // above the scan reference (sorted). The run-time join carries only
+  // these metadata-side columns into its output, next to the data columns.
+  std::vector<std::string> used_above;
 
   // kFilter
   sql::BoundExprPtr predicate;

@@ -19,7 +19,8 @@ void FingerprintNode(const PlanNode& node, std::ostringstream* os,
       }
       if (node.type == PlanNodeType::kLazyDataScan) {
         *os << ";p=" << node.probe_file_id_column << ','
-            << node.probe_seq_no_column;
+            << node.probe_seq_no_column << ";u=";
+        for (const auto& name : node.used_above) *os << name << ',';
       }
       break;
     case PlanNodeType::kCachedScan:

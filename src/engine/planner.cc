@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <set>
 
 #include "common/macros.h"
 #include "engine/pruning.h"
@@ -101,6 +102,36 @@ void AddScanColumn(std::vector<ScanColumn>* cols, const std::string& base,
     if (sc.output_name == display) return;
   }
   cols->push_back({base, display});
+}
+
+void CollectReferencedNames(const BoundExpr& expr,
+                            std::set<std::string>* out) {
+  if (expr.kind == ExprKind::kColumnRef) out->insert(expr.display);
+  for (const auto& c : expr.children) CollectReferencedNames(*c, out);
+}
+
+// Late projection for the run-time join: records on every LazyDataScan the
+// column names that the nodes above it reference. The scan then carries
+// only those metadata-side columns into its per-sample output; a column
+// used only below it (a metadata predicate, a join key) is never gathered.
+void MarkLazyScanOutputs(PlanNode* node, std::set<std::string> used) {
+  if (node->type == PlanNodeType::kLazyDataScan) {
+    node->used_above.assign(used.begin(), used.end());
+  }
+  if (node->predicate) CollectReferencedNames(*node->predicate, &used);
+  for (const auto& g : node->group_exprs) CollectReferencedNames(*g, &used);
+  for (const auto& a : node->aggregates) {
+    if (a.arg) CollectReferencedNames(*a.arg, &used);
+  }
+  for (const auto& e : node->project_exprs) CollectReferencedNames(*e, &used);
+  for (const auto& o : node->order_items) {
+    CollectReferencedNames(*o.expr, &used);
+  }
+  if (node->type == PlanNodeType::kHashJoin) {
+    used.insert(node->left_keys.begin(), node->left_keys.end());
+    used.insert(node->right_keys.begin(), node->right_keys.end());
+  }
+  for (auto& child : node->children) MarkLazyScanOutputs(child.get(), used);
 }
 
 // Clones a BoundAggregate (args deep-copied).
@@ -484,6 +515,7 @@ Result<PlannedQuery> Planner::PlanViewQuery(const BoundQuery& query) {
                            FinishPlan(query, std::move(naive), /*fuse=*/false));
 
   LAZYETL_ASSIGN_OR_RETURN(node, FinishPlan(query, std::move(node)));
+  MarkLazyScanOutputs(node.get(), {});
 
   PlannedQuery out;
   out.naive_plan = naive->ToString();

@@ -50,16 +50,11 @@ CachedRecordPtr Recycler::Lookup(const RecordKey& key,
   return it->second.record;
 }
 
-void Recycler::Admit(const RecordKey& key, CachedRecord record) {
-  if (record.bytes == 0) {
-    record.bytes = record.sample_times.size() * sizeof(int64_t) +
-                   record.sample_values.size() * sizeof(int32_t) +
-                   sizeof(CachedRecord);
-  }
-  if (record.bytes > budget_bytes_) {
+void Recycler::Admit(const RecordKey& key, CachedRecordPtr record) {
+  const uint64_t bytes = record->Bytes();
+  if (bytes > budget_bytes_) {
     return;  // larger than the whole cache; not admissible
   }
-  uint64_t bytes = record.bytes;
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
@@ -113,7 +108,7 @@ void Recycler::Admit(const RecordKey& key, CachedRecord record) {
   Node node;
   node.lru_it = std::prev(lru_.end());
   current_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  node.record = std::make_shared<const CachedRecord>(std::move(record));
+  node.record = std::move(record);
   map_.emplace(key, std::move(node));
   admissions_.fetch_add(1, std::memory_order_relaxed);
   entries_.store(map_.size(), std::memory_order_relaxed);
@@ -122,7 +117,7 @@ void Recycler::Admit(const RecordKey& key, CachedRecord record) {
 uint64_t Recycler::EvictOneLocked() {
   const RecordKey& victim = lru_.front();
   auto it = map_.find(victim);
-  uint64_t bytes = it->second.record->bytes;
+  uint64_t bytes = it->second.record->Bytes();
   current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   if (pool_ != nullptr) pool_->Release(bytes);
   map_.erase(it);
@@ -135,7 +130,7 @@ uint64_t Recycler::EvictOneLocked() {
 void Recycler::EraseLocked(const RecordKey& key) {
   auto it = map_.find(key);
   if (it == map_.end()) return;
-  uint64_t bytes = it->second.record->bytes;
+  uint64_t bytes = it->second.record->Bytes();
   current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   if (pool_ != nullptr) pool_->Release(bytes);
   lru_.erase(it->second.lru_it);
@@ -147,7 +142,7 @@ void Recycler::InvalidateFile(int64_t file_id) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = map_.begin(); it != map_.end();) {
     if (it->first.file_id == file_id) {
-      uint64_t bytes = it->second.record->bytes;
+      uint64_t bytes = it->second.record->Bytes();
       current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
       if (pool_ != nullptr) pool_->Release(bytes);
       lru_.erase(it->second.lru_it);

@@ -70,13 +70,20 @@ struct RecordKeyHash {
   }
 };
 
-// One cached record: already extracted *and* transformed.
+// One cached record: already extracted *and* transformed. Immutable once
+// shared: the record a query stream assembles from is the same object the
+// cache holds.
 struct CachedRecord {
   std::vector<int64_t> sample_times;   // nanosecond timestamps
   std::vector<int32_t> sample_values;  // raw counts
   NanoTime file_mtime = 0;             // source file mtime at admission
   NanoTime admitted_at = 0;
-  uint64_t bytes = 0;                  // accounted against the budget
+
+  // Bytes accounted against the cache budget.
+  uint64_t Bytes() const {
+    return sample_times.size() * sizeof(int64_t) +
+           sample_values.size() * sizeof(int32_t) + sizeof(CachedRecord);
+  }
 };
 
 // Eviction-safe handle to a cache entry.
@@ -120,8 +127,8 @@ class Recycler {
   CachedRecordPtr Lookup(const RecordKey& key, NanoTime current_file_mtime,
                          bool* stale = nullptr);
 
-  // Inserts or replaces; computes entry.bytes if zero. Thread-safe.
-  void Admit(const RecordKey& key, CachedRecord record);
+  // Inserts or replaces, sharing `record` (never copied). Thread-safe.
+  void Admit(const RecordKey& key, CachedRecordPtr record);
 
   // Drops all entries of a file (used when a file disappears).
   void InvalidateFile(int64_t file_id);

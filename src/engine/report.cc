@@ -91,13 +91,13 @@ std::string ExecutionReport::ToString() const {
     for (const auto& op : operator_stats) {
       std::snprintf(buf, sizeof(buf),
                     "%s: %llu batches, %llu rows, peak batch %llu B, "
-                    "state %llu B, %.3fms",
+                    "state %llu B, %.3fms (self %.3fms)",
                     op.op.c_str(),
                     static_cast<unsigned long long>(op.batches),
                     static_cast<unsigned long long>(op.rows),
                     static_cast<unsigned long long>(op.peak_batch_bytes),
                     static_cast<unsigned long long>(op.state_bytes),
-                    op.seconds * 1e3);
+                    op.seconds * 1e3, op.self_seconds * 1e3);
       os << buf;
       if (op.spilled_bytes > 0 || op.partitions > 0) {
         std::snprintf(buf, sizeof(buf),

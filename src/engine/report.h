@@ -18,8 +18,12 @@ namespace lazyetl::engine {
 // executed batch pipeline (pre-order: parents before children). Counters
 // are aggregated thread-safely, so batch/row totals are exact at any
 // query_threads setting; `seconds` sums the time of every worker inside
-// Next() (inclusive of children), which under parallel execution can
-// exceed wall-clock time.
+// Open() and Next() (inclusive of children), which under parallel
+// execution can exceed wall-clock time. `self_seconds` is `seconds` minus
+// the children's `seconds` (clamped at 0): exact when the query runs
+// serially, where the self times of a plan sum to its root's `seconds`;
+// an approximation under parallel drive, where children run on workers
+// the parent's clock does not see.
 struct OperatorStats {
   std::string op;            // e.g. "Filter", "Scan(mseed.files)"
   uint64_t batches = 0;      // batches emitted
@@ -58,7 +62,8 @@ struct OperatorStats {
   // ever reached the join because their key hash was provably absent from
   // the build side.
   uint64_t rows_bloom_filtered = 0;
-  double seconds = 0;        // aggregate worker time inside Next()
+  double seconds = 0;        // aggregate worker time inside Open()/Next()
+  double self_seconds = 0;   // `seconds` minus the children's `seconds`
 };
 
 struct ExecutionReport {

@@ -6,9 +6,11 @@
 
 #include "core/etl.h"
 #include "core/schema.h"
+#include "core/warehouse.h"
 #include "engine/report.h"
 #include "mseed/writer.h"
 #include "test_util.h"
+#include "warehouse_test_util.h"
 
 namespace lazyetl::core {
 namespace {
@@ -132,6 +134,42 @@ TEST(ExecutionReportTest, ToStringContainsEverything) {
   EXPECT_NE(s.find("NaivePlan"), std::string::npos);
   EXPECT_NE(s.find("OptimizedPlan"), std::string::npos);
   EXPECT_NE(s.find("RuntimePlan"), std::string::npos);
+}
+
+TEST(ExecutionReportTest, OperatorSelfTimesSumToRootTime) {
+  // A serial sweep-shaped group scan: at query_threads 1 every child runs
+  // inside its parent's clock, so the self times partition the root's
+  // inclusive time.
+  testing::ScopedTempDir dir;
+  testing::MustGenerate(dir.path(), testing::SmallRepoConfig());
+  WarehouseOptions options;
+  options.strategy = LoadStrategy::kLazy;
+  options.query_threads = 1;
+  options.enable_result_cache = false;
+  // One operator tree: a sub-plan cache miss would run the breaker
+  // subtree as a second tree with its own root.
+  options.enable_plan_cache = 0;
+  auto wh = Warehouse::Open(options);
+  ASSERT_OK(wh);
+  ASSERT_OK((*wh)->AttachRepository(dir.path()));
+  auto result = (*wh)->Query(
+      "SELECT F.station, MIN(D.sample_value), MAX(D.sample_value) "
+      "FROM mseed.dataview WHERE F.channel = 'BHZ' GROUP BY F.station "
+      "ORDER BY F.station");
+  ASSERT_OK(result);
+  const auto& ops = result->report.operator_stats;
+  ASSERT_GT(ops.size(), 3u);
+  double self_sum = 0;
+  for (const auto& op : ops) {
+    EXPECT_GE(op.self_seconds, 0.0) << op.op;
+    EXPECT_LE(op.self_seconds, op.seconds) << op.op;
+    self_sum += op.self_seconds;
+  }
+  // Tolerance: floating-point rounding of the telescoping sum.
+  const double root = ops[0].seconds;
+  EXPECT_GT(root, 0.0);
+  EXPECT_NEAR(self_sum, root, 1e-9 + 1e-6 * root);
+  EXPECT_NE(result->report.ToString().find("(self "), std::string::npos);
 }
 
 TEST(ExecutionReportTest, OmitsOptionalSections) {

@@ -1,12 +1,19 @@
 // The library's central invariant: for every query, a lazy warehouse and
 // an eager warehouse over the same repository return identical results —
 // under cold caches, warm caches, tiny cache budgets, and the
-// filename-only strategy.
+// filename-only strategy. The record-granular parity suite at the end
+// holds the lazy data path (per-record join, late projection, grouping on
+// dictionary codes, one copy per sample) to byte-identical results.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+
+#include "core/schema.h"
 #include "core/warehouse.h"
 #include "mseed/repository.h"
+#include "storage/slice.h"
 #include "test_util.h"
 #include "warehouse_test_util.h"
 
@@ -198,6 +205,233 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT D.sample_value FROM mseed.dataview WHERE F.station = 'APE' "
         "ORDER BY D.sample_value DESC LIMIT 10",
         "SELECT COUNT(*) FROM mseed.dataview WHERE NOT (F.channel = 'BHZ')"));
+
+// Byte-level equality: same column names and types, and every value
+// equal — doubles by bit pattern, not within a tolerance.
+void ExpectBytesEqual(const storage::Table& a, const storage::Table& b,
+                      const std::string& context) {
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << context;
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << context;
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    EXPECT_EQ(a.column_name(c), b.column_name(c)) << context;
+    ASSERT_EQ(a.schema()[c].type, b.schema()[c].type) << context;
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      const auto va = a.GetValue(r, c);
+      const auto vb = b.GetValue(r, c);
+      if (va.type() == storage::DataType::kDouble) {
+        const double da = va.double_value();
+        const double db = vb.double_value();
+        EXPECT_EQ(std::memcmp(&da, &db, sizeof(da)), 0)
+            << context << " row " << r << " col " << c << ": " << da
+            << " vs " << db;
+      } else {
+        EXPECT_TRUE(va.Equals(vb))
+            << context << " row " << r << " col " << c << ": "
+            << va.ToString() << " vs " << vb.ToString();
+      }
+    }
+  }
+}
+
+// One lazy configuration of the parity suite.
+struct LazyConfig {
+  const char* name;
+  size_t query_threads;
+  uint64_t memory_budget;  // 0 = unlimited
+  int column_cache;        // WarehouseOptions::enable_column_cache
+};
+
+// Lazy warehouses at query_threads 1 and 4, each plain, under a memory
+// budget below two files' extraction estimate (so every extraction window
+// shrinks to its one-file floor, and breakers spill), and with the
+// decoded-column cache on. 512-row batches split most records across
+// chunks. The eager reference runs at the same thread count.
+const LazyConfig kLazyConfigs[] = {
+    {"threads1", 1, 0, 0},
+    {"threads4", 4, 0, 0},
+    {"threads1_one_file_windows", 1, 16 << 10, 0},
+    {"threads4_one_file_windows", 4, 16 << 10, 0},
+    {"threads1_column_cache", 1, 0, 1},
+    {"threads4_column_cache", 4, 0, 1},
+};
+
+class RecordGranularParityTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dir_ = new ScopedTempDir();
+    // 14 station-channels x 24 segments = 336 files: more distinct F.uri
+    // values than the 256-entry dictionary cap, so F.uri stays plain.
+    auto cfg = SmallRepoConfig();
+    cfg.num_days = 1;
+    cfg.segments_per_day = 24;
+    cfg.seconds_per_segment = 20.0;
+    MustGenerate(dir_->path(), cfg);
+  }
+  static void TearDownTestSuite() {
+    delete dir_;
+    dir_ = nullptr;
+  }
+
+  static std::unique_ptr<Warehouse> OpenWarehouse(LoadStrategy strategy,
+                                                  size_t query_threads,
+                                                  uint64_t memory_budget,
+                                                  int column_cache) {
+    WarehouseOptions options;
+    options.strategy = strategy;
+    options.query_threads = query_threads;
+    options.memory_budget_bytes = memory_budget;
+    options.enable_column_cache = column_cache;
+    options.enable_plan_cache = 0;
+    // Every run executes: cold runs extract, warm runs hit the caches.
+    options.enable_result_cache = false;
+    options.extraction_threads = 4;
+    if (strategy != LoadStrategy::kEager) options.batch_rows = 512;
+    auto wh = Warehouse::Open(options);
+    EXPECT_TRUE(wh.ok()) << wh.status().ToString();
+    auto stats = (*wh)->AttachRepository(dir_->path());
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return std::move(*wh);
+  }
+
+  static std::unique_ptr<Warehouse> OpenLazy(const LazyConfig& c) {
+    return OpenWarehouse(LoadStrategy::kLazy, c.query_threads,
+                         c.memory_budget, c.column_cache);
+  }
+
+  // Eager reference at the given thread count.
+  static Result<QueryResult> EagerAnswer(size_t query_threads,
+                                         const std::string& sql) {
+    auto eager = OpenWarehouse(LoadStrategy::kEager, query_threads, 0, 0);
+    return eager->Query(sql);
+  }
+
+  // Every lazy configuration answers `sql` cold and warm byte-identically
+  // to the eager warehouse at the same thread count.
+  void ExpectParity(const std::string& sql) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      auto eager = EagerAnswer(threads, sql);
+      ASSERT_OK(eager);
+      for (const LazyConfig& c : kLazyConfigs) {
+        if (c.query_threads != threads) continue;
+        SCOPED_TRACE(c.name);
+        auto lazy = OpenLazy(c);
+        for (const char* run : {"cold", "warm"}) {
+          auto got = lazy->Query(sql);
+          ASSERT_OK(got);
+          ExpectBytesEqual(eager->table, got->table,
+                           std::string(run) + ": " + sql);
+        }
+      }
+    }
+  }
+
+  static ScopedTempDir* dir_;
+};
+
+ScopedTempDir* RecordGranularParityTest::dir_ = nullptr;
+
+TEST_F(RecordGranularParityTest, ProjectsNoMetadataColumn) {
+  // Metadata columns appear only in predicates below the lazy scan.
+  ExpectParity(
+      "SELECT D.sample_time, D.sample_value FROM mseed.dataview "
+      "WHERE F.station = 'ISK' AND F.channel = 'BHZ' AND R.seq_no <= 2");
+  ExpectParity(
+      "SELECT COUNT(*), SUM(D.sample_value), MIN(D.sample_time), "
+      "MAX(D.sample_value) FROM mseed.dataview WHERE F.channel = 'BHE'");
+}
+
+TEST_F(RecordGranularParityTest, ProjectsEveryMetadataColumn) {
+  ExpectParity(
+      "SELECT F.file_id, F.uri, F.dataquality, F.network, F.station, "
+      "F.location, F.channel, F.start_time, F.end_time, F.num_records, "
+      "F.sample_rate, F.file_size, F.last_modified, R.file_id, R.seq_no, "
+      "R.start_time, R.end_time, R.num_samples, R.sample_rate, R.encoding, "
+      "D.file_id, D.seq_no, D.sample_time, D.sample_value "
+      "FROM mseed.dataview WHERE F.station = 'HGN' AND R.seq_no = 1");
+}
+
+TEST_F(RecordGranularParityTest, GroupByDictionaryString) {
+  ExpectParity(
+      "SELECT F.station, COUNT(*), MIN(D.sample_value), "
+      "MAX(D.sample_value), SUM(D.sample_value) FROM mseed.dataview "
+      "WHERE F.network = 'NL' GROUP BY F.station");
+  ExpectParity(
+      "SELECT F.station, F.channel, COUNT(*) FROM mseed.dataview "
+      "GROUP BY F.station, F.channel");
+}
+
+TEST_F(RecordGranularParityTest, GroupByPlainStringOverDictionaryCap) {
+  auto lazy = OpenLazy(kLazyConfigs[0]);
+  auto files = lazy->catalog().GetTable(kFilesTable);
+  ASSERT_OK(files);
+  EXPECT_GT((*files)->num_rows(), 256u);
+  if (std::getenv("LAZYETL_DICT_ENCODING") == nullptr &&
+      std::getenv("LAZYETL_DICT_MAX_CARDINALITY") == nullptr) {
+    auto uri = (*files)->ColumnByName("uri");
+    ASSERT_OK(uri);
+    EXPECT_FALSE((*uri)->dict_encoded());
+  }
+  ExpectParity(
+      "SELECT F.uri, COUNT(*), MAX(D.sample_value) FROM mseed.dataview "
+      "WHERE F.channel = 'BHZ' GROUP BY F.uri");
+}
+
+TEST_F(RecordGranularParityTest, GroupByRecordSequenceNumber) {
+  ExpectParity(
+      "SELECT R.seq_no, COUNT(*), MIN(D.sample_value) FROM mseed.dataview "
+      "WHERE F.station IN ('ISK', 'HGN') GROUP BY R.seq_no");
+}
+
+TEST_F(RecordGranularParityTest, Having) {
+  ExpectParity(
+      "SELECT F.station, F.channel, "
+      "MAX(D.sample_value) - MIN(D.sample_value) AS spread "
+      "FROM mseed.dataview GROUP BY F.station, F.channel "
+      "HAVING COUNT(*) > 1000 ORDER BY spread DESC, F.station, F.channel");
+}
+
+TEST_F(RecordGranularParityTest, OrderByLimitWithCursorClosedEarly) {
+  const std::string sql =
+      "SELECT F.station, R.seq_no, D.sample_time, D.sample_value "
+      "FROM mseed.dataview WHERE F.channel = 'BHN' "
+      "ORDER BY D.sample_value DESC, D.sample_time, F.uri, R.seq_no "
+      "LIMIT 2000";
+  ExpectParity(sql);
+  for (const LazyConfig& c : kLazyConfigs) {
+    SCOPED_TRACE(c.name);
+    auto eager = EagerAnswer(c.query_threads, sql);
+    ASSERT_OK(eager);
+    auto lazy = OpenLazy(c);
+    // Read the first batch, then abandon the stream mid-result.
+    auto cursor = lazy->OpenCursor(sql);
+    ASSERT_OK(cursor);
+    storage::Table batch;
+    auto more = (*cursor)->Next(&batch);
+    ASSERT_OK(more);
+    ASSERT_TRUE(*more);
+    ASSERT_GT(batch.num_rows(), 0u);
+    ASSERT_LT(batch.num_rows(), eager->table.num_rows());
+    ExpectBytesEqual(eager->table.Slice(0, batch.num_rows()).Materialize(),
+                     batch, "first batch: " + sql);
+    (*cursor)->Close();
+    // The abandoned stream left the caches consistent.
+    auto full = lazy->Query(sql);
+    ASSERT_OK(full);
+    ExpectBytesEqual(eager->table, full->table, "after early close: " + sql);
+  }
+}
+
+TEST_F(RecordGranularParityTest, EmptySelection) {
+  ExpectParity(
+      "SELECT F.station, D.sample_value FROM mseed.dataview "
+      "WHERE F.station = 'XXXX'");
+  ExpectParity(
+      "SELECT F.station, COUNT(*) FROM mseed.dataview "
+      "WHERE F.station = 'XXXX' GROUP BY F.station");
+  ExpectParity(
+      "SELECT F.station, D.sample_value FROM mseed.dataview "
+      "WHERE D.sample_value > 1000000000");
+}
 
 }  // namespace
 }  // namespace lazyetl::core

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -12,12 +13,12 @@
 namespace lazyetl::engine {
 namespace {
 
-CachedRecord MakeRecord(size_t samples, NanoTime mtime) {
-  CachedRecord rec;
-  rec.sample_times.resize(samples, 1);
-  rec.sample_values.resize(samples, 2);
-  rec.file_mtime = mtime;
-  rec.admitted_at = 100;
+CachedRecordPtr MakeRecord(size_t samples, NanoTime mtime) {
+  auto rec = std::make_shared<CachedRecord>();
+  rec->sample_times.resize(samples, 1);
+  rec->sample_values.resize(samples, 2);
+  rec->file_mtime = mtime;
+  rec->admitted_at = 100;
   return rec;
 }
 
@@ -56,7 +57,7 @@ TEST(RecyclerTest, StaleEntryEvictedOnMtimeChange) {
 
 TEST(RecyclerTest, LruEvictionUnderBudget) {
   // Each 100-sample record costs 100*(8+4) + sizeof(CachedRecord) bytes.
-  CachedRecord probe = MakeRecord(100, 1);
+  CachedRecordPtr probe = MakeRecord(100, 1);
   uint64_t per_entry = 100 * 12 + sizeof(CachedRecord);
   Recycler cache(per_entry * 3);
   cache.Admit({1, 1}, MakeRecord(100, 1));
