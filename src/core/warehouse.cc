@@ -119,6 +119,17 @@ class Warehouse::CatalogWriter {
 
 class WarehouseRecordStream;
 
+namespace {
+
+// A failed freshness stat of a file the query reads: a vanished file fails
+// NotFound, any other error (ENOTDIR, EIO, ...) as the stat reported it.
+Status StatFailure(const Status& status, const std::string& path) {
+  if (!status.IsNotFound()) return status;
+  return Status::NotFound("source file disappeared during query: " + path);
+}
+
+}  // namespace
+
 class WarehouseDataProvider : public engine::LazyDataProvider {
  public:
   WarehouseDataProvider(Warehouse* warehouse, engine::QueryContext* qctx)
@@ -403,24 +414,26 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
       new WarehouseRecordStream(provider, columns, batch_rows, report));
   Warehouse* warehouse = provider->warehouse_;
 
-  // Group requested records by file so each file is statted and opened at
+  // Group requested records by file so each file is checked and opened at
   // most once, and validate/refresh every requested file up front: the
-  // stat, staleness re-load and hydration are metadata-only work, and
-  // recording all dependencies before any chunk is consumed keeps the
-  // result cache sound even when a consumer (LIMIT) stops early. The
+  // freshness check, staleness re-load and hydration are metadata-only
+  // work, and recording all dependencies before any chunk is consumed keeps
+  // the result cache sound even when a consumer (LIMIT) stops early. The
   // expensive part — cache lookups and sample extraction — stays deferred.
   std::map<int64_t, std::vector<int64_t>> by_file;
   for (const auto& k : keys) by_file[k.file_id].push_back(k.seq_no);
 
-  // Pass 1 (shared lock): snapshot each requested file's registry state.
+  // Pass 1 (shared lock): settle each hydrated file the change journal
+  // vouches for in memory; snapshot the others for a stat. A file never
+  // hydrated needs the fix-up pass, which stats it, anyway.
+  ChangeJournal::Batch batch = warehouse->journal_.BeginBatch();
   struct Checked {
     int64_t fid = 0;
     std::string path;
     NanoTime entry_mtime = 0;
-    bool hydrated = false;
   };
   std::vector<Checked> checks;
-  checks.reserve(by_file.size());
+  std::vector<int64_t> fix;
   {
     std::shared_lock lock(warehouse->meta_mu_);
     for (const auto& [fid, seqs] : by_file) {
@@ -430,19 +443,22 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
                                       std::to_string(fid));
       }
       const Warehouse::FileEntry& entry = warehouse->files_[fid - 1];
-      checks.push_back({fid, entry.path, entry.mtime, entry.hydrated});
+      mseed::FileStatInfo st;
+      if (!entry.hydrated) {
+        fix.push_back(fid);
+      } else if (batch.Vouched(fid, &st)) {
+        if (st.mtime != entry.mtime) fix.push_back(fid);
+      } else {
+        checks.push_back({fid, entry.path, entry.mtime});
+      }
     }
   }
 
-  // Pass 2 (no lock): stat the files and decide which need a fix-up.
-  std::vector<int64_t> fix;
+  // Pass 2 (no lock): stat the files the journal did not vouch for.
   for (const Checked& c : checks) {
-    NanoTime mtime = warehouse->CurrentMtime(c.path);
-    if (mtime < 0) {
-      return Status::NotFound("source file disappeared during query: " +
-                              c.path);
-    }
-    if (mtime != c.entry_mtime || !c.hydrated) fix.push_back(c.fid);
+    auto st = batch.Stat(c.fid, c.path, &report->files_statted);
+    if (!st.ok()) return StatFailure(st.status(), c.path);
+    if (st->mtime != c.entry_mtime) fix.push_back(c.fid);
   }
 
   // Pass 3 (exclusive lock, only when needed): lazy refresh (§3.3) — a
@@ -458,12 +474,9 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
         return Status::NotFound("source file disappeared during query: " +
                                 entry.path);
       }
-      NanoTime mtime = warehouse->CurrentMtime(entry.path);
-      if (mtime < 0) {
-        return Status::NotFound("source file disappeared during query: " +
-                                entry.path);
-      }
-      if (mtime != entry.mtime && entry.hydrated) {
+      auto st = mseed::StatFile(entry.path);
+      if (!st.ok()) return StatFailure(st.status(), entry.path);
+      if (st->mtime != entry.mtime && entry.hydrated) {
         LogOp(LogCategory::kRefresh,
               "lazy refresh: " + entry.path +
                   " was modified; re-loading its metadata");
@@ -1038,12 +1051,6 @@ Result<TablePtr> Warehouse::DataTable() const {
   return catalog_->GetTable(kDataTable);
 }
 
-NanoTime Warehouse::CurrentMtime(const std::string& path) const {
-  auto st = mseed::StatFile(path);
-  if (!st.ok()) return -1;
-  return st->mtime;
-}
-
 std::vector<std::string> Warehouse::repositories() const {
   std::shared_lock lock(meta_mu_);
   return roots_;
@@ -1060,6 +1067,7 @@ Status Warehouse::HydrateFileLocked(FileEntry* entry, CatalogWriter* writer,
 
   entry->mtime = md.mtime;
   entry->size = md.file_size;
+  entry->plain = md.plain;
   entry->seq_to_record.clear();
   for (size_t i = 0; i < md.records.size(); ++i) {
     entry->seq_to_record[md.records[i].header.sequence_number] = i;
@@ -1119,6 +1127,7 @@ Status Warehouse::LoadFileEagerLocked(FileEntry* entry, CatalogWriter* writer,
 
   entry->mtime = full.metadata.mtime;
   entry->size = full.metadata.file_size;
+  entry->plain = full.metadata.plain;
   entry->seq_to_record.clear();
   for (size_t i = 0; i < full.metadata.records.size(); ++i) {
     entry->seq_to_record[full.metadata.records[i].header.sequence_number] = i;
@@ -1144,6 +1153,7 @@ Status Warehouse::LoadFileMetadataLocked(FileEntry* entry,
 
   entry->mtime = md.mtime;
   entry->size = md.file_size;
+  entry->plain = md.plain;
   entry->seq_to_record.clear();
   for (size_t i = 0; i < md.records.size(); ++i) {
     entry->seq_to_record[md.records[i].header.sequence_number] = i;
@@ -1189,6 +1199,7 @@ Status Warehouse::LoadFileFromFilenameLocked(FileEntry* entry,
 
   entry->mtime = st.mtime;
   entry->size = st.size;
+  entry->plain = st.plain;
   entry->hydrated = false;
   return Status::OK();
 }
@@ -1237,6 +1248,7 @@ Status Warehouse::LoadDatalessInventoryLocked(const std::string& path,
 }
 
 Status Warehouse::AttachFileLocked(const std::string& path,
+                                   const std::string& root,
                                    CatalogWriter* writer, LoadStats* stats) {
   // Dataless SEED volumes hold inventory control headers, not waveforms.
   if (mseed::IsDatalessFilename(fs::path(path).filename().string())) {
@@ -1245,6 +1257,9 @@ Status Warehouse::AttachFileLocked(const std::string& path,
   FileEntry entry;
   entry.file_id = static_cast<int64_t>(files_.size()) + 1;
   entry.path = path;
+  // Watched before the load's stat, so the journal can keep that stat.
+  ChangeJournal::Ticket ticket;
+  if (IsLazyStrategy()) ticket = journal_.Watch(entry.file_id, path, root);
 
   Status load_status;
   switch (options_.strategy) {
@@ -1259,6 +1274,7 @@ Status Warehouse::AttachFileLocked(const std::string& path,
       break;
   }
   if (!load_status.ok()) {
+    journal_.Forget(entry.file_id);
     if (load_status.IsCorruptData() || load_status.IsParseError() ||
         load_status.IsNotImplemented()) {
       // Not an mSEED/SDS file: skip it, the repository may contain stray
@@ -1270,6 +1286,10 @@ Status Warehouse::AttachFileLocked(const std::string& path,
     return load_status;
   }
   ++stats->files;
+  if (IsLazyStrategy()) {
+    journal_.Record(entry.file_id, ticket,
+                    {entry.size, entry.mtime, entry.plain});
+  }
   path_to_file_id_[path] = entry.file_id;
   files_.push_back(std::move(entry));
   return Status::OK();
@@ -1288,7 +1308,7 @@ Result<LoadStats> Warehouse::AttachRepository(const std::string& root) {
     CatalogWriter writer(catalog_.get());
     for (const auto& f : scanned) {
       if (path_to_file_id_.count(f.path)) continue;  // already attached
-      LAZYETL_RETURN_NOT_OK(AttachFileLocked(f.path, &writer, &stats));
+      LAZYETL_RETURN_NOT_OK(AttachFileLocked(f.path, root, &writer, &stats));
     }
     if (std::find(roots_.begin(), roots_.end(), root) == roots_.end()) {
       roots_.push_back(root);
@@ -1452,7 +1472,9 @@ Status Warehouse::ReloadModifiedFileLocked(FileEntry* entry,
 
 Status Warehouse::RefreshStaleCandidates(
     const std::vector<int64_t>& candidates, ExecutionReport* report) {
-  // Pass 1 (shared): snapshot the registry state of the candidates.
+  // Pass 1 (shared): a candidate the change journal vouches for is settled
+  // in memory, by file_id; the others are snapshotted for a stat.
+  ChangeJournal::Batch batch = journal_.BeginBatch();
   struct Checked {
     int64_t fid = 0;
     std::string path;
@@ -1460,22 +1482,31 @@ Status Warehouse::RefreshStaleCandidates(
     uint64_t size = 0;
   };
   std::vector<Checked> checks;
+  std::vector<int64_t> changed;
   {
     std::shared_lock lock(meta_mu_);
     for (int64_t fid : candidates) {
       if (fid < 1 || static_cast<size_t>(fid) > files_.size()) continue;
       const FileEntry& entry = files_[fid - 1];
       if (entry.file_id == 0) continue;
-      checks.push_back({fid, entry.path, entry.mtime, entry.size});
+      ++report->files_stat_checked;
+      mseed::FileStatInfo st;
+      if (!batch.Vouched(fid, &st)) {
+        checks.push_back({fid, entry.path, entry.mtime, entry.size});
+      } else if (st.mtime != entry.mtime || st.size != entry.size) {
+        changed.push_back(fid);
+      }
     }
   }
 
-  // Pass 2 (no lock): stat the candidates.
-  report->files_stat_checked += checks.size();
-  std::vector<int64_t> changed;
+  // Pass 2 (no lock): stat the candidates the journal did not vouch for.
   for (const Checked& c : checks) {
-    auto st = mseed::StatFile(c.path);
-    if (!st.ok()) continue;  // vanished: extraction will report NotFound
+    auto st = batch.Stat(c.fid, c.path, &report->files_statted);
+    if (!st.ok()) {
+      // A vanished file fails in extraction, which reports NotFound.
+      if (st.status().IsNotFound()) continue;
+      return st.status();
+    }
     if (st->mtime == c.mtime && st->size == c.size) continue;
     changed.push_back(c.fid);
   }
@@ -1923,8 +1954,15 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
   // plan, so a served sub-plan admits near-free. The original subtree is
   // detached (not destroyed): the footprint path re-validates after its
   // queue wait and reverts on staleness.
-  auto dep_mtime_fn = [this](const engine::ResultDependency& dep) {
-    return CurrentMtime(dep.path);
+  //
+  // Each cache probe validates its dependencies as one batch of freshness
+  // checks against the change journal.
+  auto dep_mtime_fn = [this, &report] {
+    return [batch = journal_.BeginBatch(),
+            &report](const engine::ResultDependency& dep) -> NanoTime {
+      auto st = batch.Stat(dep.file_id, dep.path, &report.files_statted);
+      return st.ok() ? st->mtime : -1;
+    };
   };
   engine::PlanNodePtr* sub_slot = nullptr;
   std::string subplan_fp;
@@ -1939,7 +1977,7 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
     if (sub_slot != nullptr) {
       plan_epoch = plan_cache_->epoch();
       engine::CachedSubPlanPtr cached =
-          plan_cache_->ValidateAndGet(subplan_fp, dep_mtime_fn);
+          plan_cache_->ValidateAndGet(subplan_fp, dep_mtime_fn());
       if (cached != nullptr) {
         subplan_detached = std::move(*sub_slot);
         *sub_slot = engine::MakeCachedScan(cached->table, "subplan");
@@ -1966,7 +2004,7 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
     // will not use (the authoritative probe below runs post-admission, at
     // the same point as on the FIFO path).
     if (options_.enable_result_cache &&
-        result_recycler_->ValidateAndGet(sql, dep_mtime_fn) != nullptr) {
+        result_recycler_->ValidateAndGet(sql, dep_mtime_fn()) != nullptr) {
       request.estimated_bytes = 0;
     }
     LAZYETL_RETURN_NOT_OK(admit());
@@ -1977,8 +2015,9 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
     // correctness never depends on the cache.
     if (report.plan_cache_hit &&
         !std::all_of(im.subplan_deps.begin(), im.subplan_deps.end(),
-                     [&](const engine::ResultDependency& dep) {
-                       return dep_mtime_fn(dep) == dep.mtime;
+                     [mtime = dep_mtime_fn()](
+                         const engine::ResultDependency& dep) {
+                       return mtime(dep) == dep.mtime;
                      })) {
       *sub_slot = std::move(subplan_detached);
       im.subplan_deps.clear();
@@ -1993,7 +2032,7 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
   im.retaining = window_batches == 0;  // Query() always keeps its result
   if (options_.enable_result_cache) {
     if (engine::CachedResultPtr cached =
-            result_recycler_->ValidateAndGet(sql, dep_mtime_fn)) {
+            result_recycler_->ValidateAndGet(sql, dep_mtime_fn())) {
       result_cache_hits_.fetch_add(1, std::memory_order_relaxed);
       report.result_cache_hit = true;
       im.served = std::shared_ptr<const Table>(cached, &cached->table);
@@ -2079,13 +2118,16 @@ Result<RefreshStats> Warehouse::Refresh() {
   // Pass 1 (no lock): walk the repositories. The directory scan is the
   // bulk of a no-op refresh; keeping it off the registry lock means
   // polling refreshes never stall concurrent queries.
+  const std::vector<std::string> roots = repositories();
   std::vector<mseed::ScannedFile> scanned_all;
+  std::vector<size_t> root_of;  // parallel to scanned_all
   std::unordered_set<std::string> seen;
-  for (const auto& root : repositories()) {
-    LAZYETL_ASSIGN_OR_RETURN(auto scanned, mseed::ScanRepository(root));
+  for (size_t r = 0; r < roots.size(); ++r) {
+    LAZYETL_ASSIGN_OR_RETURN(auto scanned, mseed::ScanRepository(roots[r]));
     for (auto& f : scanned) {
       seen.insert(f.path);
       scanned_all.push_back(std::move(f));
+      root_of.push_back(r);
     }
   }
 
@@ -2121,7 +2163,8 @@ Result<RefreshStats> Warehouse::Refresh() {
     for (const mseed::ScannedFile* f : new_files) {
       if (path_to_file_id_.count(f->path)) continue;
       LoadStats ls;
-      LAZYETL_RETURN_NOT_OK(AttachFileLocked(f->path, &writer, &ls));
+      LAZYETL_RETURN_NOT_OK(AttachFileLocked(
+          f->path, roots[root_of[f - scanned_all.data()]], &writer, &ls));
       stats.bytes_read += ls.bytes_read;
       if (ls.files > 0) ++stats.new_files;
     }
@@ -2158,6 +2201,7 @@ Result<RefreshStats> Warehouse::Refresh() {
         LAZYETL_RETURN_NOT_OK(RemoveFileRows(data, entry.file_id).status());
       }
       path_to_file_id_.erase(entry.path);
+      journal_.Forget(entry.file_id);
       entry.file_id = 0;  // tombstone
       entry.metadata.reset();
       entry.hydrated = false;
@@ -2166,6 +2210,10 @@ Result<RefreshStats> Warehouse::Refresh() {
     writer.Publish();
   }
 
+  // Re-add the watches the journal lost and forget what it vouched for: the
+  // explicit rescan also covers changes no event reports (see
+  // ChangeJournal).
+  journal_.Rearm();
   result_recycler_->Clear();
   if (plan_cache_ != nullptr) plan_cache_->Clear();
   stats.seconds = timer.ElapsedSeconds();
@@ -2220,6 +2268,7 @@ WarehouseStats Warehouse::Stats() const {
   stats.queries_bypass_admitted = scheduler_->total_bypass_admissions();
   stats.queries_active = scheduler_->active();
   stats.queries_waiting = scheduler_->waiting();
+  stats.journal = journal_.stats();
   return stats;
 }
 

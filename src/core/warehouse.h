@@ -54,6 +54,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/time.h"
+#include "core/change_journal.h"
 #include "engine/column_cache.h"
 #include "engine/executor.h"
 #include "engine/plan_cache.h"
@@ -295,6 +296,10 @@ struct WarehouseStats {
   uint64_t queries_bypass_admitted = 0;
   size_t queries_active = 0;
   size_t queries_waiting = 0;
+  // Change journal behind the query-time lazy refresh: files it answers
+  // for from memory, files it stats on every check, inotify events drained
+  // and queue overflows.
+  ChangeJournalStats journal;
 };
 
 class Warehouse {
@@ -377,6 +382,7 @@ class Warehouse {
     std::string path;
     NanoTime mtime = 0;      // as of the last metadata (re)load
     uint64_t size = 0;
+    bool plain = false;      // mseed::FileStatInfo::plain of that load
     bool hydrated = false;   // record metadata present?
     std::shared_ptr<const mseed::FileMetadata> metadata;  // when hydrated
     std::map<int64_t, size_t> seq_to_record;  // seq_no -> records index
@@ -392,8 +398,9 @@ class Warehouse {
 
   // The *Locked helpers require meta_mu_ held exclusively and stage their
   // table changes in `writer` (published by the caller).
-  Status AttachFileLocked(const std::string& path, CatalogWriter* writer,
-                          LoadStats* stats);
+  // `root` is the attached repository the file was found under.
+  Status AttachFileLocked(const std::string& path, const std::string& root,
+                          CatalogWriter* writer, LoadStats* stats);
   Status LoadFileEagerLocked(FileEntry* entry, CatalogWriter* writer,
                              LoadStats* stats);
   Status LoadFileMetadataLocked(FileEntry* entry, CatalogWriter* writer,
@@ -451,10 +458,12 @@ class Warehouse {
   // and the warehouse default (see QueryOptions::queue_timeout_ms).
   int64_t ResolveQueueTimeoutMs(int64_t query_timeout_ms) const;
 
-  // Lazy refresh (§3.3) at query time: stats the candidate files
-  // (counted in files_stat_checked) and re-loads metadata of any whose
-  // mtime or size changed since it was read. Takes meta_mu_ shared for the
-  // checks, exclusive only when a stale file must actually be re-loaded.
+  // Lazy refresh (§3.3) at query time: checks the candidate files
+  // (counted in files_stat_checked) against the change journal and re-loads
+  // metadata of any whose mtime or size changed since it was read; only
+  // files the journal cannot vouch for are statted (files_statted). Takes
+  // meta_mu_ shared for the checks, exclusive only when a stale file must
+  // actually be re-loaded.
   Status RefreshStaleCandidates(const std::vector<int64_t>& candidates,
                                 engine::ExecutionReport* report);
 
@@ -464,9 +473,6 @@ class Warehouse {
   Status HydrateForQuery(const sql::BoundQuery& query,
                          const std::vector<int64_t>& candidates,
                          engine::ExecutionReport* report);
-
-  // Current mtime of a file, or -1 when it cannot be statted.
-  NanoTime CurrentMtime(const std::string& path) const;
 
   Result<storage::TablePtr> FilesTable() const;
   Result<storage::TablePtr> RecordsTable() const;
@@ -501,6 +507,9 @@ class Warehouse {
   std::map<std::string, int64_t> path_to_file_id_;
   std::vector<std::string> roots_;
   std::set<std::string> dataless_paths_;  // inventories already loaded
+  // Every query-time freshness check goes through the journal; the lazy
+  // strategies track each attached file in it.
+  ChangeJournal journal_;
   std::atomic<uint64_t> result_cache_hits_{0};
 };
 

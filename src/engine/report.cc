@@ -22,8 +22,9 @@ std::string ExecutionReport::ToString() const {
      << " stale " << cache_stale << " | files opened " << files_opened
      << " | records extracted " << records_extracted << " ("
      << samples_extracted << " samples, " << bytes_read << " bytes read)\n";
-  if (files_stat_checked > 0) {
-    os << "lazy refresh: stat-checked " << files_stat_checked << " files\n";
+  if (files_stat_checked > 0 || files_statted > 0) {
+    os << "lazy refresh: checked " << files_stat_checked << " files ("
+       << files_statted << " statted)\n";
   }
   if (files_hydrated > 0) {
     os << "deferred metadata: hydrated " << files_hydrated << " files\n";

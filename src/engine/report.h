@@ -88,8 +88,11 @@ struct ExecutionReport {
   uint64_t samples_extracted = 0;
   uint64_t bytes_read = 0;
 
-  // Lazy refresh at query time: candidate files statted for staleness.
+  // Lazy refresh at query time: candidate files checked for staleness, and
+  // the real stats this query's freshness checks made (the change journal
+  // answers the rest from memory).
   uint64_t files_stat_checked = 0;
+  uint64_t files_statted = 0;
 
   // Deferred metadata (filename-only initial loading).
   uint64_t files_hydrated = 0;

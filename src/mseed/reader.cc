@@ -3,7 +3,9 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "common/macros.h"
@@ -44,13 +46,18 @@ Status Summarize(FileMetadata* md) {
 
 Result<FileStatInfo> StatFile(const std::string& path) {
   struct ::stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::IOError("cannot stat " + path);
+  bool plain = ::lstat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
+  if (!plain && ::stat(path.c_str(), &st) != 0) {
+    const int err = errno;
+    std::string msg = "cannot stat " + path + ": " + std::strerror(err);
+    if (err == ENOENT) return Status::NotFound(std::move(msg));
+    return Status::IOError(std::move(msg));
   }
   FileStatInfo info;
   info.size = static_cast<uint64_t>(st.st_size);
   info.mtime = static_cast<NanoTime>(st.st_mtim.tv_sec) * kNanosPerSecond +
                st.st_mtim.tv_nsec;
+  info.plain = plain && st.st_nlink == 1;
   return info;
 }
 
@@ -65,6 +72,7 @@ Result<FileMetadata> ScanMetadata(const std::string& path) {
   md.path = path;
   md.file_size = st.size;
   md.mtime = st.mtime;
+  md.plain = st.plain;
 
   uint64_t offset = 0;
   uint8_t buf[kHeaderProbeBytes];
@@ -165,6 +173,7 @@ Result<FullFile> ReadFull(const std::string& path) {
   full.metadata.path = path;
   full.metadata.file_size = st.size;
   full.metadata.mtime = st.mtime;
+  full.metadata.plain = st.plain;
   full.metadata.bytes_read = st.size;
 
   uint64_t offset = 0;

@@ -23,8 +23,13 @@ namespace lazyetl::mseed {
 struct FileStatInfo {
   uint64_t size = 0;
   NanoTime mtime = 0;
+  // A regular file named directly (not through a symlink) with one link:
+  // a change to it always goes through this path's directory.
+  bool plain = false;
 };
 
+// Stats `path`, following a symlink. Fails with NotFound when the path does
+// not exist (ENOENT) and with IOError, carrying the errno text, otherwise.
 Result<FileStatInfo> StatFile(const std::string& path);
 
 // One record's metadata plus where it lives in the file.
@@ -38,6 +43,7 @@ struct FileMetadata {
   std::string path;
   uint64_t file_size = 0;
   NanoTime mtime = 0;
+  bool plain = false;  // FileStatInfo::plain of the stat read with it
   std::vector<RecordInfo> records;
 
   // Aggregates over records (valid when !records.empty()).

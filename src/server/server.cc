@@ -372,14 +372,16 @@ bool QueryServer::HandleQuery(const HttpRequest& req,
 bool QueryServer::HandleStats(HttpResponseWriter* writer) {
   core::WarehouseStats ws = warehouse_->Stats();
   ServerCounters sc = counters();
-  char body[512];
+  char body[768];
   std::snprintf(
       body, sizeof(body),
       "{\"queries_admitted\":%llu,\"queries_timed_out\":%llu,"
       "\"queries_active\":%zu,\"queries_waiting\":%zu,"
       "\"connections\":%llu,\"queries_ok\":%llu,"
       "\"queries_rejected\":%llu,\"mid_stream_errors\":%llu,"
-      "\"batches_streamed\":%llu,\"rows_streamed\":%llu}",
+      "\"batches_streamed\":%llu,\"rows_streamed\":%llu,"
+      "\"journal_files_tracked\":%llu,\"journal_files_untracked\":%llu,"
+      "\"journal_events_drained\":%llu,\"journal_queue_overflows\":%llu}",
       static_cast<unsigned long long>(ws.queries_admitted),
       static_cast<unsigned long long>(ws.queries_timed_out),
       ws.queries_active, ws.queries_waiting,
@@ -388,7 +390,11 @@ bool QueryServer::HandleStats(HttpResponseWriter* writer) {
       static_cast<unsigned long long>(sc.queries_rejected),
       static_cast<unsigned long long>(sc.mid_stream_errors),
       static_cast<unsigned long long>(sc.batches_streamed),
-      static_cast<unsigned long long>(sc.rows_streamed));
+      static_cast<unsigned long long>(sc.rows_streamed),
+      static_cast<unsigned long long>(ws.journal.files_tracked),
+      static_cast<unsigned long long>(ws.journal.files_untracked),
+      static_cast<unsigned long long>(ws.journal.events_drained),
+      static_cast<unsigned long long>(ws.journal.queue_overflows));
   return writer->WriteFull(200, "application/json", body).ok();
 }
 

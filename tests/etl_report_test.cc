@@ -114,6 +114,7 @@ TEST(ExecutionReportTest, ToStringContainsEverything) {
   report.samples_extracted = 700;
   report.bytes_read = 3584;
   report.files_stat_checked = 5;
+  report.files_statted = 2;
   report.files_hydrated = 4;
   report.result_cache_hit = true;
   report.plan_before = "NaivePlan\n";
@@ -128,7 +129,8 @@ TEST(ExecutionReportTest, ToStringContainsEverything) {
   EXPECT_NE(s.find("hits 3"), std::string::npos);
   EXPECT_NE(s.find("misses 6"), std::string::npos);
   EXPECT_NE(s.find("stale 1"), std::string::npos);
-  EXPECT_NE(s.find("stat-checked 5 files"), std::string::npos);
+  EXPECT_NE(s.find("lazy refresh: checked 5 files (2 statted)"),
+            std::string::npos);
   EXPECT_NE(s.find("hydrated 4 files"), std::string::npos);
   EXPECT_NE(s.find("result served from recycler cache"), std::string::npos);
   EXPECT_NE(s.find("NaivePlan"), std::string::npos);
@@ -176,6 +178,7 @@ TEST(ExecutionReportTest, OmitsOptionalSections) {
   engine::ExecutionReport report;
   std::string s = report.ToString();
   EXPECT_EQ(s.find("hydrated"), std::string::npos);
+  EXPECT_EQ(s.find("lazy refresh"), std::string::npos);
   EXPECT_EQ(s.find("result served"), std::string::npos);
   EXPECT_EQ(s.find("plan (naive)"), std::string::npos);
 }

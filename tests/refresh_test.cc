@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <thread>
 
@@ -25,9 +26,11 @@ using lazyetl::testing::MustOpen;
 using lazyetl::testing::ScopedTempDir;
 using lazyetl::testing::SmallRepoConfig;
 
-// Rewrites `path` with different waveform content (longer series), bumping
-// its mtime and record count.
-void ModifyFile(const std::string& path, double seconds = 45.0) {
+// Rewrites `path` with different waveform content (a series of `seconds`),
+// bumping its mtime and record count. With a `target`, writes the new content
+// there instead and leaves `path` as it is.
+void ModifyFile(const std::string& path, double seconds = 45.0,
+                const std::string& target = "") {
   auto md = mseed::ScanMetadata(path);
   ASSERT_OK(md);
   mseed::TimeSeries series;
@@ -42,10 +45,11 @@ void ModifyFile(const std::string& path, double seconds = 45.0) {
   synth.sample_rate = md->sample_rate;
   series.samples = mseed::GenerateSeismogram(
       static_cast<size_t>(seconds * md->sample_rate), synth);
-  ASSERT_OK(mseed::WriteMseedFile(path, series, mseed::WriterOptions{}));
+  const std::string& out = target.empty() ? path : target;
+  ASSERT_OK(mseed::WriteMseedFile(out, series, mseed::WriterOptions{}));
   // Ensure the mtime visibly advances even on coarse filesystems.
   auto now = fs::file_time_type::clock::now();
-  fs::last_write_time(path, now + std::chrono::seconds(2));
+  fs::last_write_time(out, now + std::chrono::seconds(2));
 }
 
 // Appends `samples` samples starting at `start` to `path` as new records
@@ -97,6 +101,12 @@ class RefreshTest : public ::testing::Test {
     const int64_t expected = CountOf(fresh.get(), sql);
     EXPECT_NE(expected, before);
     EXPECT_EQ(CountOf(wh.get(), sql), expected);
+  }
+
+  // COUNT(*) of the samples of generated file `gf`.
+  static std::string CountSql(const mseed::GeneratedFile& gf) {
+    return "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = '" +
+           gf.station + "' AND F.channel = '" + gf.channel + "'";
   }
 
   ScopedTempDir dir_;
@@ -294,7 +304,7 @@ TEST_F(RefreshTest, QueryFailsWhenFileVanishesMidway) {
   auto result = wh->Query(
       "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'APE'");
   EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsNotFound());
+  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
   // After Refresh() the file is dropped and the query succeeds (0 rows...
   // APE has two channel files; one remains).
   ASSERT_OK(wh->Refresh());
@@ -385,6 +395,122 @@ TEST_F(RefreshTest, ShrinkingRewriteBelowEndTimeBoundIsSeen) {
       "SELECT COUNT(*) FROM mseed.files WHERE station = '" + gf.station +
           "' AND end_time < '" + FormatTimestamp(md->end_time) + "'",
       [&] { ModifyFile(gf.path, 20.0); });
+}
+
+// A path that can no longer be statted for another reason than a missing
+// file fails the query with that error, not as a vanished file.
+TEST_F(RefreshTest, QueryFailsWithIOErrorWhenStationDirBecomesFile) {
+  auto wh = MustOpen(LoadStrategy::kLazy, dir_.path(),
+                     /*cache_budget=*/64ULL << 20, /*result_cache=*/false);
+  const auto& gf = repo_.files[0];
+  ASSERT_OK(wh->Query(CountSql(gf)));
+  const fs::path station_dir = fs::path(gf.path).parent_path().parent_path();
+  ScopedTempDir away;
+  fs::rename(station_dir, fs::path(away.path()) / "station");
+  std::ofstream(station_dir.string()) << "not a directory\n";
+
+  auto result = wh->Query(CountSql(gf));
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  EXPECT_EQ(result.status().ToString().find("disappeared"), std::string::npos);
+}
+
+// Each kind of change to a repository file below is seen by the next query,
+// without Refresh().
+
+TEST_F(RefreshTest, ReplaceByRenameIsSeen) {
+  const auto& gf = repo_.files[1];
+  ExpectFreshAnswerAfter(CountSql(gf), [&] {
+    const std::string tmp = gf.path + ".tmp";
+    ModifyFile(gf.path, 20.0, tmp);
+    fs::rename(tmp, gf.path);
+  });
+}
+
+TEST_F(RefreshTest, DeleteAndRecreateIsSeen) {
+  const auto& gf = repo_.files[1];
+  ScopedTempDir scratch;
+  const std::string copy = (fs::path(scratch.path()) / "copy").string();
+  ExpectFreshAnswerAfter(CountSql(gf), [&] {
+    ModifyFile(gf.path, 20.0, copy);
+    fs::remove(gf.path);
+    fs::copy_file(copy, gf.path);
+  });
+}
+
+TEST_F(RefreshTest, AppendToSymlinkTargetOutsideRepositoryIsSeen) {
+  const auto& gf = repo_.files[1];
+  ScopedTempDir outside;
+  const std::string target = (fs::path(outside.path()) / "target").string();
+  fs::rename(gf.path, target);
+  fs::create_symlink(target, gf.path);
+  auto md = mseed::ScanMetadata(target);
+  ASSERT_OK(md);
+  ExpectFreshAnswerAfter(CountSql(gf), [&] {
+    AppendSamples(target, md->end_time + kNanosPerSecond / 40, 400);
+  });
+}
+
+TEST_F(RefreshTest, AppendThroughOtherHardLinkIsSeen) {
+  const auto& gf = repo_.files[1];
+  ScopedTempDir outside;
+  const std::string link = (fs::path(outside.path()) / "link").string();
+  fs::create_hard_link(gf.path, link);
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+  ExpectFreshAnswerAfter(CountSql(gf), [&] {
+    AppendSamples(link, md->end_time + kNanosPerSecond / 40, 400);
+  });
+}
+
+// More attribute changes than the kernel queues, then an append to another
+// file: its event is lost to the overflow, which must make the next query
+// check every file anew.
+TEST_F(RefreshTest, AppendAfterEventQueueOverflowIsSeen) {
+  int64_t max_queued = 16384;
+  std::ifstream("/proc/sys/fs/inotify/max_queued_events") >> max_queued;
+  const auto& gf = repo_.files[1];
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+  ExpectFreshAnswerAfter(CountSql(gf), [&] {
+    // Alternate two files: the kernel merges an event identical to the one
+    // queued last.
+    const std::string touched[2] = {repo_.files[2].path, repo_.files[3].path};
+    const auto stamp = fs::file_time_type::clock::now();
+    for (int64_t i = 0; i <= max_queued + 1; ++i) {
+      fs::last_write_time(touched[i % 2],
+                          stamp + std::chrono::microseconds(i));
+    }
+    AppendSamples(gf.path, md->end_time + kNanosPerSecond / 40, 400);
+  });
+}
+
+TEST_F(RefreshTest, ChangeWhileStationDirMovedAwayIsSeen) {
+  const auto& gf = repo_.files[1];
+  const fs::path station_dir = fs::path(gf.path).parent_path().parent_path();
+  const fs::path away = station_dir.string() + ".away";
+  const fs::path moved_file =
+      away / fs::relative(gf.path, station_dir);
+  ExpectFreshAnswerAfter(CountSql(gf), [&] {
+    fs::rename(station_dir, away);
+    ModifyFile(moved_file.string(), 20.0);
+    fs::rename(away, station_dir);
+  });
+}
+
+// A changed copy of the station directory renamed into its place: no event
+// names the file in the directory watched for it, which moves away intact.
+TEST_F(RefreshTest, StationDirReplacedByChangedCopyIsSeen) {
+  const auto& gf = repo_.files[1];
+  const fs::path station_dir = fs::path(gf.path).parent_path().parent_path();
+  const fs::path copy = station_dir.string() + ".new";
+  ScopedTempDir outside;
+  ExpectFreshAnswerAfter(CountSql(gf), [&] {
+    fs::copy(station_dir, copy, fs::copy_options::recursive);
+    ModifyFile((copy / fs::relative(gf.path, station_dir)).string(), 20.0);
+    fs::rename(station_dir, fs::path(outside.path()) / "old");
+    fs::rename(copy, station_dir);
+  });
 }
 
 }  // namespace

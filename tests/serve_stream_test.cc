@@ -404,6 +404,8 @@ TEST_F(ServeStreamTest, QueueTimeoutIs503AndCounted) {
   ASSERT_OK(stats);
   EXPECT_NE(stats->find("\"queries_timed_out\":1"), std::string::npos)
       << *stats;
+  EXPECT_NE(stats->find("\"journal_queue_overflows\":0}"), std::string::npos)
+      << *stats;
 }
 
 // --- Concurrent serving over the socket -----------------------------------

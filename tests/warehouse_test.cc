@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 
 #include "common/log.h"
@@ -183,10 +184,28 @@ TEST_F(WarehouseTest, LazyRefreshStatChecksIdentityCandidates) {
   });
   EXPECT_GT(bhz, 0u);
   EXPECT_LT(bhz, all);
-  EXPECT_EQ(checked("SELECT COUNT(*) FROM mseed.files WHERE channel = 'BHZ' "
-                    "AND start_time >= '" + a + "' AND start_time < '" + b +
-                    "'"),
-            bhz);
+  const std::string browse =
+      "SELECT COUNT(*) FROM mseed.files WHERE channel = 'BHZ' AND "
+      "start_time >= '" + a + "' AND start_time < '" + b + "'";
+  EXPECT_EQ(checked(browse), bhz);
+
+  // The change journal answers for unchanged candidates from memory: a
+  // repeated browse stats none, and after one candidate's mtime moves it
+  // stats exactly that one.
+  auto statted = [&](const std::string& sql) -> uint64_t {
+    auto result = wh->Query(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return result.ok() ? result->report.files_statted : 0;
+  };
+  EXPECT_EQ(statted(browse), 0u);
+  const auto bhz_file = std::find_if(
+      repo_.files.begin(), repo_.files.end(),
+      [](const auto& f) { return f.channel == "BHZ"; });
+  std::filesystem::last_write_time(
+      bhz_file->path,
+      std::filesystem::file_time_type::clock::now() + std::chrono::seconds(2));
+  EXPECT_EQ(statted(browse), 1u);
+  EXPECT_EQ(statted(browse), 0u);
 
   // Content columns, NOT and last_modified prune nothing; an OR of
   // identity comparisons does.
