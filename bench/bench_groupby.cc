@@ -1,16 +1,15 @@
-// Vectorized vs. legacy grouped aggregation throughput.
+// Grouped aggregation and DISTINCT throughput.
 //
-// Each workload runs the same grouped query with the columnar group-id /
-// accumulator kernels (the default) and with LAZYETL_DISABLE_VECTOR_AGG=1
-// (the per-row packed-key loops), at 1 and 8 threads. The two paths are
-// bit-identical by construction (see tests/vector_agg_test.cc); the point
-// here is the rows/s gap. Counters report input rows/s, the number of
-// rows that went through the vectorized path, and a result checksum so a
-// divergence between modes is visible directly in the bench output.
+// Each workload runs one grouped query through the columnar group-id /
+// accumulator kernels at 1 and 8 threads (results are checked against a
+// reference evaluator in tests/vector_agg_test.cc). Counters report input
+// rows/s and a result checksum, so a divergence between thread counts is
+// visible directly in the bench output.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -85,21 +84,12 @@ uint64_t Checksum(const Table& t) {
   return h;
 }
 
-// state.range(0): 0 = vectorized (default), 1 = legacy per-row loops.
-// state.range(1): thread count for the executor.
+// state.range(0): thread count for the executor.
 void RunGroupByBench(benchmark::State& state, const std::string& sql) {
   const Catalog& catalog = GroupByCatalog();
-  const bool legacy = state.range(0) != 0;
-  const size_t threads = static_cast<size_t>(state.range(1));
-
-  if (legacy) {
-    setenv("LAZYETL_DISABLE_VECTOR_AGG", "1", 1);
-  } else {
-    unsetenv("LAZYETL_DISABLE_VECTOR_AGG");
-  }
+  const size_t threads = static_cast<size_t>(state.range(0));
 
   uint64_t checksum = 0;
-  uint64_t vectorized = 0;
   for (auto _ : state) {
     auto stmt = sql::Parse(sql);
     sql::Binder binder(&catalog);
@@ -119,15 +109,12 @@ void RunGroupByBench(benchmark::State& state, const std::string& sql) {
     state.PauseTiming();  // checksum is verification, not workload
     checksum = Checksum(*result);
     state.ResumeTiming();
-    vectorized = report.groups_vectorized;
     benchmark::DoNotOptimize(*result);
   }
-  unsetenv("LAZYETL_DISABLE_VECTOR_AGG");
 
   state.counters["rows_per_sec"] = benchmark::Counter(
       static_cast<double>(kRows) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.counters["vectorized_rows"] = static_cast<double>(vectorized);
   state.counters["checksum"] = static_cast<double>(checksum % 1000000);
 }
 
@@ -156,11 +143,10 @@ void BM_Distinct_HighCard(benchmark::State& state) {
   RunGroupByBench(state, "SELECT DISTINCT hi FROM td");
 }
 
-// (mode, threads): mode 0 = vectorized kernels, 1 = legacy per-row loops.
+// Thread counts.
 #define GROUPBY_ARGS                                              \
-  ->Args({0, 1})->Args({1, 1})->Args({0, 8})->Args({1, 8})        \
-      ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()    \
-      ->UseRealTime()
+  ->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)                 \
+      ->MeasureProcessCPUTime()->UseRealTime()
 
 BENCHMARK(BM_GroupBy_DictLowCard) GROUPBY_ARGS;
 BENCHMARK(BM_GroupBy_PlainHighCard) GROUPBY_ARGS;

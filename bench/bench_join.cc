@@ -1,16 +1,14 @@
-// Vectorized vs. legacy hash-join throughput, and the Bloom semi-join
-// pushdown across join selectivities.
+// Hash-join throughput, and the Bloom semi-join pushdown across join
+// selectivities.
 //
-// Each join workload runs the same view join with the batched build/probe
-// kernels (the default) and with LAZYETL_DISABLE_VECTOR_JOIN=1 (the
-// per-row PackRowKey loops), at 1 and 8 threads. The two paths are
-// bit-identical by construction (see tests/vector_join_test.cc); the
-// point here is the probe rows/s gap. The Bloom sweep instead fixes the
-// vectorized path and toggles LAZYETL_JOIN_BLOOM force/off over build
-// sides matching ~1% / ~10% / ~50% of the probe rows, reporting the
-// fraction of probe rows the filter skipped. Counters report probe
-// rows/s, the vectorized-build and Bloom-skip counters, and a result
-// checksum so a divergence between modes is visible in the output.
+// Each join workload runs one view join through the batched build/probe
+// kernels at 1 and 8 threads (results are checked against a reference
+// evaluator in tests/vector_join_test.cc). The Bloom sweep toggles
+// LAZYETL_JOIN_BLOOM force/off over build sides matching ~1% / ~10% /
+// ~50% of the probe rows, reporting the fraction of probe rows the filter
+// skipped. Counters report probe rows/s, the join-build and Bloom-skip
+// counters, and a result checksum so a divergence between runs is
+// visible in the output.
 
 #include <benchmark/benchmark.h>
 
@@ -168,35 +166,27 @@ RunResult RunQuery(const std::string& sql, size_t threads,
   return out;
 }
 
-// state.range(0): 0 = vectorized (default), 1 = legacy per-row loops.
-// state.range(1): thread count for the executor.
+// state.range(0): thread count for the executor.
 void RunJoinBench(benchmark::State& state, const std::string& sql) {
-  const bool legacy = state.range(0) != 0;
-  const size_t threads = static_cast<size_t>(state.range(1));
-  if (legacy) {
-    setenv("LAZYETL_DISABLE_VECTOR_JOIN", "1", 1);
-  } else {
-    unsetenv("LAZYETL_DISABLE_VECTOR_JOIN");
-  }
+  const size_t threads = static_cast<size_t>(state.range(0));
 
   RunResult last;
   for (auto _ : state) {
     last = RunQuery(sql, threads, state);
   }
-  unsetenv("LAZYETL_DISABLE_VECTOR_JOIN");
 
   state.counters["probe_rows_per_sec"] = benchmark::Counter(
       static_cast<double>(kProbeRows) *
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.counters["joins_vectorized"] =
-      static_cast<double>(last.report.joins_vectorized);
+  state.counters["join_builds"] =
+      static_cast<double>(last.report.join_builds);
   state.counters["build_ms"] = last.report.join_build_seconds * 1e3;
   state.counters["probe_ms"] = last.report.join_probe_seconds * 1e3;
   state.counters["checksum"] = static_cast<double>(last.checksum % 1000000);
 }
 
-// state.range(0): 0 = Bloom forced on, 1 = Bloom off (vectorized both).
+// state.range(0): 0 = Bloom forced on, 1 = Bloom off.
 // state.range(1): thread count.
 void RunBloomBench(benchmark::State& state, const std::string& sql) {
   const bool off = state.range(0) != 0;
@@ -245,11 +235,10 @@ void BM_JoinBloom_Sel50(benchmark::State& state) {
   RunBloomBench(state, "SELECT B.bk, B.pay, P.v FROM jb50");
 }
 
-// (mode, threads): mode 0 = vectorized kernels, 1 = legacy per-row loops.
+// Thread counts.
 #define JOIN_ARGS                                                  \
-  ->Args({0, 1})->Args({1, 1})->Args({0, 8})->Args({1, 8})         \
-      ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()     \
-      ->UseRealTime()
+  ->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)                  \
+      ->MeasureProcessCPUTime()->UseRealTime()
 
 // (mode, threads): mode 0 = Bloom forced on, 1 = Bloom off.
 #define BLOOM_ARGS                                                 \

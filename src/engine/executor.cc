@@ -92,10 +92,9 @@ void ExecutionCursor::Finalize(bool with_stats) {
         report_->spill_files += os.spill_files;
         report_->spill_compressed_bytes += os.spill_compressed_bytes;
         report_->spill_write_wait_seconds += os.spill_write_wait_seconds;
-        report_->groups_vectorized += os.groups_vectorized;
         report_->morsels_pruned += os.morsels_pruned;
         report_->rows_pruned += os.rows_pruned;
-        report_->joins_vectorized += os.joins_vectorized;
+        report_->join_builds += os.join_builds;
         report_->probe_rows_bloom_filtered += os.rows_bloom_filtered;
         report_->join_build_seconds += os.join_build_seconds;
         report_->join_probe_seconds += os.join_probe_seconds;

@@ -9,8 +9,8 @@
 // comparators are the transparent std functors (std::less<> etc.), so mixed
 // operand types go through the usual arithmetic conversions — identical to
 // the generic evaluator's promoted compares. Double summation stays a
-// serial in-order accumulation (see SumRange) so budgeted/unbudgeted and
-// all thread counts produce byte-identical aggregates.
+// serial in-order accumulation within each call (see SumRange), so a
+// serial, unbudgeted aggregate sums its doubles in row order.
 
 #ifndef LAZYETL_ENGINE_KERNELS_H_
 #define LAZYETL_ENGINE_KERNELS_H_
@@ -125,10 +125,8 @@ inline void AndMask(std::vector<uint8_t>* a, const std::vector<uint8_t>& b) {
 }
 
 // Min/max over data[sel[*]] refining running bounds. `first` marks whether
-// the running bounds are not yet seeded. Matches the scalar update order of
-// Accumulator::Update (ascending rows), so NaN handling for doubles is
-// identical: a NaN seeds the state and then sticks, exactly like the
-// per-row path.
+// the running bounds are not yet seeded. Rows are visited in ascending
+// order, so for doubles a NaN that seeds the state then sticks.
 template <typename T, typename V>
 inline void MinMaxRefine(const T* data, const uint32_t* sel, size_t n,
                          bool want_min, bool* first, V* extreme) {
@@ -156,8 +154,7 @@ inline void MinMaxRange(const T* data, size_t offset, size_t n, bool want_min,
 
 // Sum over a contiguous range for SUM/AVG state: integer part vectorizes
 // freely (int addition is associative); the double mirror accumulates
-// per-row IN ORDER with the same two-step cast (T -> int64 -> double) as
-// the scalar path, preserving byte-identical floating-point results.
+// row by row IN ORDER with a two-step cast (T -> int64 -> double).
 template <typename T>
 inline void SumRange(const T* data, size_t offset, size_t n, int64_t* isum,
                      double* dsum) {
@@ -172,7 +169,7 @@ inline void SumRange(const T* data, size_t offset, size_t n, int64_t* isum,
 }
 
 // Double-typed sum: strictly in-order accumulation (FP addition is not
-// associative; reordering would break budgeted == unbudgeted parity).
+// associative; a serial aggregate sums its doubles in row order).
 inline void SumDoubleRange(const double* data, size_t offset, size_t n,
                            double* dsum) {
   double ds = *dsum;
@@ -191,9 +188,8 @@ inline void SumDoubleRange(const double* data, size_t offset, size_t n,
 // string equality), then assigns dense group ids in ascending row order
 // through an open-addressing map whose probe check is per-column bit
 // equality against the group's first row. Because rows are visited in
-// order, the resulting ids, first-occurrence rows and group count are
-// identical to the per-row packed-key path — packing is only needed once
-// per *group*, not once per row.
+// order, ids are dense in first-occurrence order — packing is only
+// needed once per *group*, not once per row.
 
 inline constexpr uint64_t kGroupHashSeed = 0x2545F4914F6CDD1Dull;
 
@@ -362,19 +358,17 @@ struct GroupIdBuilder {
 
 // --- Grouped accumulator kernels -----------------------------------------
 //
-// Columnar counterparts of Accumulator::Update: one pass over the batch
-// with a group-id scatter. All kernels visit rows in ascending order and
-// perform exactly the scalar path's arithmetic, so per-group state is
-// byte-identical (including the in-order double accumulation for SUM/AVG
-// and the NaN-seeding behaviour of MIN/MAX on doubles).
+// One pass over the batch with a group-id scatter. All kernels visit rows
+// in ascending order, so each group's double SUM/AVG state accumulates in
+// row order and a NaN that seeds a group's double MIN/MAX sticks.
 
 inline void CountGrouped(const uint32_t* gids, size_t n, int64_t* counts) {
   for (size_t i = 0; i < n; ++i) ++counts[gids[i]];
 }
 
 // Integer-typed SUM/AVG state: per-row updates of both the exact integer
-// sum and its double mirror, in row order, with the scalar path's two-step
-// cast (T -> int64 -> double).
+// sum and its double mirror, in row order, with the two-step cast
+// (T -> int64 -> double) of SumRange.
 template <typename T>
 inline void SumGrouped(const T* data, const uint32_t* gids, size_t n,
                        int64_t* isum, double* dsum) {
@@ -392,7 +386,7 @@ inline void SumDoubleGrouped(const double* data, const uint32_t* gids,
 
 // MIN/MAX with first-row seeding derived from the running counts (a group
 // whose count is still zero takes the value unconditionally — NaNs seed
-// and then stick, exactly like the per-row path). Also advances counts.
+// and then stick, as in MinMaxRange). Also advances counts.
 template <typename T, typename V>
 inline void MinMaxGrouped(const T* data, const uint32_t* gids, size_t n,
                           bool want_min, int64_t* counts, V* ext) {
@@ -406,12 +400,13 @@ inline void MinMaxGrouped(const T* data, const uint32_t* gids, size_t n,
 
 // --- Join-key hashing & cross-table row equality (vectorized hash join) --
 //
-// Join identity is the PackRowKey byte equality of join_build.cc: doubles
-// compare by bit pattern (NaN == NaN, -0.0 != 0.0), int32 widens to int64
-// (so it matches an int64 of the same value — and a double whose bit
-// pattern aliases, exactly like the packed bytes), bools by truth value,
-// strings by contents. Unlike the grouping kernels above, a join hashes
-// keys from TWO tables, so dictionary codes are useless as hash input:
+// Join identity: doubles compare by bit pattern (NaN == NaN, -0.0 !=
+// 0.0), int32 widens to int64 (so it matches an int64 of the same value —
+// and a double whose bit pattern aliases, as their PackRowKey bytes do),
+// bools by truth value, strings by contents, and keys of different
+// classes (bool / 8-byte word / string) never match. Unlike the grouping
+// kernels above, a join hashes keys from TWO tables, so dictionary codes
+// are useless as hash input:
 // the same string carries different codes in different dictionaries.
 // Dict-encoded columns instead hash per-CODE content hashes precomputed
 // once per dictionary (HashDictionary) — per row the hash is still one
@@ -565,13 +560,10 @@ inline uint64_t JoinWordAt(const storage::Column& c, size_t row) {
   }
 }
 
-// Row equality across two column sets (build vs probe), reproducing the
-// packed-key equivalence for every same-class pair and for word-class
-// pairs of different types (int32 vs int64 vs double compare by the
-// 8-byte word, exactly like the packed bytes). Pairs of different classes
-// compare unequal — the packed encoding can alias such pairs only through
-// a pathological multi-field byte coincidence, which this path resolves
-// as a non-match (see the JoinBuild header).
+// Row equality across two column sets (build vs probe) under the join
+// identity above: word-class pairs of different types (int32 vs int64 vs
+// double) compare by the 8-byte word, and pairs of different classes
+// compare unequal.
 inline bool JoinRowsEqual(const storage::Column* const* build_cols,
                           const storage::Column* const* probe_cols,
                           size_t ncols, size_t build_row, size_t probe_row) {

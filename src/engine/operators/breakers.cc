@@ -13,17 +13,15 @@
 // distinct sets, sort orders and top-k sets are byte-identical to the
 // serial path; floating-point sums combine per-batch partials in seq
 // order (deterministic, but associated differently than the serial
-// row-by-row sum — equal up to rounding).
+// row-by-row sum — equal up to rounding), and a double MIN/MAX over NaN
+// values depends on where the batches split (a NaN that starts a batch
+// seeds that batch's partial and hides the batch's other values).
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -553,7 +551,13 @@ class TopKOperator : public BatchOperator {
 // --------------------------------------------------------------------------
 
 // Typed accumulator for one aggregate across all groups; grows as new
-// groups appear, fed batch-local argument columns.
+// groups appear, fed batch-local argument columns. Every update and merge
+// visits rows (or source groups) in ascending order. COUNT, integer SUM
+// and MIN/MAX results do not depend on how the input was split; a double
+// sum does: a serial, unbudgeted aggregate adds in row order, while the
+// merge of per-morsel partials (parallel and budgeted consume, spill
+// re-merge) re-associates it. MIN/MAX take a group's first value and then
+// replace it only on a strict < / >, so a NaN first value sticks.
 class Accumulator {
  public:
   explicit Accumulator(const BoundAggregate& agg)
@@ -580,45 +584,9 @@ class Accumulator {
     }
   }
 
-  void Update(size_t group, const Column* arg, size_t row) {
-    bool first = count_[group] == 0;
-    ++count_[group];
-    if (function_ == "COUNT") return;
-    if (function_ == "AVG" || function_ == "SUM") {
-      if (arg->type() == DataType::kDouble) {
-        dsum_[group] += arg->double_data()[row];
-      } else {
-        int64_t v = IntValueAt(*arg, row);
-        isum_[group] += v;
-        dsum_[group] += static_cast<double>(v);
-      }
-      return;
-    }
-    // MIN / MAX
-    bool want_min = function_ == "MIN";
-    if (arg_type_ == DataType::kString) {
-      const std::string& v = arg->StringAt(row);
-      if (first || (want_min ? v < sext_[group] : v > sext_[group])) {
-        sext_[group] = v;
-      }
-    } else if (arg_type_ == DataType::kDouble) {
-      double v = arg->double_data()[row];
-      if (first || (want_min ? v < dext_[group] : v > dext_[group])) {
-        dext_[group] = v;
-      }
-    } else {
-      int64_t v = IntValueAt(*arg, row);
-      if (first || (want_min ? v < iext_[group] : v > iext_[group])) {
-        iext_[group] = v;
-      }
-    }
-  }
-
-  // Bulk Update over rows [0, rows) of `arg` into group 0 — the ungrouped
-  // aggregation path, routed through the vectorized kernels. Byte-identical
-  // to per-row Update: integer sums vectorize freely, double sums
-  // accumulate in row order, and min/max replicate the scalar comparison
-  // chain (including its NaN-seeding behaviour).
+  // Folds rows [0, rows) of `arg` into group 0 (ungrouped aggregation):
+  // integer sums vectorize freely, double sums accumulate in row order,
+  // min/max run the seeded comparison chain row by row.
   void UpdateBulk(const Column* arg, size_t rows) {
     bool first = count_[0] == 0;
     count_[0] += static_cast<int64_t>(rows);
@@ -663,10 +631,9 @@ class Accumulator {
     }
   }
 
-  // Columnar Update over rows [0, rows) of `arg`, one group id per row —
-  // the vectorized grouped path. Visits rows in ascending order and
-  // performs exactly the scalar per-row arithmetic, so per-group state is
-  // byte-identical to calling Update(gids[row], arg, row) for every row.
+  // Folds rows [0, rows) of `arg` into the groups `gids[row]`, visiting
+  // rows in ascending order: each group's double sum adds its rows in row
+  // order, and its min/max chain sees them in row order.
   void UpdateGrouped(const uint32_t* gids, const Column* arg, size_t rows) {
     if (function_ == "COUNT") {
       kernels::CountGrouped(gids, rows, count_.data());
@@ -712,45 +679,9 @@ class Accumulator {
     }
   }
 
-  // Folds group `src_group` of a partial accumulator into this one's
-  // `dst_group`. COUNT/SUM/MIN/MAX merge exactly; double sums combine the
-  // partials' per-batch sums (callers merge in seq order so the result is
-  // deterministic).
-  void MergeGroup(const Accumulator& src, size_t src_group,
-                  size_t dst_group) {
-    int64_t src_count = src.count_[src_group];
-    if (src_count == 0) return;
-    bool first = count_[dst_group] == 0;
-    count_[dst_group] += src_count;
-    if (function_ == "COUNT") return;
-    if (function_ == "AVG" || function_ == "SUM") {
-      dsum_[dst_group] += src.dsum_[src_group];
-      isum_[dst_group] += src.isum_[src_group];
-      return;
-    }
-    bool want_min = function_ == "MIN";
-    if (arg_type_ == DataType::kString) {
-      const std::string& v = src.sext_[src_group];
-      if (first || (want_min ? v < sext_[dst_group] : v > sext_[dst_group])) {
-        sext_[dst_group] = v;
-      }
-    } else if (arg_type_ == DataType::kDouble) {
-      double v = src.dext_[src_group];
-      if (first || (want_min ? v < dext_[dst_group] : v > dext_[dst_group])) {
-        dext_[dst_group] = v;
-      }
-    } else {
-      int64_t v = src.iext_[src_group];
-      if (first || (want_min ? v < iext_[dst_group] : v > iext_[dst_group])) {
-        iext_[dst_group] = v;
-      }
-    }
-  }
-
-  // Bulk MergeGroup: folds src groups [0, n) into this accumulator at
-  // dst[g], with the per-aggregate dispatch hoisted out of the loop. Each
-  // loop body matches MergeGroup exactly (same early-outs, same per-dst
-  // ascending-g merge order), so results are bit-identical.
+  // Folds src groups [0, n) of a partial into this accumulator at dst[g],
+  // in ascending g. Empty source groups are skipped; a destination with no
+  // rows yet takes the source's min/max as is.
   void MergeGroupsBulk(const Accumulator& src, const uint32_t* dst,
                        size_t n) {
     if (function_ == "COUNT") {
@@ -832,43 +763,9 @@ class Accumulator {
     }
   }
 
-  // Merges one exported-state row (columns starting at `first_col` of `t`)
-  // into group `dst_group`, the disk-backed analog of MergeGroup.
-  void MergeStateRow(const Table& t, size_t first_col, size_t row,
-                     size_t dst_group) {
-    int64_t src_count = t.column(first_col).int64_data()[row];
-    if (src_count == 0) return;
-    bool first = count_[dst_group] == 0;
-    count_[dst_group] += src_count;
-    if (function_ == "COUNT") return;
-    if (function_ == "AVG" || function_ == "SUM") {
-      isum_[dst_group] += t.column(first_col + 1).int64_data()[row];
-      dsum_[dst_group] += t.column(first_col + 2).double_data()[row];
-      return;
-    }
-    bool want_min = function_ == "MIN";
-    const Column& ext = t.column(first_col + 1);
-    if (arg_type_ == DataType::kString) {
-      const std::string& v = ext.StringAt(row);
-      if (first || (want_min ? v < sext_[dst_group] : v > sext_[dst_group])) {
-        sext_[dst_group] = v;
-      }
-    } else if (arg_type_ == DataType::kDouble) {
-      double v = ext.double_data()[row];
-      if (first || (want_min ? v < dext_[dst_group] : v > dext_[dst_group])) {
-        dext_[dst_group] = v;
-      }
-    } else {
-      int64_t v = ext.int64_data()[row];
-      if (first || (want_min ? v < iext_[dst_group] : v > iext_[dst_group])) {
-        iext_[dst_group] = v;
-      }
-    }
-  }
-
-  // Columnar MergeStateRow over all rows of a partition frame; `dst[row]`
-  // gives the destination group of each state row. Rows are merged in
-  // ascending order, so the result is byte-identical to the per-row path.
+  // Merges the exported-state rows of a partition frame (columns from
+  // `first_col` of `t`) into the groups `dst[row]`, in ascending row order,
+  // with the same rules as MergeGroupsBulk.
   void MergeStateBulk(const Table& t, size_t first_col, const uint32_t* dst,
                       size_t rows) {
     const int64_t* counts = t.column(first_col).int64_data().data();
@@ -880,7 +777,7 @@ class Accumulator {
       const int64_t* is = t.column(first_col + 1).int64_data().data();
       const double* ds = t.column(first_col + 2).double_data().data();
       for (size_t r = 0; r < rows; ++r) {
-        if (counts[r] == 0) continue;  // matches MergeStateRow's early-out
+        if (counts[r] == 0) continue;
         size_t g = dst[r];
         count_[g] += counts[r];
         isum_[g] += is[r];
@@ -972,17 +869,6 @@ class Accumulator {
   }
 
  private:
-  static int64_t IntValueAt(const Column& arg, size_t row) {
-    switch (arg.type()) {
-      case DataType::kInt32:
-        return arg.int32_data()[row];
-      case DataType::kBool:
-        return arg.bool_data()[row];
-      default:
-        return arg.int64_data()[row];
-    }
-  }
-
   std::string function_;
   DataType out_type_;
   DataType arg_type_ = DataType::kInt64;
@@ -1062,30 +948,19 @@ struct GroupKeyColumns {
 // (ROADMAP open item); hoisting them into one arena per worker makes the
 // consume loop allocation-light.
 struct GroupScratch {
-  std::unordered_map<std::string, uint32_t> index;  // legacy row path only
   std::string key;
   GroupKeyColumns group;
   std::vector<Column> arg_cols;
-  // Vectorized path: batch group-id builder plus its column-pointer view.
+  // Batch group-id builder plus its column-pointer view.
   kernels::GroupIdBuilder builder;
   std::vector<const Column*> colptrs;
 };
 
-// Kill switch for the columnar grouping path: LAZYETL_DISABLE_VECTOR_AGG
-// set to anything but "0" falls back to the per-row packed-key loops.
-// Both paths are byte-identical (the differential suite in
-// vector_agg_test.cc holds them to that); the switch exists for exactly
-// that comparison and as an escape hatch.
-bool VectorAggEnabled() {
-  const char* env = std::getenv("LAZYETL_DISABLE_VECTOR_AGG");
-  return env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0;
-}
-
-// Open-addressing packed-key → dense-group-id index for the vectorized
-// path's cross-batch state. Group identity stays packed-key byte
-// equality — the unordered_map semantics of the row path — but a probe
-// is one cached-hash compare plus (on candidate match) one byte compare,
-// with no per-group node allocation. The key bytes themselves live in
+// Open-addressing packed-key → dense-group-id index for the cross-batch
+// group state. Group identity is PackRowKey byte equality, the same
+// relation GroupIdBuilder applies within a batch; a probe is one
+// cached-hash compare plus (on candidate match) one byte compare, with no
+// per-group node allocation. The key bytes themselves live in
 // the caller's gid-ordered store (`keys[gid]`), which the caller appends
 // to right after an insert, so the index holds only slots and hashes.
 struct PackedKeyIndex {
@@ -1165,66 +1040,35 @@ class GroupSpillHelper {
     std::lock_guard<std::mutex> lock(mu_);
     if (!init_) InitFromPartial(partial);
     uint64_t added = 0;
-    if (VectorAggEnabled()) {
-      // Resolve all local groups to state slots first, then merge the
-      // accumulator partials in one bulk pass per aggregate (per slot the
-      // merge order is still ascending g — identical results).
-      const size_t n = partial.keys.size();
-      merge_dst_.resize(n);
-      for (size_t g = 0; g < n; ++g) {
-        bool inserted;
-        const uint32_t dst = state_.vindex.FindOrInsert(partial.keys[g],
-                                                        state_.keys,
-                                                        &inserted);
-        if (inserted) {
-          added += 2 * partial.keys[g].size() + kPerGroupOverhead +
-                   24 * state_.accs.size();
-          state_.keys.push_back(partial.keys[g]);
-          for (size_t i = 0; i < state_.values.size(); ++i) {
-            LAZYETL_RETURN_NOT_OK(
-                state_.values[i].AppendRange(partial.values[i], g, 1));
-          }
-          state_.tseq.push_back(partial.tag_seq[g]);
-          state_.trow.push_back(partial.tag_row[g]);
-          ++total_groups_;
-        } else if (std::pair(partial.tag_seq[g], partial.tag_row[g]) <
-                   std::pair(state_.tseq[dst], state_.trow[dst])) {
-          state_.tseq[dst] = partial.tag_seq[g];
-          state_.trow[dst] = partial.tag_row[g];
+    // Resolve all local groups to state slots first, then merge the
+    // accumulator partials in one bulk pass per aggregate.
+    const size_t n = partial.keys.size();
+    merge_dst_.resize(n);
+    for (size_t g = 0; g < n; ++g) {
+      bool inserted;
+      const uint32_t dst =
+          state_.vindex.FindOrInsert(partial.keys[g], state_.keys, &inserted);
+      if (inserted) {
+        added += 2 * partial.keys[g].size() + kPerGroupOverhead +
+                 24 * state_.accs.size();
+        state_.keys.push_back(partial.keys[g]);
+        for (size_t i = 0; i < state_.values.size(); ++i) {
+          LAZYETL_RETURN_NOT_OK(
+              state_.values[i].AppendRange(partial.values[i], g, 1));
         }
-        merge_dst_[g] = dst;
+        state_.tseq.push_back(partial.tag_seq[g]);
+        state_.trow.push_back(partial.tag_row[g]);
+        ++total_groups_;
+      } else if (std::pair(partial.tag_seq[g], partial.tag_row[g]) <
+                 std::pair(state_.tseq[dst], state_.trow[dst])) {
+        state_.tseq[dst] = partial.tag_seq[g];
+        state_.trow[dst] = partial.tag_row[g];
       }
-      for (auto& acc : state_.accs) acc.Resize(state_.keys.size());
-      for (size_t a = 0; a < state_.accs.size(); ++a) {
-        state_.accs[a].MergeGroupsBulk(partial.accs[a], merge_dst_.data(),
-                                       n);
-      }
-    } else {
-      for (size_t g = 0; g < partial.keys.size(); ++g) {
-        auto [it, inserted] = state_.index.emplace(
-            partial.keys[g], static_cast<uint32_t>(state_.keys.size()));
-        size_t dst = it->second;
-        if (inserted) {
-          added += 2 * partial.keys[g].size() + kPerGroupOverhead +
-                   24 * state_.accs.size();
-          state_.keys.push_back(partial.keys[g]);
-          for (size_t i = 0; i < state_.values.size(); ++i) {
-            LAZYETL_RETURN_NOT_OK(
-                state_.values[i].AppendRange(partial.values[i], g, 1));
-          }
-          state_.tseq.push_back(partial.tag_seq[g]);
-          state_.trow.push_back(partial.tag_row[g]);
-          for (auto& acc : state_.accs) acc.Resize(state_.keys.size());
-          ++total_groups_;
-        } else if (std::pair(partial.tag_seq[g], partial.tag_row[g]) <
-                   std::pair(state_.tseq[dst], state_.trow[dst])) {
-          state_.tseq[dst] = partial.tag_seq[g];
-          state_.trow[dst] = partial.tag_row[g];
-        }
-        for (size_t a = 0; a < state_.accs.size(); ++a) {
-          state_.accs[a].MergeGroup(partial.accs[a], g, dst);
-        }
-      }
+      merge_dst_[g] = dst;
+    }
+    for (auto& acc : state_.accs) acc.Resize(state_.keys.size());
+    for (size_t a = 0; a < state_.accs.size(); ++a) {
+      state_.accs[a].MergeGroupsBulk(partial.accs[a], merge_dst_.data(), n);
     }
     if (!res_consume_.Grow(added)) {
       op_->RecordStateBytes(res_consume_.held() + added);
@@ -1303,8 +1147,7 @@ class GroupSpillHelper {
 
  private:
   struct State {
-    std::unordered_map<std::string, uint32_t> index;  // legacy row path
-    PackedKeyIndex vindex;                            // vectorized path
+    PackedKeyIndex vindex;
     std::vector<std::string> keys;  // aligned with group ids
     std::vector<Column> values;
     std::vector<Accumulator> accs;
@@ -1327,7 +1170,6 @@ class GroupSpillHelper {
   }
 
   void ResetState(State* st) const {
-    st->index.clear();
     st->vindex.Clear();
     st->keys.clear();
     st->values.clear();
@@ -1448,97 +1290,62 @@ class GroupSpillHelper {
       }
       uint64_t added = 0;
       const size_t frame_rows = frame.num_rows();
-      if (VectorAggEnabled() && frame_rows > 0) {
-        // Columnar partition merge: batch group ids over the frame's group
-        // columns, fold the per-row arrival tags down to a per-local-group
-        // minimum (min is associative — same result as the per-row
-        // compare-and-update), resolve each local group to its state slot
-        // once, then merge the serialized accumulator state with one
-        // columnar pass per aggregate.
-        colptrs_.clear();
-        for (size_t i = 0; i < ngroup; ++i) colptrs_.push_back(&frame.column(i));
-        const size_t ngroups =
-            builder_.Build(colptrs_.data(), ngroup, 0, frame_rows);
-        const uint32_t* gids = builder_.gids.data();
-        const int64_t* tseq = frame.column(ngroup).int64_data().data();
-        const int64_t* trow = frame.column(ngroup + 1).int64_data().data();
-        min_seq_.assign(ngroups, std::numeric_limits<int64_t>::max());
-        min_row_.assign(ngroups, std::numeric_limits<int64_t>::max());
-        for (size_t row = 0; row < frame_rows; ++row) {
-          uint32_t g = gids[row];
-          if (std::pair(tseq[row], trow[row]) <
-              std::pair(min_seq_[g], min_row_[g])) {
-            min_seq_[g] = tseq[row];
-            min_row_[g] = trow[row];
-          }
+      // Columnar partition merge: batch group ids over the frame's group
+      // columns, fold the per-row arrival tags down to a per-local-group
+      // minimum, resolve each local group to its state slot once, then
+      // merge the serialized accumulator state with one columnar pass per
+      // aggregate.
+      colptrs_.clear();
+      for (size_t i = 0; i < ngroup; ++i) colptrs_.push_back(&frame.column(i));
+      const size_t ngroups =
+          builder_.Build(colptrs_.data(), ngroup, 0, frame_rows);
+      const uint32_t* gids = builder_.gids.data();
+      const int64_t* tseq = frame.column(ngroup).int64_data().data();
+      const int64_t* trow = frame.column(ngroup + 1).int64_data().data();
+      min_seq_.assign(ngroups, std::numeric_limits<int64_t>::max());
+      min_row_.assign(ngroups, std::numeric_limits<int64_t>::max());
+      for (size_t row = 0; row < frame_rows; ++row) {
+        uint32_t g = gids[row];
+        if (std::pair(tseq[row], trow[row]) <
+            std::pair(min_seq_[g], min_row_[g])) {
+          min_seq_[g] = tseq[row];
+          min_row_[g] = trow[row];
         }
-        group_dst_.resize(ngroups);
-        for (size_t g = 0; g < ngroups; ++g) {
-          const size_t row = builder_.first_row[g];
-          key.clear();
+      }
+      group_dst_.resize(ngroups);
+      for (size_t g = 0; g < ngroups; ++g) {
+        const size_t row = builder_.first_row[g];
+        key.clear();
+        for (size_t i = 0; i < ngroup; ++i) {
+          PackRowKey(frame.column(i), row, &key);
+        }
+        bool inserted;
+        size_t dst = st.vindex.FindOrInsert(key, st.keys, &inserted);
+        if (inserted) {
+          added += 2 * key.size() + kPerGroupOverhead + 24 * st.accs.size();
+          st.keys.push_back(key);
           for (size_t i = 0; i < ngroup; ++i) {
-            PackRowKey(frame.column(i), row, &key);
+            LAZYETL_RETURN_NOT_OK(
+                st.values[i].AppendRange(frame.column(i), row, 1));
           }
-          bool inserted;
-          size_t dst = st.vindex.FindOrInsert(key, st.keys, &inserted);
-          if (inserted) {
-            added += 2 * key.size() + kPerGroupOverhead + 24 * st.accs.size();
-            st.keys.push_back(key);
-            for (size_t i = 0; i < ngroup; ++i) {
-              LAZYETL_RETURN_NOT_OK(
-                  st.values[i].AppendRange(frame.column(i), row, 1));
-            }
-            st.tseq.push_back(min_seq_[g]);
-            st.trow.push_back(min_row_[g]);
-            for (auto& acc : st.accs) acc.Resize(st.keys.size());
-          } else if (std::pair(min_seq_[g], min_row_[g]) <
-                     std::pair(st.tseq[dst], st.trow[dst])) {
-            st.tseq[dst] = min_seq_[g];
-            st.trow[dst] = min_row_[g];
-          }
-          group_dst_[g] = static_cast<uint32_t>(dst);
+          st.tseq.push_back(min_seq_[g]);
+          st.trow.push_back(min_row_[g]);
+          for (auto& acc : st.accs) acc.Resize(st.keys.size());
+        } else if (std::pair(min_seq_[g], min_row_[g]) <
+                   std::pair(st.tseq[dst], st.trow[dst])) {
+          st.tseq[dst] = min_seq_[g];
+          st.trow[dst] = min_row_[g];
         }
-        row_dst_.resize(frame_rows);
-        for (size_t row = 0; row < frame_rows; ++row) {
-          row_dst_[row] = group_dst_[gids[row]];
-        }
-        size_t col = state_col0;
-        for (auto& acc : st.accs) {
-          acc.MergeStateBulk(frame, col, row_dst_.data(), frame_rows);
-          col += acc.NumStateCols();
-        }
-      } else {
-        for (size_t row = 0; row < frame_rows; ++row) {
-          key.clear();
-          for (size_t i = 0; i < ngroup; ++i) {
-            PackRowKey(frame.column(i), row, &key);
-          }
-          auto [it, inserted] =
-              st.index.emplace(key, static_cast<uint32_t>(st.keys.size()));
-          size_t dst = it->second;
-          int64_t tseq = frame.column(ngroup).int64_data()[row];
-          int64_t trow = frame.column(ngroup + 1).int64_data()[row];
-          if (inserted) {
-            added += 2 * key.size() + kPerGroupOverhead + 24 * st.accs.size();
-            st.keys.push_back(key);
-            for (size_t i = 0; i < ngroup; ++i) {
-              LAZYETL_RETURN_NOT_OK(
-                  st.values[i].AppendRange(frame.column(i), row, 1));
-            }
-            st.tseq.push_back(tseq);
-            st.trow.push_back(trow);
-            for (auto& acc : st.accs) acc.Resize(st.keys.size());
-          } else if (std::pair(tseq, trow) <
-                     std::pair(st.tseq[dst], st.trow[dst])) {
-            st.tseq[dst] = tseq;
-            st.trow[dst] = trow;
-          }
-          size_t col = state_col0;
-          for (auto& acc : st.accs) {
-            acc.MergeStateRow(frame, col, row, dst);
-            col += acc.NumStateCols();
-          }
-        }
+        group_dst_[g] = static_cast<uint32_t>(dst);
+      }
+      row_dst_.resize(frame_rows);
+      for (size_t row = 0; row < frame_rows; ++row) {
+        row_dst_[row] = group_dst_[gids[row]];
+      }
+      size_t col = state_col0;
+      for (auto& acc : st.accs) {
+        acc.MergeStateBulk(frame, col, row_dst_.data(), frame_rows);
+        col += acc.NumStateCols();
       }
       if (!res.Grow(added) && level < kMaxSpillLevel &&
           st.keys.size() >= kMinSplitGroups) {
@@ -1793,49 +1600,28 @@ class AggregateOperator : public BatchOperator {
         }
         first = false;
       }
-      if (VectorAggEnabled()) {
-        // Resolve every local group to its global id first, then merge
-        // the accumulator partials in one bulk pass per aggregate. Per
-        // destination the merge order is still ascending g — identical to
-        // the interleaved per-group merge.
-        const size_t n = partial.keys.size();
-        merge_dst_.resize(n);
-        for (size_t g = 0; g < n; ++g) {
-          bool inserted;
-          const uint32_t dst = group_vindex_.FindOrInsert(
-              partial.keys[g], group_keys_, &inserted);
-          if (inserted) {
-            group_keys_.push_back(partial.keys[g]);
-            ++group_count_;
-            group_key_bytes_ += partial.keys[g].size();
-            for (size_t i = 0; i < group_values_.size(); ++i) {
-              LAZYETL_RETURN_NOT_OK(
-                  group_values_[i].AppendRange(partial.values[i], g, 1));
-            }
-          }
-          merge_dst_[g] = dst;
-        }
-        for (auto& acc : accs_) acc.Resize(group_count_);
-        for (size_t i = 0; i < accs_.size(); ++i) {
-          accs_[i].MergeGroupsBulk(partial.accs[i], merge_dst_.data(), n);
-        }
-      } else {
-        for (size_t g = 0; g < partial.keys.size(); ++g) {
-          auto [it, inserted] = group_index_.emplace(
-              partial.keys[g], static_cast<uint32_t>(group_count_));
-          if (inserted) {
-            ++group_count_;
-            group_key_bytes_ += partial.keys[g].size();
-            for (size_t i = 0; i < group_values_.size(); ++i) {
-              LAZYETL_RETURN_NOT_OK(
-                  group_values_[i].AppendRange(partial.values[i], g, 1));
-            }
-            for (auto& acc : accs_) acc.Resize(group_count_);
-          }
-          for (size_t i = 0; i < accs_.size(); ++i) {
-            accs_[i].MergeGroup(partial.accs[i], g, it->second);
+      // Resolve every local group to its global id first, then merge
+      // the accumulator partials in one bulk pass per aggregate.
+      const size_t n = partial.keys.size();
+      merge_dst_.resize(n);
+      for (size_t g = 0; g < n; ++g) {
+        bool inserted;
+        const uint32_t dst = group_vindex_.FindOrInsert(
+            partial.keys[g], group_keys_, &inserted);
+        if (inserted) {
+          group_keys_.push_back(partial.keys[g]);
+          ++group_count_;
+          group_key_bytes_ += partial.keys[g].size();
+          for (size_t i = 0; i < group_values_.size(); ++i) {
+            LAZYETL_RETURN_NOT_OK(
+                group_values_[i].AppendRange(partial.values[i], g, 1));
           }
         }
+        merge_dst_[g] = dst;
+      }
+      for (auto& acc : accs_) acc.Resize(group_count_);
+      for (size_t i = 0; i < accs_.size(); ++i) {
+        accs_[i].MergeGroupsBulk(partial.accs[i], merge_dst_.data(), n);
       }
     }
     return Status::OK();
@@ -1864,11 +1650,9 @@ class AggregateOperator : public BatchOperator {
       partial->accs.back().Prepare(scratch->arg_cols[i].type());
     }
 
-    scratch->index.clear();
     const size_t rows = view.num_rows();
     if (node_->group_exprs.empty() && rows > 0) {
-      // Ungrouped: one implicit group, fed whole batches through the
-      // vectorized accumulator path.
+      // Ungrouped: one implicit group, fed whole batches.
       partial->keys.emplace_back();
       partial->tag_seq.push_back(static_cast<int64_t>(seq));
       partial->tag_row.push_back(0);
@@ -1879,55 +1663,30 @@ class AggregateOperator : public BatchOperator {
       return Status::OK();
     }
     std::string& key = scratch->key;
-    if (VectorAggEnabled()) {
-      // Columnar pre-aggregation: batch group ids first (hash + bit-equal
-      // probe, in row order — ids and first-occurrence order match the
-      // packed-key loop exactly), then pack a key only once per NEW group
-      // and fold the whole batch through the grouped accumulator kernels.
-      kernels::GroupIdBuilder& b = scratch->builder;
-      const size_t ngroups =
-          b.Build(group.cols.data(), group.cols.size(), group.offset, rows);
-      for (size_t g = 0; g < ngroups; ++g) {
-        const size_t row = b.first_row[g];
-        const size_t src = group.offset + row;
-        key.clear();
-        for (const Column* c : group.cols) PackRowKey(*c, src, &key);
-        partial->keys.push_back(key);
-        for (size_t i = 0; i < group.cols.size(); ++i) {
-          LAZYETL_RETURN_NOT_OK(
-              partial->values[i].AppendRange(*group.cols[i], src, 1));
-        }
-        partial->tag_seq.push_back(static_cast<int64_t>(seq));
-        partial->tag_row.push_back(static_cast<int64_t>(row));
-      }
-      for (auto& acc : partial->accs) acc.Resize(ngroups);
-      for (size_t i = 0; i < partial->accs.size(); ++i) {
-        partial->accs[i].UpdateGrouped(b.gids.data(), &scratch->arg_cols[i],
-                                       rows);
-      }
-      RecordGroupsVectorized(rows);
-      return Status::OK();
-    }
-    // Legacy per-row path (LAZYETL_DISABLE_VECTOR_AGG).
-    for (size_t row = 0; row < rows; ++row) {
+    // Columnar pre-aggregation: batch group ids first (hash + bit-equal
+    // probe, in row order, so ids follow first occurrence), then pack a
+    // key only once per group and fold the whole batch through the
+    // grouped accumulator kernels.
+    kernels::GroupIdBuilder& b = scratch->builder;
+    const size_t ngroups =
+        b.Build(group.cols.data(), group.cols.size(), group.offset, rows);
+    for (size_t g = 0; g < ngroups; ++g) {
+      const size_t row = b.first_row[g];
       const size_t src = group.offset + row;
       key.clear();
       for (const Column* c : group.cols) PackRowKey(*c, src, &key);
-      auto [it, inserted] = scratch->index.emplace(
-          key, static_cast<uint32_t>(partial->keys.size()));
-      if (inserted) {
-        partial->keys.push_back(key);
-        for (size_t i = 0; i < group.cols.size(); ++i) {
-          LAZYETL_RETURN_NOT_OK(
-              partial->values[i].AppendRange(*group.cols[i], src, 1));
-        }
-        partial->tag_seq.push_back(static_cast<int64_t>(seq));
-        partial->tag_row.push_back(static_cast<int64_t>(row));
-        for (auto& acc : partial->accs) acc.Resize(partial->keys.size());
+      partial->keys.push_back(key);
+      for (size_t i = 0; i < group.cols.size(); ++i) {
+        LAZYETL_RETURN_NOT_OK(
+            partial->values[i].AppendRange(*group.cols[i], src, 1));
       }
-      for (size_t i = 0; i < partial->accs.size(); ++i) {
-        partial->accs[i].Update(it->second, &scratch->arg_cols[i], row);
-      }
+      partial->tag_seq.push_back(static_cast<int64_t>(seq));
+      partial->tag_row.push_back(static_cast<int64_t>(row));
+    }
+    for (auto& acc : partial->accs) acc.Resize(ngroups);
+    for (size_t i = 0; i < partial->accs.size(); ++i) {
+      partial->accs[i].UpdateGrouped(b.gids.data(), &scratch->arg_cols[i],
+                                     rows);
     }
     return Status::OK();
   }
@@ -1957,7 +1716,7 @@ class AggregateOperator : public BatchOperator {
     const size_t rows = view.num_rows();
     if (node_->group_exprs.empty()) {
       if (rows > 0) {
-        if (group_index_.emplace(std::string(), 0).second) ++group_count_;
+        group_count_ = 1;
         for (auto& acc : accs_) acc.Resize(group_count_);
         for (size_t i = 0; i < accs_.size(); ++i) {
           accs_[i].UpdateBulk(&arg_cols[i], rows);
@@ -1966,61 +1725,36 @@ class AggregateOperator : public BatchOperator {
       return Status::OK();
     }
     std::string key;
-    if (VectorAggEnabled()) {
-      // Columnar serial consume: batch-local group ids, then one global
-      // hash lookup per LOCAL group (not per row) to translate local ids
-      // to global ones, then grouped accumulator kernels over the batch.
-      const size_t ngroups = builder_.Build(
-          group_.cols.data(), group_.cols.size(), group_.offset, rows);
-      global_gids_.resize(ngroups);
-      for (size_t g = 0; g < ngroups; ++g) {
-        const size_t src = group_.offset + builder_.first_row[g];
-        key.clear();
-        for (const Column* c : group_.cols) PackRowKey(*c, src, &key);
-        bool inserted;
-        const uint32_t dst =
-            group_vindex_.FindOrInsert(key, group_keys_, &inserted);
-        if (inserted) {
-          group_keys_.push_back(key);
-          ++group_count_;
-          group_key_bytes_ += key.size();
-          for (size_t i = 0; i < group_.cols.size(); ++i) {
-            LAZYETL_RETURN_NOT_OK(
-                group_values_[i].AppendRange(*group_.cols[i], src, 1));
-          }
-        }
-        global_gids_[g] = dst;
-      }
-      for (auto& acc : accs_) acc.Resize(group_count_);
-      for (size_t row = 0; row < rows; ++row) {
-        builder_.gids[row] = global_gids_[builder_.gids[row]];
-      }
-      for (size_t i = 0; i < accs_.size(); ++i) {
-        accs_[i].UpdateGrouped(builder_.gids.data(), &arg_cols[i], rows);
-      }
-      RecordGroupsVectorized(rows);
-      return Status::OK();
-    }
-    // Legacy per-row path (LAZYETL_DISABLE_VECTOR_AGG).
-    for (size_t row = 0; row < rows; ++row) {
-      const size_t src = group_.offset + row;
+    // Columnar serial consume: batch-local group ids, then one global
+    // hash lookup per LOCAL group (not per row) to translate local ids
+    // to global ones, then grouped accumulator kernels over the batch.
+    const size_t ngroups = builder_.Build(
+        group_.cols.data(), group_.cols.size(), group_.offset, rows);
+    global_gids_.resize(ngroups);
+    for (size_t g = 0; g < ngroups; ++g) {
+      const size_t src = group_.offset + builder_.first_row[g];
       key.clear();
       for (const Column* c : group_.cols) PackRowKey(*c, src, &key);
-      auto [it, inserted] = group_index_.emplace(
-          key, static_cast<uint32_t>(group_count_));
+      bool inserted;
+      const uint32_t dst =
+          group_vindex_.FindOrInsert(key, group_keys_, &inserted);
       if (inserted) {
+        group_keys_.push_back(key);
         ++group_count_;
         group_key_bytes_ += key.size();
         for (size_t i = 0; i < group_.cols.size(); ++i) {
           LAZYETL_RETURN_NOT_OK(
               group_values_[i].AppendRange(*group_.cols[i], src, 1));
         }
-        for (auto& acc : accs_) acc.Resize(group_count_);
       }
-      size_t group = it->second;
-      for (size_t i = 0; i < accs_.size(); ++i) {
-        accs_[i].Update(group, &arg_cols[i], row);
-      }
+      global_gids_[g] = dst;
+    }
+    for (auto& acc : accs_) acc.Resize(group_count_);
+    for (size_t row = 0; row < rows; ++row) {
+      builder_.gids[row] = global_gids_[builder_.gids[row]];
+    }
+    for (size_t i = 0; i < accs_.size(); ++i) {
+      accs_[i].UpdateGrouped(builder_.gids.data(), &arg_cols[i], rows);
     }
     return Status::OK();
   }
@@ -2028,8 +1762,7 @@ class AggregateOperator : public BatchOperator {
   const PlanNode* node_;
   ExecContext* ctx_;
   std::vector<Accumulator> accs_;
-  std::unordered_map<std::string, uint32_t> group_index_;  // legacy row path
-  // Vectorized path: open-addressing index + gid-ordered key store.
+  // Cross-batch group index + its gid-ordered key store.
   PackedKeyIndex group_vindex_;
   std::vector<std::string> group_keys_;
   std::vector<uint32_t> merge_dst_;  // per-partial dst scratch
@@ -2053,6 +1786,29 @@ class AggregateOperator : public BatchOperator {
 // --------------------------------------------------------------------------
 // Distinct
 // --------------------------------------------------------------------------
+
+// Batch-local dedup: appends one row index and packed key per distinct
+// row of `view` to `keep` / `keys`. GroupIdBuilder's first_row is
+// ascending, so rows come out in first-occurrence order.
+void DistinctRows(const TableSlice& view, GroupScratch* scratch,
+                  SelectionVector* keep, std::vector<std::string>* keys) {
+  const size_t ncols = view.num_columns();
+  scratch->colptrs.clear();
+  for (size_t c = 0; c < ncols; ++c) {
+    scratch->colptrs.push_back(&view.column(c));
+  }
+  const size_t ngroups = scratch->builder.Build(
+      scratch->colptrs.data(), ncols, view.offset(), view.num_rows());
+  for (size_t g = 0; g < ngroups; ++g) {
+    const size_t row = scratch->builder.first_row[g];
+    scratch->key.clear();
+    for (size_t c = 0; c < ncols; ++c) {
+      PackRowKey(view.column(c), view.offset() + row, &scratch->key);
+    }
+    keep->push_back(static_cast<uint32_t>(row));
+    keys->push_back(scratch->key);
+  }
+}
 
 // Streaming duplicate elimination: a global seen-set of packed row keys;
 // each batch forwards only its first-occurrence rows. In parallel mode it
@@ -2090,47 +1846,7 @@ class DistinctOperator : public BatchOperator {
           BatchPartial partial;
           partial.seq = batch.seq;
           SelectionVector keep;
-          const size_t rows = batch.num_rows();
-          const size_t ncols = batch.view.num_columns();
-          if (VectorAggEnabled() && rows > 0) {
-            // Columnar local dedup: batch group ids, keep one row per
-            // group. first_row is ascending, so the kept rows and their
-            // key order match the per-row scan exactly.
-            GroupScratch& scratch = scratches[worker];
-            scratch.colptrs.clear();
-            for (size_t c = 0; c < ncols; ++c) {
-              scratch.colptrs.push_back(&batch.view.column(c));
-            }
-            const size_t ngroups =
-                scratch.builder.Build(scratch.colptrs.data(), ncols,
-                                      batch.view.offset(), rows);
-            std::string& key = scratch.key;
-            for (size_t g = 0; g < ngroups; ++g) {
-              const size_t row = scratch.builder.first_row[g];
-              key.clear();
-              for (size_t c = 0; c < ncols; ++c) {
-                PackRowKey(batch.view.column(c), batch.view.offset() + row,
-                           &key);
-              }
-              keep.push_back(static_cast<uint32_t>(row));
-              partial.keys.push_back(key);
-            }
-            RecordGroupsVectorized(rows);
-          } else {
-            std::unordered_set<std::string> local;
-            std::string key;
-            for (size_t row = 0; row < rows; ++row) {
-              key.clear();
-              for (size_t c = 0; c < ncols; ++c) {
-                PackRowKey(batch.view.column(c), batch.view.offset() + row,
-                           &key);
-              }
-              if (local.insert(key).second) {
-                keep.push_back(static_cast<uint32_t>(row));
-                partial.keys.push_back(key);
-              }
-            }
-          }
+          DistinctRows(batch.view, &scratches[worker], &keep, &partial.keys);
           partial.rows = batch.view.Gather(keep);
           std::lock_guard<std::mutex> lock(mu);
           partials.push_back(std::move(partial));
@@ -2149,16 +1865,11 @@ class DistinctOperator : public BatchOperator {
         first = false;
       }
       SelectionVector keep;
-      const bool vectorized = VectorAggEnabled();
       for (size_t r = 0; r < partial.keys.size(); ++r) {
         bool inserted;
-        if (vectorized) {
-          seen_index_.FindOrInsert(partial.keys[r], seen_keys_, &inserted);
-          if (inserted) seen_keys_.push_back(partial.keys[r]);
-        } else {
-          inserted = seen_.insert(partial.keys[r]).second;
-        }
+        seen_index_.FindOrInsert(partial.keys[r], seen_keys_, &inserted);
         if (inserted) {
+          seen_keys_.push_back(partial.keys[r]);
           seen_bytes_ += partial.keys[r].size();
           keep.push_back(static_cast<uint32_t>(r));
         }
@@ -2205,47 +1916,22 @@ class DistinctOperator : public BatchOperator {
         }
         return false;
       }
+      // Columnar streaming dedup: batch-local distinct rows first, then
+      // one seen-set probe per local group. A row that duplicates an
+      // earlier row of the same batch is never new (the earlier row either
+      // entered the set or was already in it), so only first occurrences
+      // probe.
+      local_rows_.clear();
+      local_keys_.clear();
+      DistinctRows(in.view, &scratch_, &local_rows_, &local_keys_);
       SelectionVector keep;
-      std::string key;
-      const size_t in_rows = in.num_rows();
-      const size_t ncols = in.view.num_columns();
-      if (VectorAggEnabled() && in_rows > 0) {
-        // Columnar streaming dedup: batch-local group ids first, then one
-        // seen-set probe per local group. A row that duplicates an earlier
-        // row of the same batch can never survive the per-row scan (the
-        // earlier row either entered the set or was already in it), so
-        // probing only first-occurrence rows yields the identical keep set.
-        colptrs_.clear();
-        for (size_t c = 0; c < ncols; ++c) {
-          colptrs_.push_back(&in.view.column(c));
-        }
-        const size_t ngroups = builder_.Build(colptrs_.data(), ncols,
-                                              in.view.offset(), in_rows);
-        for (size_t g = 0; g < ngroups; ++g) {
-          const size_t row = builder_.first_row[g];
-          key.clear();
-          for (size_t c = 0; c < ncols; ++c) {
-            PackRowKey(in.view.column(c), in.view.offset() + row, &key);
-          }
-          bool inserted;
-          seen_index_.FindOrInsert(key, seen_keys_, &inserted);
-          if (inserted) {
-            seen_keys_.push_back(key);
-            seen_bytes_ += key.size();
-            keep.push_back(static_cast<uint32_t>(row));
-          }
-        }
-        RecordGroupsVectorized(in_rows);
-      } else {
-        for (size_t row = 0; row < in_rows; ++row) {
-          key.clear();
-          for (size_t c = 0; c < ncols; ++c) {
-            PackRowKey(in.view.column(c), in.view.offset() + row, &key);
-          }
-          if (seen_.insert(key).second) {
-            seen_bytes_ += key.size();
-            keep.push_back(static_cast<uint32_t>(row));
-          }
+      for (size_t g = 0; g < local_rows_.size(); ++g) {
+        bool inserted;
+        seen_index_.FindOrInsert(local_keys_[g], seen_keys_, &inserted);
+        if (inserted) {
+          seen_keys_.push_back(std::move(local_keys_[g]));
+          seen_bytes_ += seen_keys_.back().size();
+          keep.push_back(local_rows_[g]);
         }
       }
       RecordStateBytes(seen_bytes_);
@@ -2281,57 +1967,15 @@ class DistinctOperator : public BatchOperator {
     std::mutex proto_mu;
     LAZYETL_RETURN_NOT_OK(ParallelDrain(
         child(), threads, [&](size_t worker, Batch&& batch) -> Status {
-          GroupScratch& scratch = scratches[worker];
           GroupedPartial partial;
           partial.seq = batch.seq;
           for (size_t c = 0; c < batch.view.num_columns(); ++c) {
             partial.names.push_back(batch.view.column_name(c));
           }
           SelectionVector keep;
-          std::string& key = scratch.key;
-          const size_t batch_rows = batch.num_rows();
-          const size_t ncols = batch.view.num_columns();
-          if (VectorAggEnabled() && batch_rows > 0) {
-            // Columnar local dedup (see the unbudgeted parallel path).
-            scratch.colptrs.clear();
-            for (size_t c = 0; c < ncols; ++c) {
-              scratch.colptrs.push_back(&batch.view.column(c));
-            }
-            const size_t ngroups =
-                scratch.builder.Build(scratch.colptrs.data(), ncols,
-                                      batch.view.offset(), batch_rows);
-            for (size_t g = 0; g < ngroups; ++g) {
-              const size_t row = scratch.builder.first_row[g];
-              key.clear();
-              for (size_t c = 0; c < ncols; ++c) {
-                PackRowKey(batch.view.column(c), batch.view.offset() + row,
-                           &key);
-              }
-              keep.push_back(static_cast<uint32_t>(row));
-              partial.keys.push_back(key);
-              partial.tag_seq.push_back(static_cast<int64_t>(batch.seq));
-              partial.tag_row.push_back(static_cast<int64_t>(row));
-            }
-            RecordGroupsVectorized(batch_rows);
-          } else {
-            scratch.index.clear();
-            for (size_t row = 0; row < batch_rows; ++row) {
-              key.clear();
-              for (size_t c = 0; c < ncols; ++c) {
-                PackRowKey(batch.view.column(c), batch.view.offset() + row,
-                           &key);
-              }
-              if (scratch.index
-                      .emplace(key,
-                               static_cast<uint32_t>(partial.keys.size()))
-                      .second) {
-                keep.push_back(static_cast<uint32_t>(row));
-                partial.keys.push_back(key);
-                partial.tag_seq.push_back(static_cast<int64_t>(batch.seq));
-                partial.tag_row.push_back(static_cast<int64_t>(row));
-              }
-            }
-          }
+          DistinctRows(batch.view, &scratches[worker], &keep, &partial.keys);
+          partial.tag_seq.assign(keep.size(), static_cast<int64_t>(batch.seq));
+          partial.tag_row.assign(keep.begin(), keep.end());
           Table rows = batch.view.Gather(keep);
           for (size_t c = 0; c < rows.num_columns(); ++c) {
             partial.values.push_back(std::move(rows.column(c)));
@@ -2361,13 +2005,13 @@ class DistinctOperator : public BatchOperator {
   ExecContext* ctx_;
   bool parallel_mode_ = false;
   TableEmitter emitter_;
-  std::unordered_set<std::string> seen_;  // legacy row path
-  // Vectorized path: open-addressing seen-index + its key store.
+  // Open-addressing seen-index + its key store.
   PackedKeyIndex seen_index_;
   std::vector<std::string> seen_keys_;
-  // Streaming-mode scratch for the vectorized batch-local dedup.
-  kernels::GroupIdBuilder builder_;
-  std::vector<const Column*> colptrs_;
+  // Streaming-mode scratch for the batch-local dedup.
+  GroupScratch scratch_;
+  SelectionVector local_rows_;
+  std::vector<std::string> local_keys_;
   uint64_t seen_bytes_ = 0;
   Table empty_;
   bool emitted_ = false;
@@ -2437,20 +2081,18 @@ class HashJoinOperator : public BatchOperator {
     // scan-side gather copies every surviving morsel — so kAuto reserves
     // the filter for the budgeted path, where dropped probe rows save
     // partition and spill I/O. kForce overrides for tests and benches.
-    if (bloom_slot_ != nullptr && VectorJoinEnabled() &&
+    if (bloom_slot_ != nullptr &&
         ResolveJoinBloomMode() == JoinBloomMode::kForce) {
       bloom_slot_->filter.Init(build_table_.num_rows());
       bloom = &bloom_slot_->filter;
     }
     LAZYETL_RETURN_NOT_OK(build_.Init(&build_table_, node_->left_keys,
                                       ctx_->query_threads, bloom));
-    if (build_.vectorized()) {
-      RecordJoinVectorized(1);
-      // Publish before the first probe batch is pulled; the scan observes
-      // `ready` with acquire ordering, so the filled filter is visible.
-      if (bloom != nullptr) {
-        bloom_slot_->ready.store(true, std::memory_order_release);
-      }
+    RecordJoinBuild();
+    // Publish before the first probe batch is pulled; the scan observes
+    // `ready` with acquire ordering, so the filled filter is visible.
+    if (bloom != nullptr) {
+      bloom_slot_->ready.store(true, std::memory_order_release);
     }
     RecordJoinBuildSeconds(build_timer.ElapsedSeconds());
     RecordStateBytes(build_table_.MemoryBytes() + build_.IndexBytes());
@@ -2582,7 +2224,7 @@ class HashJoinOperator : public BatchOperator {
     // a fixed 64 KiB filter keeps the false-positive rate useful without
     // charging the budget (it is deliberately outside governance — a
     // fixed small cost that *reduces* spill volume).
-    bool fill_bloom = bloom_slot_ != nullptr && VectorJoinEnabled();
+    const bool fill_bloom = bloom_slot_ != nullptr;
     uint64_t bloom_rows = 0;
     if (fill_bloom) bloom_slot_->filter.InitBlocks(1024);
 
@@ -2643,7 +2285,7 @@ class HashJoinOperator : public BatchOperator {
         }
         LAZYETL_RETURN_NOT_OK(build_.Init(&build_table_, node_->left_keys,
                                           ctx_->query_threads));
-        if (build_.vectorized()) RecordJoinVectorized(1);
+        RecordJoinBuild();
         RecordJoinBuildSeconds(build_timer.ElapsedSeconds());
         RecordStateBytes(build_table_.MemoryBytes() + build_.IndexBytes());
         return Status::OK();
@@ -2841,7 +2483,7 @@ class HashJoinOperator : public BatchOperator {
     JoinBuild jb;
     LAZYETL_RETURN_NOT_OK(
         jb.Init(&bt, node_->left_keys, ctx_->query_threads));
-    if (jb.vectorized()) RecordJoinVectorized(1);
+    RecordJoinBuild();
     RecordJoinBuildSeconds(part_build_timer.ElapsedSeconds());
 
     // Stream the probe partition, spooling tagged joined fragments.

@@ -47,11 +47,6 @@ void PackRowKey(const Column& col, size_t row, std::string* out) {
   out->push_back('\x1f');  // field separator
 }
 
-bool VectorJoinEnabled() {
-  const char* env = std::getenv("LAZYETL_DISABLE_VECTOR_JOIN");
-  return env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0;
-}
-
 JoinBloomMode ResolveJoinBloomMode() {
   const char* env = std::getenv("LAZYETL_JOIN_BLOOM");
   if (env == nullptr || *env == '\0') return JoinBloomMode::kAuto;
@@ -76,35 +71,8 @@ Status JoinBuild::Init(const Table* build,
     LAZYETL_ASSIGN_OR_RETURN(const Column* c, build->ColumnByName(name));
     cols.push_back(c);
   }
-  index_bytes_ = 0;
-  if (VectorJoinEnabled()) return InitVectorized(cols, threads, bloom);
-
-  vectorized_ = false;
-  index_.clear();
-  index_.reserve(build->num_rows() * 2);
-  std::string key;
-  for (size_t row = 0; row < build->num_rows(); ++row) {
-    key.clear();
-    for (const Column* c : cols) PackRowKey(*c, row, &key);
-    auto [it, inserted] = index_.try_emplace(key);
-    const size_t cap_before = it->second.capacity();
-    it->second.push_back(static_cast<uint32_t>(row));
-    if (inserted) {
-      // Key bytes plus the map's node + bucket overhead and the match
-      // vector's header — the container footprint, not just the payload.
-      index_bytes_ += key.size() + sizeof(std::vector<uint32_t>) + 40;
-    }
-    index_bytes_ +=
-        (it->second.capacity() - cap_before) * sizeof(uint32_t);
-  }
-  return Status::OK();
-}
-
-Status JoinBuild::InitVectorized(const std::vector<const Column*>& cols,
-                                 size_t threads,
-                                 kernels::BlockedBloomFilter* bloom) {
-  vectorized_ = true;
   build_cols_ = cols;
+  index_bytes_ = 0;
   const size_t n = build_->num_rows();
 
   build_dict_hashes_.assign(cols.size(), {});
@@ -177,7 +145,7 @@ Status JoinBuild::InitVectorized(const std::vector<const Column*>& cols,
   }
 
   // Counting sort of build rows by key id. Rows are visited ascending, so
-  // each key's match list stays ascending — the legacy emission order.
+  // each key's match list stays ascending.
   const size_t nkeys = key_hashes_.size();
   row_offsets_.assign(nkeys + 1, 0);
   for (size_t r = 0; r < n; ++r) ++row_offsets_[kids[r] + 1];
@@ -216,28 +184,6 @@ Status JoinBuild::Probe(const TableSlice& probe,
     LAZYETL_ASSIGN_OR_RETURN(size_t i, probe.ColumnIndex(name));
     cols.push_back(&probe.column(i));
   }
-  if (vectorized_) return ProbeVectorized(probe, cols, build_sel, probe_sel);
-
-  std::string key;
-  for (size_t row = 0; row < probe.num_rows(); ++row) {
-    key.clear();
-    for (const Column* c : cols) {
-      PackRowKey(*c, probe.offset() + row, &key);
-    }
-    auto it = index_.find(key);
-    if (it == index_.end()) continue;
-    for (uint32_t build_row : it->second) {
-      build_sel->push_back(build_row);
-      probe_sel->push_back(static_cast<uint32_t>(row));
-    }
-  }
-  return Status::OK();
-}
-
-Status JoinBuild::ProbeVectorized(const TableSlice& probe,
-                                  const std::vector<const Column*>& cols,
-                                  SelectionVector* build_sel,
-                                  SelectionVector* probe_sel) const {
   const size_t n = probe.num_rows();
   if (n == 0 || key_hashes_.empty()) return Status::OK();
 

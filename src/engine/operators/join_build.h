@@ -2,28 +2,18 @@
 // aggregate and distinct operators and by the LazyDataScan run-time
 // rewrite (build once over the metadata side, probe per record batch).
 //
-// Two implementations share the JoinBuild interface:
-//
-//  - Vectorized (default): build-side rows are batch-hashed (optionally in
-//    parallel on the shared ThreadPool), landed in an open-addressing
-//    table with cached hashes, and match lists are stored as one
-//    counting-sorted row array sliced by per-key offsets. Probes batch-hash
-//    the probe columns and verify hash-equal candidates with the exact
-//    cross-table row equality of kernels::JoinRowsEqual. Dict-encoded
-//    string keys hash via per-dictionary content hashes, so they join
-//    against plain (or differently-coded) string columns without decoding.
-//  - Legacy (LAZYETL_DISABLE_VECTOR_JOIN=1): the original per-row
-//    PackRowKey + unordered_map<string, vector<row>> loops, kept verbatim
-//    as a differential oracle.
-//
-// Both emit (build_row, probe_row) pairs in probe order with build rows
-// ascending per probe row, so results are byte-identical. The one
-// deliberate divergence: the packed encoding can alias values of
-// different type classes through a multi-field byte coincidence (e.g. a
-// string whose length/contents bytes mimic a packed number); the
-// vectorized path resolves such pairs as non-matches. No sane schema
-// joins a string column against a double, and the engine's planner never
-// produces such a pair from a bound view.
+// Build-side rows are batch-hashed (optionally in parallel on the shared
+// ThreadPool), landed in an open-addressing table with cached hashes, and
+// match lists are stored as one counting-sorted row array sliced by
+// per-key offsets. Probes batch-hash the probe columns and verify
+// hash-equal candidates with the exact cross-table row equality of
+// kernels::JoinRowsEqual: integer types and doubles compare as 8-byte
+// words (doubles by bit pattern, so NaN joins NaN and -0.0 does not join
+// 0.0), strings by contents, bools by truth value; keys of different
+// classes never match. Dict-encoded string keys hash via per-dictionary
+// content hashes, so they join against plain (or differently-coded)
+// string columns without decoding. Matches are emitted in probe order
+// with build rows ascending per probe row.
 
 #ifndef LAZYETL_ENGINE_OPERATORS_JOIN_BUILD_H_
 #define LAZYETL_ENGINE_OPERATORS_JOIN_BUILD_H_
@@ -31,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -44,11 +33,6 @@ namespace lazyetl::engine {
 // Appends a type-tagged binary encoding of row `row` of `col` to `out`,
 // such that two rows encode equal iff their values are equal.
 void PackRowKey(const storage::Column& col, size_t row, std::string* out);
-
-// True unless LAZYETL_DISABLE_VECTOR_JOIN is set to a non-empty value
-// other than "0". Gates the vectorized build/probe AND the Bloom-filter
-// semi-join pushdown, so the kill switch yields the fully legacy path.
-bool VectorJoinEnabled();
 
 // Bloom semi-join pushdown policy, from LAZYETL_JOIN_BLOOM:
 // unset/"1"/"auto" -> kAuto (push only when the join goes Grace and the
@@ -64,9 +48,9 @@ class JoinBuild {
  public:
   // `build` must outlive this object. `threads` > 1 hashes build rows in
   // parallel on the shared ThreadPool (per-row work is pure, so the
-  // result is identical at any thread count). When `bloom` is non-null
-  // and the vectorized path is active, every distinct build-key hash is
-  // inserted into it (the filter must already be Init'd).
+  // result is identical at any thread count). When `bloom` is non-null,
+  // every distinct build-key hash is inserted into it (the filter must
+  // already be Init'd).
   Status Init(const storage::Table* build,
               const std::vector<std::string>& keys, size_t threads = 1,
               kernels::BlockedBloomFilter* bloom = nullptr);
@@ -85,18 +69,7 @@ class JoinBuild {
   // Approximate bytes held by the hash index (not the build table).
   uint64_t IndexBytes() const { return index_bytes_; }
 
-  // True when Init took the vectorized path (reported as
-  // `joins_vectorized` by the operators).
-  bool vectorized() const { return vectorized_; }
-
  private:
-  Status InitVectorized(const std::vector<const storage::Column*>& cols,
-                        size_t threads, kernels::BlockedBloomFilter* bloom);
-  Status ProbeVectorized(const storage::TableSlice& probe,
-                         const std::vector<const storage::Column*>& cols,
-                         storage::SelectionVector* build_sel,
-                         storage::SelectionVector* probe_sel) const;
-
   // Per-dictionary content hashes for probe-side dict columns, cached so
   // repeated probe batches sharing a dictionary hash it once. Keyed by
   // the dictionary's address; the shared_ptr keeps that address alive so
@@ -106,17 +79,13 @@ class JoinBuild {
 
   const storage::Table* build_ = nullptr;
   size_t key_arity_ = 0;
-  bool vectorized_ = false;
   uint64_t index_bytes_ = 0;
 
-  // Legacy index.
-  std::unordered_map<std::string, std::vector<uint32_t>> index_;
-
-  // Vectorized index: open addressing over distinct keys. slots_ holds
-  // key-id+1 (0 = empty); key_hashes_/key_first_ cache each distinct
-  // key's hash and a representative build row; rows_sorted_ holds all
-  // build rows counting-sorted by key id (ascending within a key) and
-  // row_offsets_ (size = #keys + 1) slices it per key.
+  // Open addressing over distinct keys. slots_ holds key-id+1 (0 =
+  // empty); key_hashes_/key_first_ cache each distinct key's hash and a
+  // representative build row; rows_sorted_ holds all build rows
+  // counting-sorted by key id (ascending within a key) and row_offsets_
+  // (size = #keys + 1) slices it per key.
   std::vector<uint32_t> slots_;
   size_t slot_mask_ = 0;
   std::vector<uint64_t> key_hashes_;

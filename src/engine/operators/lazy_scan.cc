@@ -155,7 +155,7 @@ class LazyDataScanOperator : public BatchOperator {
     Stopwatch join_build_timer;
     LAZYETL_RETURN_NOT_OK(
         build_.Init(&meta_, node_->left_keys, ctx_->query_threads));
-    if (build_.vectorized()) RecordJoinVectorized(1);
+    RecordJoinBuild();
     RecordJoinBuildSeconds(join_build_timer.ElapsedSeconds());
     RecordStateBytes(meta_.MemoryBytes() + build_.IndexBytes());
     join_ = true;

@@ -195,16 +195,12 @@ class BatchOperator {
     stats_.spill_compressed_bytes += compressed_bytes;
     stats_.spill_write_wait_seconds += wait_seconds;
   }
-  void RecordGroupsVectorized(uint64_t rows) {
+  // Hash-join accounting: one call per build-side index, plus the time
+  // spent in build/probe phases. Safe from inside NextImpl — Next() takes
+  // the stats lock only after NextImpl returns.
+  void RecordJoinBuild() {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.groups_vectorized += rows;
-  }
-  // Vectorized hash-join accounting: one call per vectorized build-side
-  // index, plus the time spent in build/probe phases. Safe from inside
-  // NextImpl — Next() takes the stats lock only after NextImpl returns.
-  void RecordJoinVectorized(uint64_t builds) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.joins_vectorized += builds;
+    ++stats_.join_builds;
   }
   void RecordJoinBuildSeconds(double seconds) {
     std::lock_guard<std::mutex> lock(stats_mu_);

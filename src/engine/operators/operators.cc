@@ -500,7 +500,6 @@ class LimitOperator : public BatchOperator {
 // stale filter. Under kAuto the join still decides at run time whether
 // the build side is big enough to publish.
 std::shared_ptr<JoinBloomSlot> MaybeMakeJoinBloomSlot(const PlanNode& plan) {
-  if (!VectorJoinEnabled()) return nullptr;  // oracle path stays legacy
   if (ResolveJoinBloomMode() == JoinBloomMode::kOff) return nullptr;
   const PlanNode* scan = plan.children[1].get();
   if (scan->type == PlanNodeType::kFilter) scan = scan->children[0].get();

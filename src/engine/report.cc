@@ -70,13 +70,10 @@ std::string ExecutionReport::ToString() const {
     }
     os << "\n";
   }
-  if (groups_vectorized > 0) {
-    os << "vectorized grouping: " << groups_vectorized << " rows\n";
-  }
-  if (joins_vectorized > 0) {
+  if (join_builds > 0) {
     std::snprintf(buf, sizeof(buf),
-                  "vectorized join: %llu builds | build %.3fms probe %.3fms",
-                  static_cast<unsigned long long>(joins_vectorized),
+                  "hash join: %llu builds | build %.3fms probe %.3fms",
+                  static_cast<unsigned long long>(join_builds),
                   join_build_seconds * 1e3, join_probe_seconds * 1e3);
     os << buf;
     if (probe_rows_bloom_filtered > 0) {
@@ -115,22 +112,17 @@ std::string ExecutionReport::ToString() const {
           os << buf;
         }
       }
-      if (op.groups_vectorized > 0) {
-        std::snprintf(buf, sizeof(buf), " | vectorized %llu rows",
-                      static_cast<unsigned long long>(op.groups_vectorized));
-        os << buf;
-      }
       if (op.morsels_pruned > 0) {
         std::snprintf(buf, sizeof(buf), " | pruned %llu morsels (%llu rows)",
                       static_cast<unsigned long long>(op.morsels_pruned),
                       static_cast<unsigned long long>(op.rows_pruned));
         os << buf;
       }
-      if (op.joins_vectorized > 0) {
+      if (op.join_builds > 0) {
         std::snprintf(
             buf, sizeof(buf),
-            " | vectorized %llu builds (build %.3fms probe %.3fms)",
-            static_cast<unsigned long long>(op.joins_vectorized),
+            " | %llu join builds (build %.3fms probe %.3fms)",
+            static_cast<unsigned long long>(op.join_builds),
             op.join_build_seconds * 1e3, op.join_probe_seconds * 1e3);
         os << buf;
       }

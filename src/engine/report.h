@@ -42,20 +42,17 @@ struct OperatorStats {
   // writer fully overlapped them with the consume phase).
   uint64_t spill_compressed_bytes = 0;
   double spill_write_wait_seconds = 0;
-  // Grouped-aggregation vectorization: rows whose group ids were resolved
-  // by the columnar (batch-at-a-time) kernel path.
-  uint64_t groups_vectorized = 0;
   // Zone-map pruning (scan stage of a fused FilterScan): morsels skipped
   // because chunk statistics proved no row could satisfy the predicate,
   // and the rows those morsels covered (never touched).
   uint64_t morsels_pruned = 0;
   uint64_t rows_pruned = 0;
-  // Hash-join vectorization: vectorized build-side indexes constructed by
-  // this operator (the in-memory path builds one; the Grace path builds
-  // one per joined partition), and the time spent building them vs.
-  // probing them (approximate: probe time is the batched lookup itself,
-  // excluding the gather of matched rows).
-  uint64_t joins_vectorized = 0;
+  // Hash join: build-side indexes constructed by this operator (the
+  // in-memory path builds one; the Grace path builds one per joined
+  // partition), and the time spent building them vs. probing them
+  // (approximate: probe time is the batched lookup itself, excluding the
+  // gather of matched rows).
+  uint64_t join_builds = 0;
   double join_build_seconds = 0;
   double join_probe_seconds = 0;
   // Bloom semi-join pushdown (probe-side scan): rows dropped before they
@@ -125,18 +122,16 @@ struct ExecutionReport {
   // producer time blocked on spill writes (see OperatorStats).
   uint64_t spill_compressed_bytes = 0;
   double spill_write_wait_seconds = 0;
-  // Rows resolved through the vectorized grouped-aggregation path.
-  uint64_t groups_vectorized = 0;
   // Resolved rows-per-morsel of the drive loop (batch_rows after the
   // LAZYETL_MORSEL_ROWS override).
   uint64_t morsel_rows = 0;
   // Zone-map pruning totals summed over the pipeline's scans.
   uint64_t morsels_pruned = 0;
   uint64_t rows_pruned = 0;
-  // Vectorized hash join: build indexes constructed through the batched
-  // path, probe rows skipped by the Bloom semi-join pushdown, and the
-  // summed build/probe phase timings of every join in the pipeline.
-  uint64_t joins_vectorized = 0;
+  // Hash join: build indexes constructed, probe rows skipped by the Bloom
+  // semi-join pushdown, and the summed build/probe phase timings of every
+  // join in the pipeline.
+  uint64_t join_builds = 0;
   uint64_t probe_rows_bloom_filtered = 0;
   double join_build_seconds = 0;
   double join_probe_seconds = 0;

@@ -1,10 +1,13 @@
 // Randomised differential testing: generate a few hundred random queries
 // from a grammar of predicates/aggregates/groupings and check that the
-// lazy and eager warehouses agree on every one of them. This is the
-// volume version of the hand-picked cases in lazy_eager_equivalence_test.
+// lazy and eager warehouses agree on every one of them, and that both
+// agree with the reference evaluator of reference_eval.h. This is the
+// volume version of the hand-picked cases in lazy_eager_equivalence_test
+// and vector_agg_test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -12,6 +15,7 @@
 
 #include "core/warehouse.h"
 #include "mseed/repository.h"
+#include "reference_eval.h"
 #include "test_util.h"
 #include "warehouse_test_util.h"
 
@@ -22,30 +26,63 @@ using lazyetl::testing::MustGenerate;
 using lazyetl::testing::MustOpen;
 using lazyetl::testing::ScopedTempDir;
 
+// One generated aggregate: `arg` is empty for COUNT(*).
+struct GeneratedAggregate {
+  std::string fn;
+  std::string arg;
+
+  std::string ToString() const {
+    return fn + "(" + (arg.empty() ? "*" : arg) + ")";
+  }
+};
+
+// The pieces of one generated query. A grouped query orders by its group
+// and may filter on HAVING COUNT(*) > having; an ungrouped one has one or
+// two aggregates and no HAVING.
+struct GeneratedQuery {
+  std::string group;  // empty: ungrouped
+  std::vector<GeneratedAggregate> aggregates;
+  std::string where;  // empty: no WHERE
+  int having = -1;    // < 0: no HAVING
+
+  std::string Sql() const {
+    std::ostringstream sql;
+    sql << "SELECT ";
+    if (!group.empty()) sql << group << ", ";
+    for (size_t i = 0; i < aggregates.size(); ++i) {
+      sql << (i ? ", " : "") << aggregates[i].ToString();
+    }
+    sql << " FROM mseed.dataview";
+    if (!where.empty()) sql << " WHERE " << where;
+    if (!group.empty()) {
+      sql << " GROUP BY " << group;
+      if (having >= 0) sql << " HAVING COUNT(*) > " << having;
+      sql << " ORDER BY " << group;
+    }
+    return sql.str();
+  }
+};
+
 class QueryGenerator {
  public:
   explicit QueryGenerator(uint32_t seed) : rng_(seed) {}
 
-  std::string Next() {
-    std::ostringstream sql;
+  std::string Next() { return NextQuery().Sql(); }
+
+  GeneratedQuery NextQuery() {
+    GeneratedQuery q;
     bool grouped = Chance(0.4);
     if (grouped) {
-      const char* group = Pick({"F.station", "F.channel", "F.network",
-                                "R.seq_no"});
-      sql << "SELECT " << group << ", " << Aggregate() << " FROM mseed.dataview";
-      std::string where = Where();
-      if (!where.empty()) sql << " WHERE " << where;
-      sql << " GROUP BY " << group;
-      if (Chance(0.3)) sql << " HAVING COUNT(*) > " << Int(0, 50);
-      sql << " ORDER BY " << group;
+      q.group = Pick({"F.station", "F.channel", "F.network", "R.seq_no"});
+      q.aggregates.push_back(Aggregate());
+      q.where = Where();
+      if (Chance(0.3)) q.having = Int(0, 50);
     } else {
-      sql << "SELECT " << Aggregate();
-      if (Chance(0.5)) sql << ", " << Aggregate();
-      sql << " FROM mseed.dataview";
-      std::string where = Where();
-      if (!where.empty()) sql << " WHERE " << where;
+      q.aggregates.push_back(Aggregate());
+      if (Chance(0.5)) q.aggregates.push_back(Aggregate());
+      q.where = Where();
     }
-    return sql.str();
+    return q;
   }
 
  private:
@@ -57,13 +94,13 @@ class QueryGenerator {
     return options[static_cast<size_t>(Int(0, N - 1))];
   }
 
-  std::string Aggregate() {
+  GeneratedAggregate Aggregate() {
     const char* fn = Pick({"COUNT", "AVG", "MIN", "MAX", "SUM"});
-    if (std::string(fn) == "COUNT" && Chance(0.5)) return "COUNT(*)";
+    if (std::string(fn) == "COUNT" && Chance(0.5)) return {fn, ""};
     const char* arg =
         Pick({"D.sample_value", "ABS(D.sample_value)", "R.num_samples",
               "D.sample_value * 2", "D.sample_value + R.seq_no"});
-    return std::string(fn) + "(" + arg + ")";
+    return {fn, arg};
   }
 
   std::string Predicate() {
@@ -133,6 +170,58 @@ void ExpectTablesAgree(const storage::Table& a, const storage::Table& b,
   }
 }
 
+// The reference answer to `q`: RefGroupBy over the warehouse's ungrouped
+// rows `SELECT <group>, <aggregate args> FROM mseed.dataview WHERE
+// <where>`, then HAVING and ORDER BY applied here.
+storage::Table ReferenceAnswer(Warehouse* wh, const GeneratedQuery& q) {
+  std::vector<std::string> cols;
+  if (!q.group.empty()) cols.push_back(q.group);
+  std::vector<testing::RefAggregate> aggs;
+  for (const GeneratedAggregate& agg : q.aggregates) {
+    int arg = -1;
+    if (!agg.arg.empty()) {
+      auto it = std::find(cols.begin(), cols.end(), agg.arg);
+      arg = static_cast<int>(it - cols.begin());
+      if (it == cols.end()) cols.push_back(agg.arg);
+    }
+    aggs.push_back({agg.fn, arg, agg.ToString()});
+  }
+  if (q.having >= 0) aggs.push_back({"COUNT", -1, "#having"});
+  if (cols.empty()) cols.push_back("D.sample_value");  // COUNT(*) only
+
+  std::string sql = "SELECT ";
+  for (size_t i = 0; i < cols.size(); ++i) sql += (i ? ", " : "") + cols[i];
+  sql += " FROM mseed.dataview";
+  if (!q.where.empty()) sql += " WHERE " + q.where;
+  auto rows = wh->Query(sql);
+  EXPECT_TRUE(rows.ok()) << sql << ": " << rows.status().ToString();
+  if (!rows.ok()) return storage::Table();
+  std::vector<size_t> group_cols;
+  if (!q.group.empty()) group_cols.push_back(0);
+  storage::Table grouped = testing::RefGroupBy(rows->table, group_cols, aggs);
+
+  storage::SelectionVector keep;
+  for (size_t r = 0; r < grouped.num_rows(); ++r) {
+    if (q.having < 0 ||
+        grouped.GetValue(r, grouped.num_columns() - 1).int64_value() >
+            q.having) {
+      keep.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  if (!q.group.empty()) {
+    std::stable_sort(keep.begin(), keep.end(), [&](uint32_t a, uint32_t b) {
+      return grouped.GetValue(a, 0).LessThan(grouped.GetValue(b, 0));
+    });
+  }
+  storage::Table sorted = grouped.Gather(keep);
+  storage::Table out;
+  const size_t width = group_cols.size() + q.aggregates.size();
+  for (size_t c = 0; c < width; ++c) {
+    EXPECT_TRUE(out.AddColumn(sorted.column_name(c), sorted.column(c)).ok());
+  }
+  return out;
+}
+
 class DifferentialTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(DifferentialTest, RandomQueriesAgree) {
@@ -152,13 +241,16 @@ TEST_P(DifferentialTest, RandomQueriesAgree) {
 
   QueryGenerator gen(GetParam());
   for (int i = 0; i < 40; ++i) {
-    std::string sql = gen.Next();
+    const GeneratedQuery q = gen.NextQuery();
+    const std::string sql = q.Sql();
     SCOPED_TRACE(sql);
     auto a = eager->Query(sql);
     auto b = lazy->Query(sql);
     ASSERT_OK(a);
     ASSERT_OK(b);
     ExpectTablesAgree(a->table, b->table, sql);
+    ExpectTablesAgree(a->table, ReferenceAnswer(eager.get(), q),
+                      sql + " vs reference");
   }
 }
 

@@ -1,27 +1,32 @@
-// Differential suite for the vectorized grouped-aggregation path: the
-// columnar group-id / accumulator kernels (the default) must be
-// BIT-identical to the legacy per-row packed-key loops (re-enabled with
-// LAZYETL_DISABLE_VECTOR_AGG=1) at every thread count and budget —
-// including double aggregates, whose accumulation order the vectorized
-// path preserves exactly. Covers dictionary-encoded and plain string
-// keys, NaN / signed-zero double keys, multi-column keys, empty inputs,
-// and recursive spill-partition overflow.
+// Differential suite for grouped aggregation and DISTINCT: the engine's
+// columnar group-id / accumulator path must be BIT-identical to the naive
+// reference evaluator of reference_eval.h at every thread count and
+// budget. The double aggregate inputs are multiples of 1/8 (plus NaN and
+// ±0.0), whose sums are exact in any association order, so even the
+// parallel and spilled merges must match the evaluator's row-order sums;
+// one extra case with non-dyadic doubles pins the serial row-order sum.
+// Covers dictionary-encoded and plain string keys, NaN / signed-zero
+// double keys, multi-column keys, empty inputs, and recursive
+// spill-partition overflow.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/executor.h"
+#include "engine/kernels.h"
 #include "engine/planner.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
+#include "reference_eval.h"
 #include "storage/catalog.h"
 #include "test_util.h"
 
@@ -33,12 +38,14 @@ using storage::Column;
 using storage::DataType;
 using storage::Table;
 
-// Budgets are driven explicitly; the kill switch must start cleared.
+// Budgets are driven explicitly: a process-wide budget would make the
+// budget=0 points budgeted too, and the serial row-order case needs a
+// truly unbudgeted run.
 class ClearEnv : public ::testing::Environment {
  public:
   void SetUp() override {
     unsetenv("LAZYETL_MEMORY_BUDGET");
-    unsetenv("LAZYETL_DISABLE_VECTOR_AGG");
+    unsetenv("LAZYETL_GLOBAL_MEMORY_BUDGET");
   }
 };
 const auto* const kClearEnv =
@@ -47,35 +54,11 @@ const auto* const kClearEnv =
 const size_t kThreadCounts[] = {1, 8};
 const uint64_t kBudgets[] = {0, 1u << 20};
 
-// Bit-exact equality: doubles compare by bit pattern (the two paths run
-// the same arithmetic in the same order, so even rounding must agree).
-void ExpectTablesBitEqual(const Table& a, const Table& b,
-                          const std::string& context) {
-  ASSERT_EQ(a.num_columns(), b.num_columns()) << context;
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << context;
-  for (size_t c = 0; c < a.num_columns(); ++c) {
-    EXPECT_EQ(a.column_name(c), b.column_name(c)) << context;
-    ASSERT_EQ(a.schema()[c].type, b.schema()[c].type) << context;
-    for (size_t r = 0; r < a.num_rows(); ++r) {
-      const auto va = a.GetValue(r, c);
-      const auto vb = b.GetValue(r, c);
-      if (va.type() == DataType::kDouble) {
-        uint64_t ba;
-        uint64_t bb;
-        double da = va.double_value();
-        double db = vb.double_value();
-        std::memcpy(&ba, &da, sizeof(ba));
-        std::memcpy(&bb, &db, sizeof(bb));
-        EXPECT_EQ(ba, bb) << context << " row " << r << " col " << c << ": "
-                          << da << " vs " << db;
-      } else {
-        EXPECT_TRUE(va.Equals(vb))
-            << context << " row " << r << " col " << c << ": "
-            << va.ToString() << " vs " << vb.ToString();
-      }
-    }
-  }
-}
+// One aggregate of a test query; an empty `arg` is COUNT(*).
+struct Agg {
+  std::string fn;
+  std::string arg;
+};
 
 class VectorAggTest : public ::testing::Test {
  protected:
@@ -118,6 +101,17 @@ class VectorAggTest : public ::testing::Test {
     auto forced = std::make_shared<Table>(*facts);
     forced->DictEncodeStrings(1u << 20);
     ASSERT_STATUS_OK(catalog_.RegisterTable("factsd", forced));
+
+    // Non-dyadic doubles: their sums depend on the association order, so
+    // only the serial row-order contract pins them.
+    std::vector<double> x;
+    for (int i = 0; i < kRows; ++i) x.push_back(std::sqrt(i + 2.0) * 10.1);
+    auto noisy = std::make_shared<Table>();
+    ASSERT_STATUS_OK(noisy->AddColumn("grp", Column::FromString(grp)));
+    ASSERT_STATUS_OK(noisy->AddColumn("x", Column::FromDouble(x)));
+    ASSERT_STATUS_OK(catalog_.RegisterTable("noisy", noisy));
+
+    tables_ = {{"facts", facts}, {"factsd", forced}, {"noisy", noisy}};
   }
 
   Result<Table> Run(const std::string& sql, size_t threads, uint64_t budget,
@@ -134,100 +128,215 @@ class VectorAggTest : public ::testing::Test {
     return executor.Execute(*planned->plan, report);
   }
 
-  // Runs `sql` with the vectorized path on and off at every thread count
-  // and budget; each (threads, budget) pair must match bit-for-bit.
-  // `expect_vectorized` additionally pins the groups_vectorized counter
-  // (non-empty grouped inputs must take the columnar path when enabled).
-  void ExpectDifferentialParity(const std::string& sql,
-                                bool expect_vectorized = true) {
+  // `SELECT <groups>, <aggs> FROM <table> [WHERE <where>] [GROUP BY
+  // <groups>]`, and the reference evaluator's answer to it over `input`
+  // (the rows of `table` that pass `where`).
+  struct GroupQuery {
+    std::string sql;
+    Table expected;
+  };
+  GroupQuery MakeGroupQuery(const std::string& table,
+                            const std::vector<std::string>& groups,
+                            const std::vector<Agg>& aggs,
+                            const std::string& where, const Table& input) {
+    std::string select;
+    std::vector<size_t> group_cols;
+    for (const auto& g : groups) {
+      select += (select.empty() ? "" : ", ") + g;
+      group_cols.push_back(*input.ColumnIndex(g));
+    }
+    std::vector<testing::RefAggregate> ref_aggs;
+    for (const Agg& agg : aggs) {
+      std::string call = agg.fn + "(" + (agg.arg.empty() ? "*" : agg.arg) + ")";
+      select += (select.empty() ? "" : ", ") + call;
+      const int arg =
+          agg.arg.empty() ? -1 : static_cast<int>(*input.ColumnIndex(agg.arg));
+      ref_aggs.push_back({agg.fn, arg, call});
+    }
+    std::string sql = "SELECT " + select + " FROM " + table;
+    if (!where.empty()) sql += " WHERE " + where;
+    if (!groups.empty()) {
+      sql += " GROUP BY ";
+      for (size_t i = 0; i < groups.size(); ++i) {
+        sql += (i ? ", " : "") + groups[i];
+      }
+    }
+    return {sql, testing::RefGroupBy(input, group_cols, ref_aggs)};
+  }
+
+  // Runs `query` at every thread count and budget; each result must match
+  // the reference bit for bit.
+  void ExpectMatchesReference(const GroupQuery& query) {
     for (size_t threads : kThreadCounts) {
       for (uint64_t budget : kBudgets) {
-        std::string context = sql + " @threads=" + std::to_string(threads) +
+        std::string context = query.sql + " @threads=" +
+                              std::to_string(threads) +
                               " budget=" + std::to_string(budget);
-        ExecutionReport vec_report;
-        auto vec = Run(sql, threads, budget, &vec_report);
-        ASSERT_OK(vec);
-        if (expect_vectorized) {
-          EXPECT_GT(vec_report.groups_vectorized, 0u) << context;
-        }
-        setenv("LAZYETL_DISABLE_VECTOR_AGG", "1", 1);
-        ExecutionReport legacy_report;
-        auto legacy = Run(sql, threads, budget, &legacy_report);
-        unsetenv("LAZYETL_DISABLE_VECTOR_AGG");
-        ASSERT_OK(legacy);
-        EXPECT_EQ(legacy_report.groups_vectorized, 0u) << context;
-        ExpectTablesBitEqual(*vec, *legacy, context);
+        ExecutionReport report;
+        auto got = Run(query.sql, threads, budget, &report);
+        ASSERT_OK(got);
+        testing::ExpectTablesBitEqual(*got, query.expected, context);
       }
     }
   }
 
+  void ExpectGroupByMatches(const std::string& table,
+                            const std::vector<std::string>& groups,
+                            const std::vector<Agg>& aggs) {
+    ExpectMatchesReference(
+        MakeGroupQuery(table, groups, aggs, "", *tables_.at(table)));
+  }
+
+  // SELECT DISTINCT <cols> FROM <table> against RefDistinct.
+  void ExpectDistinctMatches(const std::string& table,
+                             const std::vector<std::string>& cols) {
+    Table input;
+    std::string list;
+    for (const auto& c : cols) {
+      ASSERT_STATUS_OK(
+          input.AddColumn(c, **tables_.at(table)->ColumnByName(c)));
+      list += (list.empty() ? "" : ", ") + c;
+    }
+    ExpectMatchesReference({"SELECT DISTINCT " + list + " FROM " + table,
+                            testing::RefDistinct(input)});
+  }
+
   Catalog catalog_;
+  std::map<std::string, std::shared_ptr<Table>> tables_;
 };
 
 TEST_F(VectorAggTest, DictStringKeys) {
-  ExpectDifferentialParity(
-      "SELECT grp, COUNT(*), SUM(i64), MIN(i64), MAX(k), AVG(d) FROM facts "
-      "GROUP BY grp");
+  ExpectGroupByMatches("facts", {"grp"},
+                       {{"COUNT", ""},
+                        {"SUM", "i64"},
+                        {"MIN", "i64"},
+                        {"MAX", "k"},
+                        {"AVG", "d"}});
 }
 
 TEST_F(VectorAggTest, PlainAndForcedDictHighCardinalityKeys) {
-  const std::string q =
-      "SELECT hi, COUNT(*), SUM(k), MIN(hi), MAX(i64) FROM ";
-  ExpectDifferentialParity(q + "facts GROUP BY hi");
-  ExpectDifferentialParity(q + "factsd GROUP BY hi");
+  const std::vector<Agg> aggs = {
+      {"COUNT", ""}, {"SUM", "k"}, {"MIN", "hi"}, {"MAX", "i64"}};
+  ExpectGroupByMatches("facts", {"hi"}, aggs);
+  ExpectGroupByMatches("factsd", {"hi"}, aggs);
 }
 
 TEST_F(VectorAggTest, NaNAndSignedZeroDoubleKeys) {
   // NaN keys collapse into one group (bit-pattern equality); -0.0 and 0.0
   // stay distinct. First-occurrence output order is deterministic, so no
   // ORDER BY is needed (NaN would not sort anyway).
-  ExpectDifferentialParity(
-      "SELECT d, COUNT(*), SUM(i64) FROM facts GROUP BY d");
+  ExpectGroupByMatches("facts", {"d"}, {{"COUNT", ""}, {"SUM", "i64"}});
 }
 
 TEST_F(VectorAggTest, MultiColumnKeysIncludingBool) {
-  ExpectDifferentialParity(
-      "SELECT grp, k, flag, COUNT(*), SUM(d), MIN(i64) FROM facts "
-      "GROUP BY grp, k, flag");
+  ExpectGroupByMatches("facts", {"grp", "k", "flag"},
+                       {{"COUNT", ""}, {"SUM", "d"}, {"MIN", "i64"}});
 }
 
 TEST_F(VectorAggTest, EmptyInputAndEmptyGroups) {
   // Zero input rows: grouped output is empty, grand aggregates still
-  // produce their COUNT=0 row. Neither path sees a row to vectorize.
-  ExpectDifferentialParity(
-      "SELECT grp, COUNT(*) FROM facts WHERE k < 0 GROUP BY grp",
-      /*expect_vectorized=*/false);
-  ExpectDifferentialParity(
-      "SELECT COUNT(*), SUM(i64), MIN(k) FROM facts WHERE k < 0",
-      /*expect_vectorized=*/false);
+  // produce their COUNT=0 row.
+  const Table none = tables_.at("facts")->Gather({});
+  ExpectMatchesReference(
+      MakeGroupQuery("facts", {"grp"}, {{"COUNT", ""}}, "k < 0", none));
+  ExpectMatchesReference(MakeGroupQuery(
+      "facts", {}, {{"COUNT", ""}, {"SUM", "i64"}, {"MIN", "k"}}, "k < 0",
+      none));
+}
+
+TEST_F(VectorAggTest, UngroupedAggregates) {
+  ExpectGroupByMatches("facts", {},
+                       {{"COUNT", ""},
+                        {"SUM", "d"},
+                        {"AVG", "i64"},
+                        {"MIN", "hi"},
+                        {"MAX", "k"}});
+}
+
+TEST_F(VectorAggTest, BatchGroupIdsMatchReference) {
+  // The batch-local group-id kernel on its own: over one whole-table
+  // batch, its groups and first rows must be RefDistinct's. (In a query
+  // the cross-batch packed-key index would re-merge groups the kernel
+  // wrongly split, hiding such a bug from every result.)
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"facts", {"d"}},
+       {"facts", {"grp"}},
+       {"facts", {"grp", "k", "flag"}},
+       {"factsd", {"hi"}},
+       {"facts", {"d", "hi"}}};
+  for (const auto& [table, cols] : cases) {
+    const Table& t = *tables_.at(table);
+    Table keys;
+    std::vector<const Column*> colptrs;
+    for (const auto& c : cols) {
+      ASSERT_STATUS_OK(keys.AddColumn(c, **t.ColumnByName(c)));
+    }
+    for (size_t c = 0; c < keys.num_columns(); ++c) {
+      colptrs.push_back(&keys.column(c));
+    }
+    kernels::GroupIdBuilder builder;
+    const size_t ngroups =
+        builder.Build(colptrs.data(), colptrs.size(), 0, keys.num_rows());
+    ASSERT_EQ(builder.first_row.size(), ngroups);
+    testing::ExpectTablesBitEqual(keys.Gather(builder.first_row),
+                                  testing::RefDistinct(keys),
+                                  table + " group ids");
+  }
 }
 
 TEST_F(VectorAggTest, DistinctDifferential) {
-  ExpectDifferentialParity("SELECT DISTINCT grp, k FROM facts");
-  ExpectDifferentialParity("SELECT DISTINCT d FROM facts");
-  ExpectDifferentialParity("SELECT DISTINCT hi FROM factsd");
+  ExpectDistinctMatches("facts", {"grp", "k"});
+  ExpectDistinctMatches("facts", {"d"});
+  ExpectDistinctMatches("factsd", {"hi"});
 }
 
 TEST_F(VectorAggTest, RecursiveOverflowPartitions) {
   // A budget far below the grouped state forces Grace partitioning with
   // recursive splits (1511 groups >> kMinSplitGroups); the partition
-  // re-merge path must stay bit-identical too.
+  // re-merge path must match the reference too.
+  const GroupQuery query = MakeGroupQuery(
+      "facts", {"hi"},
+      {{"COUNT", ""}, {"SUM", "i64"}, {"MIN", "hi"}, {"SUM", "d"}}, "",
+      *tables_.at("facts"));
   for (size_t threads : kThreadCounts) {
     std::string context = "recursive @threads=" + std::to_string(threads);
-    ExecutionReport vec_report;
-    auto vec = Run(
-        "SELECT hi, COUNT(*), SUM(i64), MIN(hi) FROM facts GROUP BY hi",
-        threads, 4000, &vec_report);
-    ASSERT_OK(vec);
-    EXPECT_GT(vec_report.spilled_bytes, 0u) << context;
-    setenv("LAZYETL_DISABLE_VECTOR_AGG", "1", 1);
-    ExecutionReport legacy_report;
-    auto legacy = Run(
-        "SELECT hi, COUNT(*), SUM(i64), MIN(hi) FROM facts GROUP BY hi",
-        threads, 4000, &legacy_report);
-    unsetenv("LAZYETL_DISABLE_VECTOR_AGG");
-    ASSERT_OK(legacy);
-    ExpectTablesBitEqual(*vec, *legacy, context);
+    ExecutionReport report;
+    auto got = Run(query.sql, threads, 4000, &report);
+    ASSERT_OK(got);
+    EXPECT_GT(report.spilled_bytes, 0u) << context;
+    testing::ExpectTablesBitEqual(*got, query.expected, context);
+  }
+}
+
+TEST_F(VectorAggTest, SerialDoubleSumsAddInRowOrder) {
+  // The data must make association order visible: summing a group
+  // backwards has to round differently somewhere.
+  const Table& noisy = *tables_.at("noisy");
+  std::map<std::string, std::pair<double, double>> sums;  // forward, back
+  for (size_t r = 0; r < noisy.num_rows(); ++r) {
+    sums[noisy.GetValue(r, 0).string_value()].first +=
+        noisy.GetValue(r, 1).double_value();
+  }
+  for (size_t r = noisy.num_rows(); r-- > 0;) {
+    sums[noisy.GetValue(r, 0).string_value()].second +=
+        noisy.GetValue(r, 1).double_value();
+  }
+  size_t differ = 0;
+  for (const auto& [grp, s] : sums) differ += s.first != s.second;
+  ASSERT_GT(differ, 0u) << "non-dyadic data sums exactly in any order";
+
+  // One thread, no budget: the engine adds each group's doubles in row
+  // order across batches, exactly like the reference.
+  const std::vector<Agg> aggs = {
+      {"SUM", "x"}, {"AVG", "x"}, {"MIN", "x"}, {"MAX", "x"}};
+  for (const GroupQuery& query :
+       {MakeGroupQuery("noisy", {"grp"}, aggs, "", noisy),
+        MakeGroupQuery("noisy", {}, aggs, "", noisy)}) {
+    ExecutionReport report;
+    auto got = Run(query.sql, 1, 0, &report);
+    ASSERT_OK(got);
+    testing::ExpectTablesBitEqual(*got, query.expected,
+                                  query.sql + " @threads=1");
   }
 }
 
@@ -260,7 +369,7 @@ TEST_F(VectorAggTest, MorselRowsKnobSurfacesInReport) {
                   1, 0, &base_report);
   ASSERT_OK(base);
   EXPECT_EQ(small_report.morsel_rows, 128u);
-  ExpectTablesBitEqual(*small, *base, "morsel 128 vs default");
+  testing::ExpectTablesBitEqual(*small, *base, "morsel 128 vs default");
 }
 
 }  // namespace

@@ -1,19 +1,17 @@
-// Differential suite for the vectorized hash-join path: the batched
-// build/probe kernels (the default) must be BIT-identical to the legacy
-// per-row PackRowKey loops (re-enabled with LAZYETL_DISABLE_VECTOR_JOIN=1)
-// at every thread count and budget — including the Grace-partitioned
-// spill path. Covers NaN / signed-zero double keys, dictionary-encoded
-// vs plain string keys, multi-column keys, empty build and probe sides,
-// duplicate-heavy build keys, and the Bloom-filter semi-join pushdown
-// (forced on vs off must also be byte-identical, since the filter only
-// drops provably-non-matching probe rows).
+// Differential suite for the hash-join path: the batched build/probe
+// kernels must be BIT-identical to the naive reference evaluator of
+// reference_eval.h at every thread count and budget — including the
+// Grace-partitioned spill path. Covers NaN / signed-zero double keys,
+// dictionary-encoded vs plain string keys, multi-column keys, empty build
+// and probe sides, duplicate-heavy build keys, and the Bloom-filter
+// semi-join pushdown (forced on vs off must also be byte-identical, since
+// the filter only drops provably-non-matching probe rows).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -23,6 +21,7 @@
 #include "engine/planner.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
+#include "reference_eval.h"
 #include "storage/catalog.h"
 #include "test_util.h"
 
@@ -34,13 +33,12 @@ using storage::Column;
 using storage::DataType;
 using storage::Table;
 
-// Budgets and the Bloom policy are driven explicitly; both join knobs
-// must start cleared.
+// Budgets and the Bloom policy are driven explicitly; both knobs must
+// start cleared.
 class ClearEnv : public ::testing::Environment {
  public:
   void SetUp() override {
     unsetenv("LAZYETL_MEMORY_BUDGET");
-    unsetenv("LAZYETL_DISABLE_VECTOR_JOIN");
     unsetenv("LAZYETL_JOIN_BLOOM");
   }
 };
@@ -52,37 +50,6 @@ const uint64_t kBudgets[] = {0, 1u << 20};
 
 // Budget low enough that the 6000-row build side must go Grace.
 constexpr uint64_t kGraceBudget = 64000;
-
-// Bit-exact equality: doubles compare by bit pattern (both paths match
-// keys by raw bit pattern and gather the same rows, so even NaN payloads
-// and zero signs must agree).
-void ExpectTablesBitEqual(const Table& a, const Table& b,
-                          const std::string& context) {
-  ASSERT_EQ(a.num_columns(), b.num_columns()) << context;
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << context;
-  for (size_t c = 0; c < a.num_columns(); ++c) {
-    EXPECT_EQ(a.column_name(c), b.column_name(c)) << context;
-    ASSERT_EQ(a.schema()[c].type, b.schema()[c].type) << context;
-    for (size_t r = 0; r < a.num_rows(); ++r) {
-      const auto va = a.GetValue(r, c);
-      const auto vb = b.GetValue(r, c);
-      if (va.type() == DataType::kDouble) {
-        uint64_t ba;
-        uint64_t bb;
-        double da = va.double_value();
-        double db = vb.double_value();
-        std::memcpy(&ba, &da, sizeof(ba));
-        std::memcpy(&bb, &db, sizeof(bb));
-        EXPECT_EQ(ba, bb) << context << " row " << r << " col " << c << ": "
-                          << da << " vs " << db;
-      } else {
-        EXPECT_TRUE(va.Equals(vb))
-            << context << " row " << r << " col " << c << ": "
-            << va.ToString() << " vs " << vb.ToString();
-      }
-    }
-  }
-}
 
 uint64_t SpilledBytesFor(const ExecutionReport& report,
                          const std::string& op) {
@@ -299,6 +266,35 @@ class VectorJoinTest : public ::testing::Test {
                   {"D", "grp", "dim2", "grp"},
                   {"D", "tag", "dim2", "tag"}};
     ASSERT_STATUS_OK(catalog_.RegisterView(std::move(jm)));
+
+    // Cross-class composite keys: (int64, bool) against (int64, int64).
+    // A bool and an int64 of equal numeric value hash alike, but keys of
+    // different classes never match, so jx joins to nothing.
+    std::vector<int64_t> xk;
+    std::vector<uint8_t> xflag;
+    std::vector<int64_t> xf;
+    for (int j = 0; j < 422; ++j) {
+      xk.push_back(j % 211);
+      xflag.push_back(static_cast<uint8_t>(j % 2));
+      xf.push_back(j % 2);
+    }
+    auto factsb = std::make_shared<Table>();
+    ASSERT_STATUS_OK(factsb->AddColumn("k", Column::FromInt64(xk)));
+    ASSERT_STATUS_OK(factsb->AddColumn("flag", Column::FromBool(xflag)));
+    ASSERT_STATUS_OK(catalog_.RegisterTable("factsb", factsb));
+    auto dimx = std::make_shared<Table>();
+    ASSERT_STATUS_OK(dimx->AddColumn("k", Column::FromInt64(xk)));
+    ASSERT_STATUS_OK(dimx->AddColumn("f", Column::FromInt64(xf)));
+    ASSERT_STATUS_OK(catalog_.RegisterTable("dimx", dimx));
+    storage::ViewDefinition jx;
+    jx.name = "jx";
+    jx.root_table = "factsb";
+    jx.joins.push_back({"dimx", {{"factsb.k", "k"}, {"factsb.flag", "f"}}});
+    jx.columns = {{"F", "k", "factsb", "k"},
+                  {"F", "flag", "factsb", "flag"},
+                  {"D", "k", "dimx", "k"},
+                  {"D", "f", "dimx", "f"}};
+    ASSERT_STATUS_OK(catalog_.RegisterView(std::move(jx)));
   }
 
   void RegisterJoinView(
@@ -328,31 +324,55 @@ class VectorJoinTest : public ::testing::Test {
     return executor.Execute(*planned->plan, report);
   }
 
-  // Runs `sql` with the vectorized path on and off at every thread count
-  // and budget; each (threads, budget) pair must match bit-for-bit.
-  // `expect_vectorized` pins the joins_vectorized counter (a join query
-  // must take the vectorized build when enabled — even over empty
-  // inputs, where the vectorized index is simply empty).
-  void ExpectDifferentialParity(const std::string& sql,
-                                bool expect_vectorized = true) {
+  // `SELECT <cols> FROM <view>`, and the reference evaluator's answer to
+  // it: the view's one join step evaluated over its two base tables.
+  struct JoinQuery {
+    std::string sql;
+    Table expected;
+  };
+  JoinQuery MakeJoinQuery(const std::string& view,
+                          const std::vector<std::string>& cols) {
+    const storage::ViewDefinition* def = *catalog_.GetView(view);
+    const storage::ViewJoinStep& step = def->joins.at(0);
+    std::vector<std::string> build_keys;
+    std::vector<std::string> probe_keys;
+    for (const auto& [left, right] : step.keys) {
+      build_keys.push_back(left.substr(left.find('.') + 1));
+      probe_keys.push_back(right);
+    }
+    std::string sql;
+    std::vector<testing::RefJoinColumn> outputs;
+    for (const std::string& col : cols) {
+      sql += (sql.empty() ? "SELECT " : ", ") + col;
+      for (const storage::ViewColumn& vc : def->columns) {
+        if (vc.qualifier + "." + vc.name == col) {
+          outputs.push_back(
+              {vc.base_table == step.table, vc.base_column, col});
+        }
+      }
+    }
+    EXPECT_EQ(outputs.size(), cols.size()) << view;
+    sql += " FROM " + view;
+    return {sql, testing::RefJoin(**catalog_.GetTable(def->root_table),
+                                  build_keys, **catalog_.GetTable(step.table),
+                                  probe_keys, outputs)};
+  }
+
+  // Runs the join at every thread count and budget; each result must
+  // match the reference bit for bit.
+  void ExpectMatchesReference(const std::string& view,
+                              const std::vector<std::string>& cols) {
+    const JoinQuery query = MakeJoinQuery(view, cols);
     for (size_t threads : kThreadCounts) {
       for (uint64_t budget : kBudgets) {
-        std::string context = sql + " @threads=" + std::to_string(threads) +
+        std::string context = query.sql + " @threads=" +
+                              std::to_string(threads) +
                               " budget=" + std::to_string(budget);
-        ExecutionReport vec_report;
-        auto vec = Run(sql, threads, budget, &vec_report);
-        ASSERT_OK(vec);
-        if (expect_vectorized) {
-          EXPECT_GT(vec_report.joins_vectorized, 0u) << context;
-        }
-        setenv("LAZYETL_DISABLE_VECTOR_JOIN", "1", 1);
-        ExecutionReport legacy_report;
-        auto legacy = Run(sql, threads, budget, &legacy_report);
-        unsetenv("LAZYETL_DISABLE_VECTOR_JOIN");
-        ASSERT_OK(legacy);
-        EXPECT_EQ(legacy_report.joins_vectorized, 0u) << context;
-        EXPECT_EQ(legacy_report.probe_rows_bloom_filtered, 0u) << context;
-        ExpectTablesBitEqual(*vec, *legacy, context);
+        ExecutionReport report;
+        auto got = Run(query.sql, threads, budget, &report);
+        ASSERT_OK(got);
+        EXPECT_GT(report.join_builds, 0u) << context;
+        testing::ExpectTablesBitEqual(*got, query.expected, context);
       }
     }
   }
@@ -362,53 +382,53 @@ class VectorJoinTest : public ::testing::Test {
 
 TEST_F(VectorJoinTest, IntKeysWithDuplicateHeavyBuild) {
   // Every dim key below 211 matches ~28 facts rows; 211..3999 match none.
-  ExpectDifferentialParity("SELECT F.k, F.i64, D.name FROM jv");
+  ExpectMatchesReference("jv", {"F.k", "F.i64", "D.name"});
 }
 
 TEST_F(VectorJoinTest, NaNAndSignedZeroDoubleKeys) {
-  // NaN joins NaN (bit-pattern equality, matching the packed-key oracle);
-  // 0.0 and -0.0 stay distinct keys.
-  ExpectDifferentialParity("SELECT F.d, F.i64, D.tag FROM jd");
+  // NaN joins NaN (bit-pattern equality); 0.0 and -0.0 stay distinct keys.
+  ExpectMatchesReference("jd", {"F.d", "F.i64", "D.tag"});
 }
 
 TEST_F(VectorJoinTest, DictAndPlainStringKeys) {
   // Dict keys joined across two independently-built dictionaries (the
   // per-dictionary content hashes must agree across tables).
-  ExpectDifferentialParity("SELECT F.grp, F.i64, D.tag FROM jg");
-  ExpectDifferentialParity("SELECT F.grp, F.hi, F.i64, D.tag FROM jgd");
+  ExpectMatchesReference("jg", {"F.grp", "F.i64", "D.tag"});
+  ExpectMatchesReference("jgd", {"F.grp", "F.hi", "F.i64", "D.tag"});
   // Plain build keys against a plain probe and a dict-encoded probe.
-  ExpectDifferentialParity("SELECT F.hi, F.i64, D.tag FROM jh");
-  ExpectDifferentialParity("SELECT F.hi, F.i64, D.tag FROM jhd");
+  ExpectMatchesReference("jh", {"F.hi", "F.i64", "D.tag"});
+  ExpectMatchesReference("jhd", {"F.hi", "F.i64", "D.tag"});
 }
 
 TEST_F(VectorJoinTest, MultiColumnKeys) {
-  ExpectDifferentialParity("SELECT F.k, F.grp, F.i64, D.tag FROM jm");
+  ExpectMatchesReference("jm", {"F.k", "F.grp", "F.i64", "D.tag"});
+}
+
+TEST_F(VectorJoinTest, KeysOfDifferentClassesNeverMatch) {
+  // Every candidate pair agrees on k and on the numeric value of its
+  // second key (bool vs int64), and so on its hash; the class check must
+  // still reject it.
+  ExpectMatchesReference("jx", {"F.k", "F.flag", "D.f"});
+  EXPECT_EQ(MakeJoinQuery("jx", {"F.k"}).expected.num_rows(), 0u);
 }
 
 TEST_F(VectorJoinTest, EmptyBuildAndEmptyProbeSides) {
-  ExpectDifferentialParity("SELECT F.k, D.name FROM jeb");
-  ExpectDifferentialParity("SELECT F.k, F.i64, D.name FROM jep");
+  ExpectMatchesReference("jeb", {"F.k", "D.name"});
+  ExpectMatchesReference("jep", {"F.k", "F.i64", "D.name"});
 }
 
 TEST_F(VectorJoinTest, GraceJoinStaysBitIdentical) {
   // A budget far below the build side forces the Grace spill path; the
-  // per-partition vectorized build/probe must reproduce the legacy
-  // partitions bit-for-bit.
-  const std::string sql = "SELECT F.k, F.i64, D.name FROM jv";
+  // per-partition build/probe must still reproduce the reference.
+  const JoinQuery query = MakeJoinQuery("jv", {"F.k", "F.i64", "D.name"});
   for (size_t threads : kThreadCounts) {
     std::string context = "grace @threads=" + std::to_string(threads);
-    ExecutionReport vec_report;
-    auto vec = Run(sql, threads, kGraceBudget, &vec_report);
-    ASSERT_OK(vec);
-    EXPECT_GT(SpilledBytesFor(vec_report, "HashJoin"), 0u) << context;
-    EXPECT_GT(vec_report.joins_vectorized, 0u) << context;
-    setenv("LAZYETL_DISABLE_VECTOR_JOIN", "1", 1);
-    ExecutionReport legacy_report;
-    auto legacy = Run(sql, threads, kGraceBudget, &legacy_report);
-    unsetenv("LAZYETL_DISABLE_VECTOR_JOIN");
-    ASSERT_OK(legacy);
-    EXPECT_GT(SpilledBytesFor(legacy_report, "HashJoin"), 0u) << context;
-    ExpectTablesBitEqual(*vec, *legacy, context);
+    ExecutionReport report;
+    auto got = Run(query.sql, threads, kGraceBudget, &report);
+    ASSERT_OK(got);
+    EXPECT_GT(SpilledBytesFor(report, "HashJoin"), 0u) << context;
+    EXPECT_GT(report.join_builds, 0u) << context;
+    testing::ExpectTablesBitEqual(*got, query.expected, context);
   }
 }
 
@@ -416,7 +436,8 @@ TEST_F(VectorJoinTest, BloomPushdownParityForcedVsOff) {
   // The Bloom filter only drops probe rows that provably cannot match,
   // so forcing it on and switching it off must give identical bytes —
   // in memory and through the Grace path alike.
-  const std::string sql = "SELECT F.k, F.i64, D.name FROM jv";
+  const JoinQuery query = MakeJoinQuery("jv", {"F.k", "F.i64", "D.name"});
+  const std::string& sql = query.sql;
   const uint64_t budgets[] = {0, kGraceBudget};
   for (size_t threads : kThreadCounts) {
     for (uint64_t budget : budgets) {
@@ -433,7 +454,8 @@ TEST_F(VectorJoinTest, BloomPushdownParityForcedVsOff) {
       ASSERT_OK(without);
       EXPECT_GT(bloom_report.probe_rows_bloom_filtered, 0u) << context;
       EXPECT_EQ(off_report.probe_rows_bloom_filtered, 0u) << context;
-      ExpectTablesBitEqual(*with_bloom, *without, context);
+      testing::ExpectTablesBitEqual(*with_bloom, query.expected, context);
+      testing::ExpectTablesBitEqual(*without, query.expected, context);
     }
   }
 }
@@ -459,7 +481,8 @@ TEST_F(VectorJoinTest, BloomSkipsMostNonMatchingProbeRows) {
                       &auto_mem_report);
   ASSERT_OK(auto_mem);
   EXPECT_EQ(auto_mem_report.probe_rows_bloom_filtered, 0u);
-  ExpectTablesBitEqual(*got, *auto_mem, "forced vs auto (in-memory)");
+  testing::ExpectTablesBitEqual(*got, *auto_mem,
+                                "forced vs auto (in-memory)");
 
   // ... but publishes for a Grace join, where every skipped probe row is
   // a row never partitioned or spilled.
@@ -469,29 +492,7 @@ TEST_F(VectorJoinTest, BloomSkipsMostNonMatchingProbeRows) {
   ASSERT_OK(auto_grace);
   EXPECT_GT(SpilledBytesFor(auto_grace_report, "HashJoin"), 0u);
   EXPECT_GT(auto_grace_report.probe_rows_bloom_filtered, 0u);
-  ExpectTablesBitEqual(*got, *auto_grace, "forced vs auto (grace)");
-}
-
-TEST_F(VectorJoinTest, KillSwitchYieldsFullyLegacyPath) {
-  // LAZYETL_DISABLE_VECTOR_JOIN gates the Bloom pushdown too — the
-  // oracle path must be exactly the pre-vectorization engine even when
-  // the Bloom policy is forced.
-  setenv("LAZYETL_DISABLE_VECTOR_JOIN", "1", 1);
-  setenv("LAZYETL_JOIN_BLOOM", "force", 1);
-  ExecutionReport legacy_report;
-  auto legacy = Run("SELECT F.k, F.i64, D.name FROM jv", 8, 0,
-                    &legacy_report);
-  unsetenv("LAZYETL_JOIN_BLOOM");
-  unsetenv("LAZYETL_DISABLE_VECTOR_JOIN");
-  ASSERT_OK(legacy);
-  EXPECT_EQ(legacy_report.joins_vectorized, 0u);
-  EXPECT_EQ(legacy_report.probe_rows_bloom_filtered, 0u);
-
-  ExecutionReport vec_report;
-  auto vec = Run("SELECT F.k, F.i64, D.name FROM jv", 8, 0, &vec_report);
-  ASSERT_OK(vec);
-  EXPECT_GT(vec_report.joins_vectorized, 0u);
-  ExpectTablesBitEqual(*vec, *legacy, "kill switch");
+  testing::ExpectTablesBitEqual(*got, *auto_grace, "forced vs auto (grace)");
 }
 
 TEST_F(VectorJoinTest, FootprintSharpensWithBuildKeyCardinality) {
