@@ -5,17 +5,9 @@
 // Paper-shaped result: once the budget covers the working set, hot-query
 // latency drops to eager levels and the hit rate saturates; below it, LRU
 // thrashing forces repeated extraction.
-//
-// E5b — Multi-tier caching: a repeated-dashboard workload (the same
-// aggregates re-issued over and over) swept across tier configurations
-// (off / column / plan / both), measuring warm-pass latency against the
-// cold pass of the same warehouse. The sub-plan tier should serve warm
-// dashboards at plan-substitution cost (≥5x over cold); the column tier
-// alone should at least halve warm latency by skipping decode+assembly.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -95,108 +87,6 @@ void BM_Cache_ResultRecyclingAblation(benchmark::State& state) {
   state.SetLabel(result_cache ? "record+result-cache" : "record-cache-only");
 }
 
-// --------------------------------------------------------------------------
-// E5b: multi-tier warm/cold sweep.
-
-std::unique_ptr<core::Warehouse> OpenTiered(const std::string& root,
-                                            int column, int plan) {
-  core::WarehouseOptions options;
-  options.strategy = core::LoadStrategy::kLazy;
-  options.enable_result_cache = false;  // isolate the new tiers
-  options.enable_column_cache = column;
-  options.enable_plan_cache = plan;
-  auto wh = core::Warehouse::Open(options);
-  if (!wh.ok()) std::abort();
-  auto stats = (*wh)->AttachRepository(root);
-  if (!stats.ok()) std::abort();
-  return std::move(*wh);
-}
-
-// The dashboard: aggregates a monitoring page would re-issue on every
-// refresh tick — the station-health group-bys plus one windowed tile per
-// channel (extraction-bound: a cold tick decodes whole files to serve a
-// 10 s window, a warm column-tier tick is a single hash lookup).
-std::vector<std::string> DashboardWorkload(
-    const mseed::GeneratedRepository& repo) {
-  std::vector<std::string> tiles = RevisitingWorkload(repo);
-  tiles.push_back(kQ2);
-  tiles.push_back(
-      "SELECT F.station, AVG(D.sample_value) FROM mseed.dataview "
-      "WHERE F.network = 'NL' GROUP BY F.station");
-  return tiles;
-}
-
-// arg0: 0 = tiers off, 1 = column only, 2 = plan only, 3 = both.
-void BM_Cache_MultiTierDashboard(benchmark::State& state) {
-  const BenchRepo& repo = GetRepo(kDays, kSeconds);
-  const int mode = static_cast<int>(state.range(0));
-  const int column = (mode & 1) ? 1 : 0;
-  const int plan = (mode & 2) ? 1 : 0;
-  auto dashboard = DashboardWorkload(repo.info);
-
-  double cold_ms = 0;
-  double cold_extract_ms = 0;
-  double warm_ms_total = 0;
-  double warm_extract_ms_total = 0;
-  uint64_t warm_passes = 0;
-  core::WarehouseStats tier_stats;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto wh = OpenTiered(repo.root, column, plan);
-    cold_extract_ms = 0;
-    auto c0 = std::chrono::steady_clock::now();
-    for (const auto& sql : dashboard) {
-      cold_extract_ms += MustQuery(wh.get(), sql).report.extract_seconds * 1e3;
-    }
-    cold_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - c0)
-                  .count();
-    state.ResumeTiming();
-    // Measured region: the dashboard's refresh ticks (warm passes).
-    double extract_ms = 0;
-    auto w0 = std::chrono::steady_clock::now();
-    for (int tick = 0; tick < 5; ++tick) {
-      for (const auto& sql : dashboard) {
-        auto result = MustQuery(wh.get(), sql);
-        extract_ms += result.report.extract_seconds * 1e3;
-        benchmark::DoNotOptimize(result.table);
-      }
-    }
-    warm_ms_total += std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - w0)
-                         .count() /
-                     5.0;
-    warm_extract_ms_total += extract_ms / 5.0;
-    ++warm_passes;
-    tier_stats = wh->Stats();
-  }
-  double warm_ms = warm_passes ? warm_ms_total / warm_passes : 0;
-  double warm_extract_ms =
-      warm_passes ? warm_extract_ms_total / warm_passes : 0;
-  state.counters["cold_pass_ms"] = cold_ms;
-  state.counters["warm_pass_ms"] = warm_ms;
-  state.counters["warm_speedup"] = warm_ms > 0 ? cold_ms / warm_ms : 0;
-  // The column tier serves the lazy-extraction phase; its win is the
-  // cold-vs-warm ratio of that phase (decode+assembly vs a hash lookup).
-  state.counters["cold_extract_ms"] = cold_extract_ms;
-  state.counters["warm_extract_ms"] = warm_extract_ms;
-  state.counters["extract_speedup"] =
-      warm_extract_ms > 0 ? cold_extract_ms / warm_extract_ms : 0;
-  uint64_t col_lookups =
-      tier_stats.column_cache.hits + tier_stats.column_cache.misses;
-  state.counters["column_hit_rate"] =
-      col_lookups ? static_cast<double>(tier_stats.column_cache.hits) /
-                        static_cast<double>(col_lookups)
-                  : 0.0;
-  state.counters["plan_hits"] =
-      static_cast<double>(tier_stats.plan_cache.hits);
-  state.counters["pool_resident_bytes"] =
-      static_cast<double>(tier_stats.cache_pool.used_bytes);
-  static const char* kLabels[] = {"tiers-off", "column-only", "plan-only",
-                                  "column+plan"};
-  state.SetLabel(kLabels[mode]);
-}
-
 BENCHMARK(BM_Cache_BudgetSweep)
     ->Arg(8)       // 8 KiB: thrashes
     ->Arg(64)      // 64 KiB
@@ -207,12 +97,6 @@ BENCHMARK(BM_Cache_BudgetSweep)
 BENCHMARK(BM_Cache_ResultRecyclingAblation)
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Cache_MultiTierDashboard)
-    ->Arg(0)  // tiers off (the two-tier baseline)
-    ->Arg(1)  // decoded-column tier only
-    ->Arg(2)  // sub-plan tier only
-    ->Arg(3)  // both tiers
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -120,40 +120,6 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(s.cache.evictions),
             static_cast<unsigned long long>(s.result_cache_entries),
             static_cast<unsigned long long>(s.result_cache_hits));
-        if (s.column_cache.budget_bytes > 0) {
-          std::printf(
-              "  column cache: %llu/%llu B, %llu entries, hits %llu misses "
-              "%llu stale %llu evictions %llu\n",
-              static_cast<unsigned long long>(s.column_cache.current_bytes),
-              static_cast<unsigned long long>(s.column_cache.budget_bytes),
-              static_cast<unsigned long long>(s.column_cache.entries),
-              static_cast<unsigned long long>(s.column_cache.hits),
-              static_cast<unsigned long long>(s.column_cache.misses),
-              static_cast<unsigned long long>(s.column_cache.stale),
-              static_cast<unsigned long long>(s.column_cache.evictions));
-        }
-        if (s.plan_cache.budget_bytes > 0) {
-          std::printf(
-              "  plan cache: %llu/%llu B, %llu entries, hits %llu misses "
-              "%llu invalidations %llu evictions %llu\n",
-              static_cast<unsigned long long>(s.plan_cache.current_bytes),
-              static_cast<unsigned long long>(s.plan_cache.budget_bytes),
-              static_cast<unsigned long long>(s.plan_cache.entries),
-              static_cast<unsigned long long>(s.plan_cache.hits),
-              static_cast<unsigned long long>(s.plan_cache.misses),
-              static_cast<unsigned long long>(s.plan_cache.invalidations),
-              static_cast<unsigned long long>(s.plan_cache.evictions));
-        }
-        if (s.cache_pool.limit_bytes > 0) {
-          std::printf(
-              "  cache pool: %llu/%llu B, peak %llu, yields %llu "
-              "(%llu B reclaimed)\n",
-              static_cast<unsigned long long>(s.cache_pool.used_bytes),
-              static_cast<unsigned long long>(s.cache_pool.limit_bytes),
-              static_cast<unsigned long long>(s.cache_pool.peak_bytes),
-              static_cast<unsigned long long>(s.cache_pool.yield_requests),
-              static_cast<unsigned long long>(s.cache_pool.yielded_bytes));
-        }
       } else if (cmd == "\\log") {
         for (const auto& e : lazyetl::OperationLog::Global().Entries()) {
           std::printf("  [%5lld] %-14s %s\n",

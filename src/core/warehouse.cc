@@ -236,16 +236,7 @@ class WarehouseRecordStream : public engine::RecordStream {
       : provider_(provider),
         columns_(std::move(columns)),
         batch_rows_(batch_rows),
-        report_(report) {
-    // Canonical projection signature — the decoded-column cache key's
-    // column component. Empty columns_ (= all columns) signs as "".
-    for (const auto& sc : columns_) {
-      columns_sig_ += sc.base_column;
-      columns_sig_ += '>';
-      columns_sig_ += sc.output_name;
-      columns_sig_ += ',';
-    }
-  }
+        report_(report) {}
 
   // Cache pass + windowed extraction for the next run of files; pushes
   // their assembled chunks onto ready_.
@@ -265,7 +256,6 @@ class WarehouseRecordStream : public engine::RecordStream {
   std::vector<ScanColumn> columns_;
   size_t batch_rows_;
   ExecutionReport* report_;
-  std::string columns_sig_;
 
   std::vector<FileRequest> files_;
   size_t next_file_ = 0;          // next file not yet cache-passed
@@ -273,7 +263,6 @@ class WarehouseRecordStream : public engine::RecordStream {
   uint64_t outstanding_ = 0;      // reserved window bytes not yet released
 
   uint64_t total_hits_ = 0;
-  uint64_t column_hit_files_ = 0;
   std::vector<std::string> extracted_desc_;
   bool emitted_ = false;
   bool summary_written_ = false;
@@ -481,12 +470,6 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
               "lazy refresh: " + entry.path +
                   " was modified; re-loading its metadata");
         warehouse->recycler_->InvalidateFile(fid);
-        if (warehouse->column_cache_ != nullptr) {
-          warehouse->column_cache_->InvalidateFile(fid);
-        }
-        if (warehouse->plan_cache_ != nullptr) {
-          warehouse->plan_cache_->InvalidateFile(fid);
-        }
         LAZYETL_ASSIGN_OR_RETURN(Table * records,
                                  writer.Mutable(kRecordsTable));
         LAZYETL_ASSIGN_OR_RETURN(size_t removed,
@@ -551,9 +534,6 @@ Status WarehouseRecordStream::AdvanceWindow() {
     std::map<int64_t, engine::CachedRecordPtr> staged;
     int job_index = -1;
     uint64_t reserved = 0;  // window bytes charged for this file
-    // Decoded-column tier hit: the shared assembled table — no budget
-    // reservation, no recycler pass, no extraction job for this file.
-    storage::TablePtr column_hit;
   };
   std::vector<PendingFile> window;
   std::vector<ExtractJob> jobs;
@@ -571,32 +551,6 @@ Status WarehouseRecordStream::AdvanceWindow() {
         return Status::NotFound(
             "source file disappeared during query: file_id " +
             std::to_string(fr.fid));
-      }
-
-      // Decoded-column tier first: the assembled, publish-encoded table
-      // for exactly this (file, projection, seq window) may already be
-      // resident — then this file needs no budget reservation, no
-      // per-record recycler pass and no extraction job.
-      if (warehouse->column_cache_ != nullptr) {
-        bool col_stale = false;
-        storage::TablePtr cached = warehouse->column_cache_->Lookup(
-            fr.fid, fr.mtime, columns_sig_, fr.seqs, &col_stale);
-        if (cached != nullptr) {
-          ++report_->column_cache_hits;
-          ++column_hit_files_;
-          // The window's records are served without extraction — credit
-          // them as cache hits exactly like record-tier hits, so the
-          // "requested = hits + misses + stale" accounting holds.
-          report_->cache_hits += fr.seqs.size();
-          total_hits_ += fr.seqs.size();
-          ++next_file_;
-          PendingFile pending;
-          pending.request = &fr;
-          pending.column_hit = std::move(cached);
-          window.push_back(std::move(pending));
-          continue;
-        }
-        ++report_->column_cache_misses;
       }
 
       // Estimated decoded footprint of this file's requested records
@@ -697,20 +651,6 @@ Status WarehouseRecordStream::AdvanceWindow() {
   LAZYETL_RETURN_NOT_OK(provider_->RunExtractionJobs(&jobs));
 
   for (PendingFile& pending : window) {
-    if (pending.column_hit != nullptr) {
-      // Emit chunk copies of the shared cached table: the entry itself
-      // stays zero-copy-shared across queries (dictionary columns share
-      // their dicts); the pipeline takes its own materialization, in the
-      // chunks the extraction path would have built.
-      const Table& cached = *pending.column_hit;
-      size_t offset = 0;
-      do {
-        const size_t n = std::min(batch_rows_, cached.num_rows() - offset);
-        ready_.push_back({cached.Slice(offset, n).Materialize(), 0});
-        offset += n;
-      } while (offset < cached.num_rows());
-      continue;
-    }
     if (pending.job_index >= 0) {
       ExtractJob& job = jobs[pending.job_index];
       LAZYETL_RETURN_NOT_OK(job.status);
@@ -752,19 +692,6 @@ Status WarehouseRecordStream::AdvanceWindow() {
         std::vector<Table> chunks,
         WarehouseDataProvider::AssembleChunks(pending.request->fid, records,
                                               columns_, batch_rows_));
-    if (warehouse->column_cache_ != nullptr) {
-      // Admit the assembled output (even when staged entirely from
-      // record-tier hits — the assembly itself is what this tier saves).
-      // No tier lock is held here, so the pool may run cross-tier yield.
-      auto file_table = std::make_shared<Table>(chunks[0]);
-      for (size_t i = 1; i < chunks.size(); ++i) {
-        LAZYETL_RETURN_NOT_OK(file_table->AppendTable(chunks[i]));
-      }
-      warehouse->column_cache_->Admit(pending.request->fid,
-                                      pending.request->mtime, columns_sig_,
-                                      pending.request->seqs,
-                                      std::move(file_table));
-    }
     for (size_t i = 0; i < chunks.size(); ++i) {
       const bool last = i + 1 == chunks.size();
       ready_.push_back({std::move(chunks[i]), last ? pending.reserved : 0});
@@ -810,9 +737,6 @@ void WarehouseRecordStream::FlushSummary() {
   rewrite << "LazyDataScan(" << kDataTable
           << ") rewritten at run time into:\n";
   rewrite << "  CacheScan[" << total_hits_ << " records]\n";
-  if (column_hit_files_ > 0) {
-    rewrite << "  ColumnCacheScan[" << column_hit_files_ << " files]\n";
-  }
   rewrite << "  FileExtract[" << extracted_desc_.size() << " files";
   for (size_t i = 0; i < extracted_desc_.size() && i < 6; ++i) {
     rewrite << (i == 0 ? ": " : ", ") << extracted_desc_[i];
@@ -895,93 +819,17 @@ Warehouse::Warehouse(WarehouseOptions options)
 
 Warehouse::~Warehouse() = default;
 
-namespace {
-
-// Tri-state cache knob: explicit option (0/1) wins; -1 resolves from the
-// environment (1/true/on/yes enable); absent env = off.
-bool ResolveCacheKnob(int option, const char* env_name) {
-  if (option >= 0) return option != 0;
-  if (const char* env = std::getenv(env_name)) {
-    const std::string value = ToLowerAscii(env);
-    return value == "1" || value == "true" || value == "on" ||
-           value == "yes";
-  }
-  return false;
-}
-
-// Byte-size knob with k/m/g suffixes: explicit option (> 0) wins; 0
-// resolves from the environment, falling back to `fallback`.
-uint64_t ResolveCacheBytes(uint64_t option, const char* env_name,
-                           uint64_t fallback) {
-  if (option > 0) return option;
-  if (const char* env = std::getenv(env_name)) {
-    char* end = nullptr;
-    uint64_t v = std::strtoull(env, &end, 10);
-    if (end != nullptr) {
-      switch (*end) {
-        case 'k':
-        case 'K':
-          v <<= 10;
-          break;
-        case 'm':
-        case 'M':
-          v <<= 20;
-          break;
-        case 'g':
-        case 'G':
-          v <<= 30;
-          break;
-        default:
-          break;
-      }
-    }
-    return v;
-  }
-  return fallback;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<Warehouse>> Warehouse::Open(WarehouseOptions options) {
   auto wh = std::unique_ptr<Warehouse>(new Warehouse(std::move(options)));
   wh->catalog_ = std::make_unique<storage::Catalog>();
   LAZYETL_RETURN_NOT_OK(
       RegisterSchema(wh->catalog_.get(), wh->IsLazyStrategy()));
 
-  // Multi-tier caching: every tier (record recycler, decoded-column,
-  // sub-plan) charges one shared MemoryPool, itself chained to the
-  // process-global budget — cache residency, extraction windows and
-  // breaker state compete for one cap, and the tiers LRU-yield to each
-  // other under pool pressure.
-  wh->options_.enable_column_cache =
-      ResolveCacheKnob(wh->options_.enable_column_cache,
-                       "LAZYETL_COLUMN_CACHE")
-          ? 1
-          : 0;
-  wh->options_.enable_plan_cache =
-      ResolveCacheKnob(wh->options_.enable_plan_cache, "LAZYETL_PLAN_CACHE")
-          ? 1
-          : 0;
-  wh->options_.column_cache_budget_bytes =
-      ResolveCacheBytes(wh->options_.column_cache_budget_bytes,
-                        "LAZYETL_COLUMN_CACHE_BUDGET", 64ULL << 20);
-  wh->options_.plan_cache_budget_bytes =
-      ResolveCacheBytes(wh->options_.plan_cache_budget_bytes,
-                        "LAZYETL_PLAN_CACHE_BUDGET", 64ULL << 20);
-  wh->options_.cache_pool_budget_bytes = ResolveCacheBytes(
-      wh->options_.cache_pool_budget_bytes, "LAZYETL_CACHE_POOL_BUDGET", 0);
-  wh->cache_pool_ = std::make_unique<common::MemoryPool>(
-      wh->options_.cache_pool_budget_bytes, &common::MemoryBudget::Process());
+  // The record cache charges its resident bytes to the process-global
+  // budget, so cache residency, extraction windows and breaker state
+  // compete for one cap.
   wh->recycler_ = std::make_unique<engine::Recycler>(
-      wh->options_.cache_budget_bytes, wh->cache_pool_.get());
-  if (wh->options_.enable_column_cache != 0) {
-    wh->column_cache_ = std::make_unique<engine::ColumnCache>(
-        wh->options_.column_cache_budget_bytes, wh->cache_pool_.get());
-  }
-  if (wh->options_.enable_plan_cache != 0) {
-    wh->plan_cache_ = std::make_unique<engine::PlanCache>(
-        wh->options_.plan_cache_budget_bytes, wh->cache_pool_.get());
-  }
+      wh->options_.cache_budget_bytes, &common::MemoryBudget::Process());
   wh->result_recycler_ = std::make_unique<engine::ResultRecycler>();
 
   // Admission control: resolve the concurrency bound and the per-query
@@ -1097,7 +945,6 @@ Status Warehouse::HydrateFileLocked(FileEntry* entry, CatalogWriter* writer,
     break;
   }
   result_recycler_->Clear();
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   return Status::OK();
 }
 
@@ -1316,7 +1163,6 @@ Result<LoadStats> Warehouse::AttachRepository(const std::string& root) {
     writer.Publish();
   }
   result_recycler_->Clear();
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
 
   if (options_.strategy == LoadStrategy::kEager &&
       !options_.persist_dir.empty()) {
@@ -1436,8 +1282,6 @@ Status Warehouse::ReloadModifiedFileLocked(FileEntry* entry,
                                            CatalogWriter* writer,
                                            uint64_t* bytes_read) {
   recycler_->InvalidateFile(entry->file_id);
-  if (column_cache_ != nullptr) column_cache_->InvalidateFile(entry->file_id);
-  if (plan_cache_ != nullptr) plan_cache_->InvalidateFile(entry->file_id);
   LAZYETL_ASSIGN_OR_RETURN(Table * files, writer->Mutable(kFilesTable));
   LAZYETL_ASSIGN_OR_RETURN(Table * records, writer->Mutable(kRecordsTable));
   LAZYETL_RETURN_NOT_OK(RemoveFileRows(files, entry->file_id).status());
@@ -1466,7 +1310,6 @@ Status Warehouse::ReloadModifiedFileLocked(FileEntry* entry,
       break;
   }
   result_recycler_->Clear();
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   return Status::OK();
 }
 
@@ -1599,7 +1442,6 @@ Result<LoadStats> Warehouse::AttachPersisted(const std::string& persist_dir) {
   }
 
   result_recycler_->Clear();
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   stats.seconds = timer.ElapsedSeconds();
   LogOp(LogCategory::kEagerLoad,
         "persisted warehouse reopened: " + std::to_string(stats.files) +
@@ -1670,15 +1512,7 @@ uint64_t Warehouse::EstimateColdExtractionBytes(
     if (fid < 1 || static_cast<size_t>(fid) > files_.size()) continue;
     const FileEntry& entry = files_[fid - 1];
     if (entry.file_id == 0) continue;
-    uint64_t file_bytes = entry.size;
-    if (column_cache_ != nullptr) {
-      // Decoded columns already resident in the cache tier are served
-      // without extraction: discount them (clamped per file) so a warm
-      // query admits for what it will actually extract.
-      file_bytes -= std::min(file_bytes,
-                             column_cache_->ResidentBytesForFile(fid));
-    }
-    bytes += file_bytes;
+    bytes += entry.size;
   }
   return bytes;
 }
@@ -1686,8 +1520,8 @@ uint64_t Warehouse::EstimateColdExtractionBytes(
 // ---------------------------------------------------------------------------
 // The query lifecycle. Compile (parse, bind, plan) is shared by Explain,
 // Query and OpenCursor. Prepare adds everything that touches shared state —
-// admission, lazy refresh/hydration, the sub-plan and result-cache probes,
-// opening the execution — and hands back a QueryCursor. OpenCursor streams
+// admission, lazy refresh/hydration, the result-cache probe, opening the
+// execution — and hands back a QueryCursor. OpenCursor streams
 // that cursor; Query drains it with an unbounded window. Completion (final
 // report, whole-result admission, release) is one step for both.
 // ---------------------------------------------------------------------------
@@ -1760,9 +1594,8 @@ struct QueryCursor::Impl {
   engine::PlannedQuery planned;
   std::unique_ptr<engine::ExecutionCursor> exec;
 
-  // A result already whole in memory — a result-cache hit, or a sub-plan
-  // materialization that is the entire plan — is served in batch-sized
-  // slices instead of being executed.
+  // A result-cache hit is served in batch-sized slices instead of being
+  // executed.
   std::shared_ptr<const Table> served;
   size_t served_offset = 0;
 
@@ -1772,7 +1605,6 @@ struct QueryCursor::Impl {
   // retains everything, a cursor only what fits its backpressure window);
   // a result that outgrows the limit is dropped and never admitted.
   engine::ResultRecycler* result_cache = nullptr;
-  std::vector<engine::ResultDependency> subplan_deps;
   size_t retain_limit = 0;
   bool retaining = false;
   size_t retained_batches = 0;
@@ -1819,16 +1651,13 @@ struct QueryCursor::Impl {
   }
 
   // End of stream, shared by both paths: admit a result retained whole,
-  // with every file it depends on (a sub-plan served from cache
-  // contributes files this execution never opened), then release.
-  // Returns false, the end-of-stream answer of Pull.
+  // with every file it depends on, then release. Returns false, the
+  // end-of-stream answer of Pull.
   bool Complete() {
     if (result_cache != nullptr && retaining) {
       engine::CachedResult entry;
       entry.table = retained;
       entry.deps = provider->deps();
-      entry.deps.insert(entry.deps.end(), subplan_deps.begin(),
-                        subplan_deps.end());
       entry.admitted_at = NowNanos();
       result_cache->Admit(report.sql, std::move(entry));
     }
@@ -1948,15 +1777,8 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
                            Compile(sql, /*refresh=*/true, &report));
   im.planned = std::move(compiled.planned);
 
-  // Sub-plan cache: recognize the topmost breaker subtree and, when a
-  // still-valid materialization exists, substitute a CachedScan for it
-  // before admission — footprint estimation then sees the substituted
-  // plan, so a served sub-plan admits near-free. The original subtree is
-  // detached (not destroyed): the footprint path re-validates after its
-  // queue wait and reverts on staleness.
-  //
-  // Each cache probe validates its dependencies as one batch of freshness
-  // checks against the change journal.
+  // Each result-cache probe validates its dependencies as one batch of
+  // freshness checks against the change journal.
   auto dep_mtime_fn = [this, &report] {
     return [batch = journal_.BeginBatch(),
             &report](const engine::ResultDependency& dep) -> NanoTime {
@@ -1964,32 +1786,6 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
       return st.ok() ? st->mtime : -1;
     };
   };
-  engine::PlanNodePtr* sub_slot = nullptr;
-  std::string subplan_fp;
-  uint64_t plan_epoch = 0;
-  engine::PlanNodePtr subplan_detached;
-  if (plan_cache_ != nullptr) {
-    sub_slot = engine::FindCacheableSubPlan(&im.planned.plan);
-    if (sub_slot != nullptr) {
-      subplan_fp = engine::PlanFingerprint(**sub_slot);
-      if (subplan_fp.empty()) sub_slot = nullptr;
-    }
-    if (sub_slot != nullptr) {
-      plan_epoch = plan_cache_->epoch();
-      engine::CachedSubPlanPtr cached =
-          plan_cache_->ValidateAndGet(subplan_fp, dep_mtime_fn());
-      if (cached != nullptr) {
-        subplan_detached = std::move(*sub_slot);
-        *sub_slot = engine::MakeCachedScan(cached->table, "subplan");
-        im.subplan_deps = cached->deps;
-        report.plan_cache_hit = true;
-        report.plan_runtime +=
-            "sub-plan cache hit: breaker subtree replaced by CachedScan\n" +
-            im.planned.plan->ToString();
-        LogOp(LogCategory::kCache, "sub-plan served from plan cache");
-      }
-    }
-  }
 
   // Footprint-aware admission: estimate from the just-built plan, then
   // take the ticket.
@@ -2008,22 +1804,6 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
       request.estimated_bytes = 0;
     }
     LAZYETL_RETURN_NOT_OK(admit());
-
-    // The cached sub-plan was validated before queueing for admission;
-    // files may have changed while this query waited. Re-validate and
-    // fall back to the detached original subtree on staleness —
-    // correctness never depends on the cache.
-    if (report.plan_cache_hit &&
-        !std::all_of(im.subplan_deps.begin(), im.subplan_deps.end(),
-                     [mtime = dep_mtime_fn()](
-                         const engine::ResultDependency& dep) {
-                       return mtime(dep) == dep.mtime;
-                     })) {
-      *sub_slot = std::move(subplan_detached);
-      im.subplan_deps.clear();
-      report.plan_cache_hit = false;
-      report.plan_runtime.clear();
-    }
   }
 
   // Whole-result recycling. Serving from cache needs no execution
@@ -2057,28 +1837,6 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
   im.executor = std::make_unique<engine::Executor>(
       catalog_.get(), im.provider.get(), exec_options);
 
-  if (sub_slot != nullptr && !report.plan_cache_hit) {
-    // Sub-plan miss: execute the breaker subtree first, admit its
-    // materialization together with the dependency set the execution
-    // recorded, then run the remainder of the plan over the cached
-    // table. Byte-identical to single-phase execution: the breaker's
-    // output is deterministic, and the remainder consumes the same rows
-    // in the same order.
-    LAZYETL_ASSIGN_OR_RETURN(
-        Table sub_result,
-        im.executor->Execute(**sub_slot, &report, im.qctx.get()));
-    auto sub_table = std::make_shared<Table>(std::move(sub_result));
-    engine::CachedSubPlan entry;
-    entry.table = sub_table;
-    entry.deps = im.provider->deps();
-    entry.admitted_at = NowNanos();
-    plan_cache_->Admit(subplan_fp, std::move(entry), plan_epoch);
-    if (sub_slot == &im.planned.plan) {
-      im.served = std::move(sub_table);
-      return cursor;
-    }
-    *sub_slot = engine::MakeCachedScan(sub_table, "subplan");
-  }
   LAZYETL_ASSIGN_OR_RETURN(
       im.exec, im.executor->OpenCursor(*im.planned.plan, &report,
                                        im.qctx.get(), window_batches));
@@ -2187,10 +1945,6 @@ Result<RefreshStats> Warehouse::Refresh() {
       if (mseed::StatFile(entry.path).ok()) continue;
       ++stats.deleted_files;
       recycler_->InvalidateFile(entry.file_id);
-      if (column_cache_ != nullptr) {
-        column_cache_->InvalidateFile(entry.file_id);
-      }
-      if (plan_cache_ != nullptr) plan_cache_->InvalidateFile(entry.file_id);
       LAZYETL_ASSIGN_OR_RETURN(Table * files, writer.Mutable(kFilesTable));
       LAZYETL_ASSIGN_OR_RETURN(Table * records,
                                writer.Mutable(kRecordsTable));
@@ -2215,7 +1969,6 @@ Result<RefreshStats> Warehouse::Refresh() {
   // ChangeJournal).
   journal_.Rearm();
   result_recycler_->Clear();
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
   stats.seconds = timer.ElapsedSeconds();
   LogOp(LogCategory::kRefresh,
         "refresh done: " + std::to_string(stats.new_files) + " new, " +
@@ -2227,22 +1980,10 @@ Result<RefreshStats> Warehouse::Refresh() {
 void Warehouse::ClearCaches() {
   recycler_->Clear();
   recycler_->ResetCounters();
-  if (column_cache_ != nullptr) {
-    column_cache_->Clear();
-    column_cache_->ResetCounters();
-  }
-  if (plan_cache_ != nullptr) {
-    plan_cache_->Clear();
-    plan_cache_->ResetCounters();
-  }
   result_recycler_->Clear();
 }
 
-void Warehouse::ResetCacheCounters() {
-  recycler_->ResetCounters();
-  if (column_cache_ != nullptr) column_cache_->ResetCounters();
-  if (plan_cache_ != nullptr) plan_cache_->ResetCounters();
-}
+void Warehouse::ResetCacheCounters() { recycler_->ResetCounters(); }
 
 WarehouseStats Warehouse::Stats() const {
   WarehouseStats stats;
@@ -2260,9 +2001,6 @@ WarehouseStats Warehouse::Stats() const {
   stats.cache = recycler_->stats();
   stats.result_cache_hits = result_cache_hits_.load(std::memory_order_relaxed);
   stats.result_cache_entries = result_recycler_->entries();
-  if (column_cache_ != nullptr) stats.column_cache = column_cache_->stats();
-  if (plan_cache_ != nullptr) stats.plan_cache = plan_cache_->stats();
-  stats.cache_pool = cache_pool_->stats();
   stats.queries_admitted = scheduler_->total_admitted();
   stats.queries_timed_out = scheduler_->total_timed_out();
   stats.queries_bypass_admitted = scheduler_->total_bypass_admissions();

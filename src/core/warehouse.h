@@ -49,15 +49,12 @@
 #include <string>
 #include <vector>
 
-#include "common/memory_pool.h"
 #include "common/query_scheduler.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "core/change_journal.h"
-#include "engine/column_cache.h"
 #include "engine/executor.h"
-#include "engine/plan_cache.h"
 #include "engine/recycler.h"
 #include "engine/report.h"
 #include "mseed/reader.h"
@@ -134,29 +131,6 @@ struct WarehouseOptions {
   uint64_t memory_budget_bytes = 0;
   // Directory for spill files ("" = LAZYETL_SPILL_DIR, else system temp).
   std::string spill_dir;
-  // Multi-tier caching. Tri-state knobs: -1 = resolve from the
-  // environment (LAZYETL_COLUMN_CACHE / LAZYETL_PLAN_CACHE, values
-  // 1/true/on/yes enable), 0 = off, 1 = on. Both tiers default OFF; off
-  // reproduces the two-tier (record + whole-result) behavior
-  // byte-identically.
-  //
-  // The decoded-column tier caches assembled, publish-encoded extraction
-  // outputs per (file, column set, seq window), shared zero-copy across
-  // queries; the sub-plan tier caches pipeline-breaker outputs keyed by a
-  // canonical plan-subtree fingerprint and substitutes them before
-  // execution. Caches only ever change timings, never results.
-  int enable_column_cache = -1;
-  int enable_plan_cache = -1;
-  // Per-tier resident-byte shares (0 = resolve from LAZYETL_COLUMN_CACHE_
-  // BUDGET / LAZYETL_PLAN_CACHE_BUDGET, default 64 MiB each; suffixes
-  // k/m/g accepted).
-  uint64_t column_cache_budget_bytes = 0;
-  uint64_t plan_cache_budget_bytes = 0;
-  // Shared cache-pool cap across every tier including the record
-  // recycler (0 = resolve from LAZYETL_CACHE_POOL_BUDGET, default
-  // unlimited — each tier then only honors its own share). The pool is
-  // chained to the process-global MemoryBudget either way.
-  uint64_t cache_pool_budget_bytes = 0;
   // Rows per engine pipeline batch. Intermediates of pipelined plans are
   // bounded by O(batch_rows × pipeline depth).
   size_t batch_rows = engine::kDefaultBatchRows;
@@ -233,9 +207,8 @@ struct QueryOptions {
 // Query(sql).table; the first batch always carries the result schema
 // (possibly with zero rows). A still-valid cached whole result is
 // streamed in batch-sized chunks. Both cache tiers are warmed as by
-// Query(): a sub-plan miss materializes and admits the breaker subtree
-// before streaming the rest, and a stream that runs to the end is
-// admitted to the whole-result cache when it spanned at most
+// Query(): extracted records are admitted as they are read, and a stream
+// that runs to the end is admitted to the whole-result cache when it spanned at most
 // cursor_window_batches batches — the cursor retains no more than its
 // backpressure window, so wider results stream without being admitted.
 class QueryCursor {
@@ -283,11 +256,6 @@ struct WarehouseStats {
   engine::RecyclerStats cache;
   uint64_t result_cache_hits = 0;
   uint64_t result_cache_entries = 0;
-  // Multi-tier caching: per-tier counters and the shared pool snapshot
-  // (zeroed when the tier/pool is disabled).
-  engine::ColumnCacheStats column_cache;
-  engine::PlanCacheStats plan_cache;
-  common::MemoryPoolStats cache_pool;
   // Scheduler observability: total admissions, queue timeouts and
   // footprint-bypass admissions, and the current number of executing /
   // queued queries (racy snapshots).
@@ -446,8 +414,7 @@ class Warehouse {
                                 engine::ExecutionReport* report);
 
   // The one front half of Query() and OpenCursor(): admission, Compile,
-  // the sub-plan probe (with post-queue re-validation), the result-cache
-  // probe, and — unless a cached result answers — the opened execution.
+  // the result-cache probe, and — unless a cached result answers — the opened execution.
   // `window_batches` bounds both the backpressure window and the batches
   // retained for result-cache admission (0 = unbounded).
   Result<std::unique_ptr<QueryCursor>> Prepare(
@@ -484,13 +451,7 @@ class Warehouse {
 
   WarehouseOptions options_;
   std::unique_ptr<storage::Catalog> catalog_;
-  // The shared cache pool must outlive every tier charging it (the tiers
-  // release their resident bytes and unregister their yielders on
-  // destruction), so it is declared first.
-  std::unique_ptr<common::MemoryPool> cache_pool_;
   std::unique_ptr<engine::Recycler> recycler_;
-  std::unique_ptr<engine::ColumnCache> column_cache_;  // null = tier off
-  std::unique_ptr<engine::PlanCache> plan_cache_;      // null = tier off
   std::unique_ptr<engine::ResultRecycler> result_recycler_;
   std::unique_ptr<common::QueryScheduler> scheduler_;
 

@@ -15,11 +15,13 @@
 #ifndef LAZYETL_ENGINE_KERNELS_H_
 #define LAZYETL_ENGINE_KERNELS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "storage/column.h"
@@ -124,28 +126,38 @@ inline void AndMask(std::vector<uint8_t>* a, const std::vector<uint8_t>& b) {
   for (size_t i = 0; i < n; ++i) pa[i] = pa[i] & pb[i];
 }
 
-// Min/max over data[sel[*]] refining running bounds. `first` marks whether
-// the running bounds are not yet seeded. Rows are visited in ascending
-// order, so for doubles a NaN that seeds the state then sticks.
-template <typename T, typename V>
-inline void MinMaxRefine(const T* data, const uint32_t* sel, size_t n,
-                         bool want_min, bool* first, V* extreme) {
-  for (size_t i = 0; i < n; ++i) {
-    V v = static_cast<V>(data[sel[i]]);
-    if (*first || (want_min ? v < *extreme : v > *extreme)) {
-      *extreme = v;
-      *first = false;
-    }
+// The one order on doubles, shared by MIN/MAX and ORDER BY: NaN is greater
+// than every number and equal to itself, as PostgreSQL orders it, and -0.0
+// equals 0.0. It is a strict weak order (plain < is not once NaN appears),
+// so an extreme or a stable sort does not depend on how the input was
+// split into batches, morsels or spill runs. Returns -1, 0 or 1.
+inline int CompareDoubles(double a, double b) {
+  const bool a_nan = std::isnan(a);
+  const bool b_nan = std::isnan(b);
+  if (a_nan || b_nan) return static_cast<int>(a_nan) - static_cast<int>(b_nan);
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+// Whether `v` strictly improves on the running MIN (`want_min`) or MAX
+// `cur`; doubles compare under CompareDoubles.
+template <typename V>
+inline bool Improves(const V& v, const V& cur, bool want_min) {
+  if constexpr (std::is_floating_point_v<V>) {
+    const int cmp = CompareDoubles(v, cur);
+    return want_min ? cmp < 0 : cmp > 0;
+  } else {
+    return want_min ? v < cur : v > cur;
   }
 }
 
-// Contiguous-range variant (sel == identity over [offset, offset+n)).
+// Min/max over data[offset, offset+n) refining running bounds. `first`
+// marks whether the running bounds are not yet seeded.
 template <typename T, typename V>
 inline void MinMaxRange(const T* data, size_t offset, size_t n, bool want_min,
                         bool* first, V* extreme) {
   for (size_t i = 0; i < n; ++i) {
     V v = static_cast<V>(data[offset + i]);
-    if (*first || (want_min ? v < *extreme : v > *extreme)) {
+    if (*first || Improves(v, *extreme, want_min)) {
       *extreme = v;
       *first = false;
     }
@@ -385,8 +397,8 @@ inline void SumDoubleGrouped(const double* data, const uint32_t* gids,
 }
 
 // MIN/MAX with first-row seeding derived from the running counts (a group
-// whose count is still zero takes the value unconditionally — NaNs seed
-// and then stick, as in MinMaxRange). Also advances counts.
+// whose count is still zero takes the value unconditionally). Also
+// advances counts.
 template <typename T, typename V>
 inline void MinMaxGrouped(const T* data, const uint32_t* gids, size_t n,
                           bool want_min, int64_t* counts, V* ext) {
@@ -394,7 +406,7 @@ inline void MinMaxGrouped(const T* data, const uint32_t* gids, size_t n,
     uint32_t g = gids[i];
     bool first = counts[g]++ == 0;
     V v = static_cast<V>(data[i]);
-    if (first || (want_min ? v < ext[g] : v > ext[g])) ext[g] = v;
+    if (first || Improves(v, ext[g], want_min)) ext[g] = v;
   }
 }
 

@@ -13,9 +13,9 @@
 // distinct sets, sort orders and top-k sets are byte-identical to the
 // serial path; floating-point sums combine per-batch partials in seq
 // order (deterministic, but associated differently than the serial
-// row-by-row sum — equal up to rounding), and a double MIN/MAX over NaN
-// values depends on where the batches split (a NaN that starts a batch
-// seeds that batch's partial and hides the batch's other values).
+// row-by-row sum — equal up to rounding). Doubles order under
+// kernels::CompareDoubles (NaN above every number) in MIN/MAX and in
+// sorts alike, so neither depends on where the batches split.
 
 #include <algorithm>
 #include <limits>
@@ -84,9 +84,7 @@ int CompareRows(const std::vector<Column>& sort_cols,
       cmp = c.StringAt(a).compare(c.StringAt(b));
       cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
     } else if (c.type() == DataType::kDouble) {
-      double va = c.double_data()[a];
-      double vb = c.double_data()[b];
-      cmp = va < vb ? -1 : (va > vb ? 1 : 0);
+      cmp = kernels::CompareDoubles(c.double_data()[a], c.double_data()[b]);
     } else if (IsIntLike(c.type())) {
       // Exact integer path: doubles corrupt wide int64/timestamps.
       int64_t ia, ib;
@@ -557,7 +555,7 @@ class TopKOperator : public BatchOperator {
 // sum does: a serial, unbudgeted aggregate adds in row order, while the
 // merge of per-morsel partials (parallel and budgeted consume, spill
 // re-merge) re-associates it. MIN/MAX take a group's first value and then
-// replace it only on a strict < / >, so a NaN first value sticks.
+// replace it only on a strict improvement (kernels::Improves).
 class Accumulator {
  public:
   explicit Accumulator(const BoundAggregate& agg)
@@ -611,7 +609,7 @@ class Accumulator {
     if (arg_type_ == DataType::kString) {
       for (size_t row = 0; row < rows; ++row) {
         const std::string& v = arg->StringAt(row);
-        if (first || (want_min ? v < sext_[0] : v > sext_[0])) {
+        if (first || kernels::Improves(v, sext_[0], want_min)) {
           sext_[0] = v;
           first = false;
         }
@@ -662,7 +660,7 @@ class Accumulator {
         uint32_t g = gids[row];
         bool first = count_[g]++ == 0;
         const std::string& v = arg->StringAt(row);
-        if (first || (want_min ? v < sext_[g] : v > sext_[g])) sext_[g] = v;
+        if (first || kernels::Improves(v, sext_[g], want_min)) sext_[g] = v;
       }
     } else if (arg_type_ == DataType::kDouble) {
       kernels::MinMaxGrouped(arg->double_data().data(), gids, rows, want_min,
@@ -705,13 +703,13 @@ class Accumulator {
       count_[d] += src.count_[g];
       if (arg_type_ == DataType::kString) {
         const std::string& v = src.sext_[g];
-        if (first || (want_min ? v < sext_[d] : v > sext_[d])) sext_[d] = v;
+        if (first || kernels::Improves(v, sext_[d], want_min)) sext_[d] = v;
       } else if (arg_type_ == DataType::kDouble) {
         const double v = src.dext_[g];
-        if (first || (want_min ? v < dext_[d] : v > dext_[d])) dext_[d] = v;
+        if (first || kernels::Improves(v, dext_[d], want_min)) dext_[d] = v;
       } else {
         const int64_t v = src.iext_[g];
-        if (first || (want_min ? v < iext_[d] : v > iext_[d])) iext_[d] = v;
+        if (first || kernels::Improves(v, iext_[d], want_min)) iext_[d] = v;
       }
     }
   }
@@ -794,7 +792,7 @@ class Accumulator {
         bool first = count_[g] == 0;
         count_[g] += counts[r];
         const std::string& v = ext.StringAt(r);
-        if (first || (want_min ? v < sext_[g] : v > sext_[g])) sext_[g] = v;
+        if (first || kernels::Improves(v, sext_[g], want_min)) sext_[g] = v;
       }
     } else if (arg_type_ == DataType::kDouble) {
       const double* x = ext.double_data().data();
@@ -803,7 +801,7 @@ class Accumulator {
         size_t g = dst[r];
         bool first = count_[g] == 0;
         count_[g] += counts[r];
-        if (first || (want_min ? x[r] < dext_[g] : x[r] > dext_[g])) {
+        if (first || kernels::Improves(x[r], dext_[g], want_min)) {
           dext_[g] = x[r];
         }
       }
@@ -814,7 +812,7 @@ class Accumulator {
         size_t g = dst[r];
         bool first = count_[g] == 0;
         count_[g] += counts[r];
-        if (first || (want_min ? x[r] < iext_[g] : x[r] > iext_[g])) {
+        if (first || kernels::Improves(x[r], iext_[g], want_min)) {
           iext_[g] = x[r];
         }
       }
@@ -853,6 +851,11 @@ class Accumulator {
       }
       case DataType::kTimestamp:
         return Column::FromTimestamp(iext_);
+      case DataType::kBool: {
+        std::vector<uint8_t> out(groups);
+        for (size_t g = 0; g < groups; ++g) out[g] = iext_[g] != 0;
+        return Column::FromBool(std::move(out));
+      }
       default:
         return Column::FromInt64(iext_);
     }

@@ -662,12 +662,6 @@ Result<BatchOperatorPtr> BuildOperatorTree(const PlanNode& plan,
     }
     case PlanNodeType::kLazyDataScan:
       return MakeLazyDataScanOperator(plan, ctx);
-    case PlanNodeType::kCachedScan:
-      // The table travels in the node (sub-plan cache hit); scanned
-      // whole, zero-copy — slices share the cached columns.
-      return BatchOperatorPtr(std::make_unique<ScanOperator>(
-          plan.cached_table, plan.scan_columns, plan.table,
-          ctx->batch_rows));
     case PlanNodeType::kFilter: {
       const PlanNode& below = *plan.children[0];
       if (below.type == PlanNodeType::kScan) {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "engine/kernels.h"
 #include "engine/operators/join_build.h"
 #include "engine/operators/operator.h"
 
@@ -23,11 +24,8 @@ int CompareColumnRows(const Column& a, size_t ar, const Column& b,
       int cmp = a.StringAt(ar).compare(b.StringAt(br));
       return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
     }
-    case DataType::kDouble: {
-      double va = a.double_data()[ar];
-      double vb = b.double_data()[br];
-      return va < vb ? -1 : (va > vb ? 1 : 0);
-    }
+    case DataType::kDouble:
+      return kernels::CompareDoubles(a.double_data()[ar], b.double_data()[br]);
     case DataType::kBool: {
       int va = a.bool_data()[ar];
       int vb = b.bool_data()[br];

@@ -23,7 +23,8 @@
 namespace lazyetl::engine {
 
 // Three-way comparison of row `ar` of `a` against row `br` of `b` (same
-// type). Integer-exact for int-like types; strings lexicographic.
+// type). Integer-exact for int-like types; strings lexicographic; doubles
+// under kernels::CompareDoubles.
 int CompareColumnRows(const storage::Column& a, size_t ar,
                       const storage::Column& b, size_t br);
 

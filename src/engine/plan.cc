@@ -10,8 +10,6 @@ const char* PlanNodeTypeToString(PlanNodeType t) {
       return "Scan";
     case PlanNodeType::kLazyDataScan:
       return "LazyDataScan";
-    case PlanNodeType::kCachedScan:
-      return "CachedScan";
     case PlanNodeType::kFilter:
       return "Filter";
     case PlanNodeType::kHashJoin:
@@ -60,9 +58,6 @@ void PrintNode(const PlanNode& node, int depth, std::ostringstream* os) {
       *os << ")";
       break;
     }
-    case PlanNodeType::kCachedScan:
-      *os << "(" << node.table << ")";
-      break;
     case PlanNodeType::kFilter:
       *os << "(" << node.predicate->ToString() << ")";
       break;
@@ -159,14 +154,6 @@ PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
   node->children.push_back(std::move(right));
   node->left_keys = std::move(left_keys);
   node->right_keys = std::move(right_keys);
-  return node;
-}
-
-PlanNodePtr MakeCachedScan(storage::TablePtr table, std::string label) {
-  auto node = std::make_unique<PlanNode>();
-  node->type = PlanNodeType::kCachedScan;
-  node->cached_table = std::move(table);
-  node->table = std::move(label);
   return node;
 }
 

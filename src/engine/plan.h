@@ -14,14 +14,12 @@
 #include <vector>
 
 #include "sql/binder.h"
-#include "storage/table.h"
 
 namespace lazyetl::engine {
 
 enum class PlanNodeType {
   kScan,          // read a catalog table (optionally qualified/projected)
   kLazyDataScan,  // lazy extraction + join against metadata-side child
-  kCachedScan,    // read a table pinned in the node (sub-plan cache hit)
   kFilter,
   kHashJoin,
   kAggregate,
@@ -50,11 +48,6 @@ struct PlanNode {
   // kScan / kLazyDataScan
   std::string table;               // catalog table name
   std::vector<ScanColumn> scan_columns;
-
-  // kCachedScan: the materialized table itself — the sub-plan cache
-  // substitutes the cached breaker output for the subtree it replaces.
-  // `table` carries a display label ("subplan:<fingerprint prefix>").
-  storage::TablePtr cached_table;
 
   // kLazyDataScan: display names (in the child's output) of the columns
   // holding the record keys to fetch. Empty child => fetch everything
@@ -97,7 +90,6 @@ PlanNodePtr MakeFilter(PlanNodePtr child, sql::BoundExprPtr predicate);
 PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
                          std::vector<std::string> left_keys,
                          std::vector<std::string> right_keys);
-PlanNodePtr MakeCachedScan(storage::TablePtr table, std::string label);
 
 }  // namespace lazyetl::engine
 

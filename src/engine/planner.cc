@@ -684,12 +684,6 @@ uint64_t EstimateNodeOutput(const PlanNode& node,
       // The metadata side streams through; the dominant cost is the
       // extracted actual data joined against it.
       return lazy_scan_bytes + child_sum;
-    case PlanNodeType::kCachedScan:
-      // The table is already resident in the sub-plan cache (charged to
-      // the cache pool, not this query) — streaming it costs no state,
-      // only the result bytes it emits.
-      return node.cached_table != nullptr ? node.cached_table->MemoryBytes()
-                                          : 0;
     case PlanNodeType::kFilter:
       // Streaming; no state. When the filter sits directly on a base-table
       // scan, zone maps bound how many chunks can survive the predicate —

@@ -2,27 +2,13 @@
 
 namespace lazyetl::engine {
 
-Recycler::Recycler(uint64_t budget_bytes, common::MemoryPool* pool)
-    : budget_bytes_(budget_bytes), pool_(pool) {
-  if (pool_ != nullptr) {
-    // Let other tiers reclaim this cache's LRU entries under pressure.
-    // The yielder takes only mu_ (pool locking protocol); EvictOneLocked
-    // releases the pool charge, which never re-enters any yielder.
-    yielder_id_ = pool_->RegisterYielder([this](uint64_t want) {
-      std::lock_guard<std::mutex> lock(mu_);
-      uint64_t freed = 0;
-      while (freed < want && !lru_.empty()) freed += EvictOneLocked();
-      return freed;
-    });
-  }
-}
+Recycler::Recycler(uint64_t budget_bytes, common::MemoryBudget* governor)
+    : budget_bytes_(budget_bytes), governor_(governor) {}
 
 Recycler::~Recycler() {
-  // Return the resident bytes to the pool (and through it, the global
-  // budget).
-  if (pool_ != nullptr) {
-    pool_->UnregisterYielder(yielder_id_);
-    pool_->Release(current_bytes_.load(std::memory_order_relaxed));
+  // Return the resident bytes to the global budget.
+  if (governor_ != nullptr) {
+    governor_->Release(current_bytes_.load(std::memory_order_relaxed));
   }
 }
 
@@ -69,13 +55,13 @@ void Recycler::Admit(const RecordKey& key, CachedRecordPtr record) {
   // Global pressure: the cache yields its least-recently-used entries to
   // queries rather than push the process over the global cap; once empty,
   // the record simply is not cached (a future query re-extracts it).
-  if (pool_ != nullptr) {
+  if (governor_ != nullptr) {
     // The cache's resident bytes are capped at half of a finite global
     // budget. Evictions only happen at admission time, so without this
     // share bound a fully warmed cache could pin the whole global cap
     // with no path for queries to reclaim it — every breaker and window
     // reservation would fail forever while reclaimable records sit idle.
-    uint64_t global_limit = pool_->governed_limit();
+    uint64_t global_limit = governor_->limit();
     if (global_limit != 0) {
       uint64_t share = global_limit / 2;
       if (bytes > share) {
@@ -93,9 +79,7 @@ void Recycler::Admit(const RecordKey& key, CachedRecordPtr record) {
     // transient pressure spike cannot wipe the whole working set.
     uint64_t evicted = 0;
     const uint64_t max_evict = bytes * 4;
-    // TryCharge (not ChargeWithYield): mu_ is held here, and the other
-    // tiers' yielders are not allowed to run under a tier lock.
-    while (!pool_->TryCharge(bytes)) {
+    while (!governor_->TryReserve(bytes)) {
       if (lru_.empty() || evicted >= max_evict) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -119,7 +103,7 @@ uint64_t Recycler::EvictOneLocked() {
   auto it = map_.find(victim);
   uint64_t bytes = it->second.record->Bytes();
   current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  if (pool_ != nullptr) pool_->Release(bytes);
+  if (governor_ != nullptr) governor_->Release(bytes);
   map_.erase(it);
   lru_.pop_front();
   evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -132,7 +116,7 @@ void Recycler::EraseLocked(const RecordKey& key) {
   if (it == map_.end()) return;
   uint64_t bytes = it->second.record->Bytes();
   current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  if (pool_ != nullptr) pool_->Release(bytes);
+  if (governor_ != nullptr) governor_->Release(bytes);
   lru_.erase(it->second.lru_it);
   map_.erase(it);
   entries_.store(map_.size(), std::memory_order_relaxed);
@@ -144,7 +128,7 @@ void Recycler::InvalidateFile(int64_t file_id) {
     if (it->first.file_id == file_id) {
       uint64_t bytes = it->second.record->Bytes();
       current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-      if (pool_ != nullptr) pool_->Release(bytes);
+      if (governor_ != nullptr) governor_->Release(bytes);
       lru_.erase(it->second.lru_it);
       it = map_.erase(it);
     } else {
@@ -158,8 +142,8 @@ void Recycler::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
   lru_.clear();
-  if (pool_ != nullptr) {
-    pool_->Release(current_bytes_.load(std::memory_order_relaxed));
+  if (governor_ != nullptr) {
+    governor_->Release(current_bytes_.load(std::memory_order_relaxed));
   }
   current_bytes_.store(0, std::memory_order_relaxed);
   entries_.store(0, std::memory_order_relaxed);

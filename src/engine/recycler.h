@@ -17,16 +17,14 @@
 // under any interleaving.
 //
 // Memory governance: a Recycler can additionally charge its resident bytes
-// to a shared `pool` (common::MemoryPool — itself chained to the
-// process-global budget), so every cache tier competes in one governed
-// pool. Resident cache bytes are bounded to half of a finite global cap —
+// to a `governor` budget (normally the process-global one), so cached
+// records and in-flight query state compete for one cap. Resident cache
+// bytes are bounded to half of a finite global cap —
 // evictions only run at admission time, so a larger share could pin bytes
 // queries have no way to reclaim — and under pressure admission evicts LRU
 // entries (cache contents only ever affect timings, never results),
 // bounded per admission so a transient spike cannot wipe the working set;
-// what cannot be admitted is counted in `rejected`. The recycler also
-// registers a pool yielder, so admissions of the other tiers can reclaim
-// its least-recently-used entries.
+// what cannot be admitted is counted in `rejected`.
 //
 // A second, optional layer (ResultRecycler) caches whole query results —
 // "usually the end result of a view is saved in the cache" — with
@@ -45,7 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/memory_pool.h"
+#include "common/memory_budget.h"
 #include "common/time.h"
 #include "storage/table.h"
 
@@ -106,14 +104,12 @@ class Recycler {
  public:
   // `budget_bytes` caps the summed CachedRecord::bytes; admission evicts
   // LRU entries until the new entry fits. Entries larger than the whole
-  // budget are not admitted. `pool` (may be null) is additionally charged
-  // for every resident byte — under pool or global pressure admission
-  // evicts, and gives up rather than exceed the cap. The pool must
-  // outlive the recycler, and the recycler must be destroyed only while
-  // no other tier is admitting (its registered yielder runs lock-step
-  // with their admissions).
+  // budget are not admitted. `governor` (may be null) is additionally
+  // charged for every resident byte — under global pressure admission
+  // evicts, and gives up rather than exceed the cap. The governor must
+  // outlive the recycler.
   explicit Recycler(uint64_t budget_bytes,
-                    common::MemoryPool* pool = nullptr);
+                    common::MemoryBudget* governor = nullptr);
   ~Recycler();
 
   Recycler(const Recycler&) = delete;
@@ -154,8 +150,7 @@ class Recycler {
   void EraseLocked(const RecordKey& key);
 
   const uint64_t budget_bytes_;
-  common::MemoryPool* const pool_;
-  common::MemoryPool::YielderId yielder_id_ = -1;
+  common::MemoryBudget* const governor_;
 
   mutable std::mutex mu_;  // guards map_, lru_
   std::unordered_map<RecordKey, Node, RecordKeyHash> map_;

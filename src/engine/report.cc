@@ -32,13 +32,6 @@ std::string ExecutionReport::ToString() const {
   if (result_cache_hit) {
     os << "result served from recycler cache\n";
   }
-  if (column_cache_hits > 0 || column_cache_misses > 0) {
-    os << "column cache: hits " << column_cache_hits << " misses "
-       << column_cache_misses << "\n";
-  }
-  if (plan_cache_hit) {
-    os << "sub-plan served from plan cache\n";
-  }
   if (query_threads > 1) {
     os << "query threads: " << query_threads << "\n";
   }

@@ -97,13 +97,6 @@ struct ExecutionReport {
   // Whole-result recycling.
   bool result_cache_hit = false;
 
-  // Multi-tier caching: decoded-column tier (per extraction window
-  // lookups this query issued) and sub-plan tier (whether this query's
-  // breaker subtree was served from a cached materialization).
-  uint64_t column_cache_hits = 0;
-  uint64_t column_cache_misses = 0;
-  bool plan_cache_hit = false;
-
   uint64_t result_rows = 0;
 
   // Batch pipeline introspection: one entry per operator, and an upper

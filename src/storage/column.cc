@@ -243,7 +243,12 @@ Status Column::AppendRange(const Column& other, size_t offset, size_t length) {
     // Mixed encodings (or distinct dictionaries): fall back to plain.
     DecodeInPlace();
     auto& dst = string_data();
-    dst.reserve(dst.size() + length);
+    // Grow geometrically: callers append one row at a time (a grouping
+    // emits a row per new group), and an exact-size reserve per call
+    // would reallocate on every append, O(rows^2) string moves in all.
+    if (dst.capacity() < dst.size() + length) {
+      dst.reserve(std::max(dst.size() + length, 2 * dst.capacity()));
+    }
     for (size_t i = 0; i < length; ++i) dst.push_back(other.StringAt(offset + i));
     return Status::OK();
   }

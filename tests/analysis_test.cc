@@ -94,11 +94,8 @@ TEST_F(AnalysisTest, MaxTriggersCapsOutput) {
 }
 
 TEST_F(AnalysisTest, SlidingWindowsHitTheRecycler) {
-  // Record-tier internals under test: pin the column/plan tiers off so
-  // the sliding windows actually reach the recycler.
   auto wh = MustOpen(LoadStrategy::kLazy, dir_.path(),
-                     /*cache_budget=*/64ULL << 20, /*result_cache=*/true,
-                     /*column_cache=*/0, /*plan_cache=*/0);
+                     /*cache_budget=*/64ULL << 20, /*result_cache=*/true);
   StaLtaOptions opt;
   opt.trigger_ratio = 3.0;
   ASSERT_OK(DetectEvents(wh.get(), opt));

@@ -194,14 +194,13 @@ TEST_F(ChangeJournalTest, EagerWarehouseTracksNothing) {
 
 // One writer appends while four readers repeat a lazy COUNT(*). Each answer
 // lies between the samples committed before the query was sent and those
-// whose write had started when it returned. The whole-result and sub-plan
-// caches stay off: a query racing an append can admit a stale result under
+// whose write had started when it returned. The whole-result cache stays
+// off: a query racing an append can admit a stale result under
 // the new mtime (perfbench known defect 4), which this test does not cover.
 TEST_F(ChangeJournalTest, ConcurrentAppendsStayFresh) {
   const auto& gf = repo_.files[0];
   auto wh = MustOpen(LoadStrategy::kLazy, dir_.path(),
-                     /*cache_budget=*/64ULL << 20, /*result_cache=*/false,
-                     /*column_cache=*/0, /*plan_cache=*/0);
+                     /*cache_budget=*/64ULL << 20, /*result_cache=*/false);
   const std::string sql = CountSql(gf);
   std::atomic<int64_t> started{static_cast<int64_t>(gf.num_samples)};
   std::atomic<int64_t> committed{static_cast<int64_t>(gf.num_samples)};

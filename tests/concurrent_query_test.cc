@@ -506,5 +506,65 @@ TEST(ConcurrentQueryTest, EvictionUnderPressureKeepsCacheHitParity) {
   }
 }
 
+// TSan target for the record tier's eviction and rejection paths: eight
+// clients share one warehouse whose record cache is far below the working
+// set, under a 4 MiB global budget, so admissions, hits, evictions and
+// rejections interleave. Results must match the unbudgeted serial run.
+TEST(ConcurrentQueryTest, StarvedCacheUnderGlobalBudgetStaysCorrect) {
+  testing::ScopedTempDir dir;
+  testing::MustGenerate(dir.path(), testing::SmallRepoConfig());
+  const std::vector<std::string> queries = {
+      testing::kPaperQ2,
+      "SELECT COUNT(*) FROM mseed.dataview WHERE F.channel = 'BHZ'",
+      testing::kPaperQ1,
+  };
+  std::vector<Table> baseline;
+  {
+    auto serial = testing::MustOpen(LoadStrategy::kLazy, dir.path(),
+                                    64ULL << 20, /*result_cache=*/false);
+    for (const auto& sql : queries) {
+      auto r = serial->Query(sql);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      baseline.push_back(std::move(r->table));
+    }
+  }
+
+  constexpr uint64_t kGlobal = 4ULL << 20;
+  constexpr uint64_t kCacheBudget = 16ULL << 10;
+  GlobalBudgetGuard guard(kGlobal);
+  auto wh = testing::MustOpen(LoadStrategy::kLazy, dir.path(), kCacheBudget,
+                              /*result_cache=*/false);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 4;
+  std::vector<std::thread> workers;
+  std::vector<int> failures(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        size_t q = static_cast<size_t>(t + round) % queries.size();
+        auto r = wh->Query(queries[q]);
+        if (!r.ok() || r->table.num_rows() != baseline[q].num_rows()) {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
+
+  // Full content check once the dust has settled.
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto r = wh->Query(queries[q]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ExpectTablesEqual(baseline[q], r->table,
+                      "post-concurrency " + std::to_string(q));
+  }
+  WarehouseStats stats = wh->Stats();
+  EXPECT_GT(stats.cache.evictions, 0u);
+  EXPECT_LE(stats.cache.current_bytes, kCacheBudget);
+  EXPECT_LE(common::MemoryBudget::Process().used(), kGlobal);
+  wh.reset();  // return the cache's bytes before the guard lifts the cap
+}
+
 }  // namespace
 }  // namespace lazyetl::core

@@ -148,9 +148,6 @@ TEST(ExecutionReportTest, OperatorSelfTimesSumToRootTime) {
   options.strategy = LoadStrategy::kLazy;
   options.query_threads = 1;
   options.enable_result_cache = false;
-  // One operator tree: a sub-plan cache miss would run the breaker
-  // subtree as a second tree with its own root.
-  options.enable_plan_cache = 0;
   auto wh = Warehouse::Open(options);
   ASSERT_OK(wh);
   ASSERT_OK((*wh)->AttachRepository(dir.path()));

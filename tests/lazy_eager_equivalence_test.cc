@@ -238,21 +238,18 @@ struct LazyConfig {
   const char* name;
   size_t query_threads;
   uint64_t memory_budget;  // 0 = unlimited
-  int column_cache;        // WarehouseOptions::enable_column_cache
 };
 
 // Lazy warehouses at query_threads 1 and 4, each plain, under a memory
 // budget below two files' extraction estimate (so every extraction window
-// shrinks to its one-file floor, and breakers spill), and with the
-// decoded-column cache on. 512-row batches split most records across
-// chunks. The eager reference runs at the same thread count.
+// shrinks to its one-file floor, and breakers spill). 512-row batches
+// split most records across chunks. The eager reference runs at the same
+// thread count.
 const LazyConfig kLazyConfigs[] = {
-    {"threads1", 1, 0, 0},
-    {"threads4", 4, 0, 0},
-    {"threads1_one_file_windows", 1, 16 << 10, 0},
-    {"threads4_one_file_windows", 4, 16 << 10, 0},
-    {"threads1_column_cache", 1, 0, 1},
-    {"threads4_column_cache", 4, 0, 1},
+    {"threads1", 1, 0},
+    {"threads4", 4, 0},
+    {"threads1_one_file_windows", 1, 16 << 10},
+    {"threads4_one_file_windows", 4, 16 << 10},
 };
 
 class RecordGranularParityTest : public ::testing::Test {
@@ -274,14 +271,11 @@ class RecordGranularParityTest : public ::testing::Test {
 
   static std::unique_ptr<Warehouse> OpenWarehouse(LoadStrategy strategy,
                                                   size_t query_threads,
-                                                  uint64_t memory_budget,
-                                                  int column_cache) {
+                                                  uint64_t memory_budget) {
     WarehouseOptions options;
     options.strategy = strategy;
     options.query_threads = query_threads;
     options.memory_budget_bytes = memory_budget;
-    options.enable_column_cache = column_cache;
-    options.enable_plan_cache = 0;
     // Every run executes: cold runs extract, warm runs hit the caches.
     options.enable_result_cache = false;
     options.extraction_threads = 4;
@@ -295,13 +289,13 @@ class RecordGranularParityTest : public ::testing::Test {
 
   static std::unique_ptr<Warehouse> OpenLazy(const LazyConfig& c) {
     return OpenWarehouse(LoadStrategy::kLazy, c.query_threads,
-                         c.memory_budget, c.column_cache);
+                         c.memory_budget);
   }
 
   // Eager reference at the given thread count.
   static Result<QueryResult> EagerAnswer(size_t query_threads,
                                          const std::string& sql) {
-    auto eager = OpenWarehouse(LoadStrategy::kEager, query_threads, 0, 0);
+    auto eager = OpenWarehouse(LoadStrategy::kEager, query_threads, 0);
     return eager->Query(sql);
   }
 

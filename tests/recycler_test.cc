@@ -7,7 +7,6 @@
 #include "common/memory_budget.h"
 #include "engine/recycler.h"
 
-#include "common/memory_pool.h"
 #include "test_util.h"
 
 namespace lazyetl::engine {
@@ -133,13 +132,12 @@ TEST(RecyclerTest, KeysInLruOrder) {
 }
 
 TEST(RecyclerTest, GlobalPressureEvictsInLruOrder) {
-  // A finite governed pool bounds the cache to half the global cap even
-  // though the cache's own budget has room: entries must leave strictly
+  // A finite governor bounds the cache to half the global cap even though
+  // the cache's own budget has room: entries must leave strictly
   // least-recently-used first at that share boundary.
   uint64_t per_entry = 100 * 12 + sizeof(CachedRecord);
   common::MemoryBudget global(per_entry * 8);  // cache share: 4 entries
-  common::MemoryPool pool(0, &global);
-  Recycler cache(1 << 20, &pool);
+  Recycler cache(1 << 20, &global);
   for (int seq = 1; seq <= 4; ++seq) {
     cache.Admit({1, seq}, MakeRecord(100, 1));
   }

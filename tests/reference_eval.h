@@ -1,8 +1,9 @@
 // A naive reference evaluator for grouping, duplicate elimination and
 // equi-joins, used only by tests as the oracle the engine's operators are
-// diffed against. It deliberately shares no code with the engine: it reads
-// its input one value at a time through Table::GetValue, keys rows with
-// std::map, and runs serially with no spill and no threads.
+// diffed against. It deliberately shares no code with the engine but the
+// double order kernels::CompareDoubles, which is the contract itself: it
+// reads its input one value at a time through Table::GetValue, keys rows
+// with std::map, and runs serially with no spill and no threads.
 //
 // Contract it reproduces (the engine's documented semantics):
 //
@@ -19,9 +20,10 @@
 //  - Aggregates, per group, rows in input order: COUNT counts rows; SUM of
 //    integers is an exact int64 sum; SUM of doubles adds in row order from
 //    0.0; AVG is that double sum (integers converted one by one) divided by
-//    the count; MIN/MAX take the first value and replace it only on a
-//    strict < / >, so a NaN first value sticks. An ungrouped aggregate over
-//    no rows yields one row: COUNT 0, every other aggregate 0 / 0.0 / "".
+//    the count; MIN/MAX are the least and greatest value, doubles ordered
+//    by kernels::CompareDoubles (NaN above every number). An ungrouped
+//    aggregate over no rows yields one row: COUNT 0, every other aggregate
+//    0 / 0.0 / "".
 //
 // Row-order double sums are the engine's contract only for a serial,
 // unbudgeted aggregate; parallel and budgeted aggregates merge per-morsel
@@ -29,10 +31,8 @@
 // this evaluator bit for bit at every thread count and budget therefore
 // feed double aggregates only multiples of 1/8 with |x| < 1000, plus NaN
 // and ±0.0: every partial and total sum of those is exact, so any
-// association order gives the same bits. For the same reason they keep
-// NaN out of double MIN/MAX arguments, where the seeded chain depends on
-// how the input was split. Values outside that domain are compared bit
-// for bit only at one thread without a budget.
+// association order gives the same bits. Values outside that domain are
+// compared bit for bit only at one thread without a budget.
 
 #ifndef LAZYETL_TESTS_REFERENCE_EVAL_H_
 #define LAZYETL_TESTS_REFERENCE_EVAL_H_
@@ -46,6 +46,7 @@
 #include <tuple>
 #include <vector>
 
+#include "engine/kernels.h"
 #include "storage/table.h"
 #include "storage/types.h"
 
@@ -140,10 +141,12 @@ struct RefAccumulator {
         replace = want_min ? v.string_value() < ext.string_value()
                            : v.string_value() > ext.string_value();
         break;
-      case storage::DataType::kDouble:
-        replace = want_min ? v.double_value() < ext.double_value()
-                           : v.double_value() > ext.double_value();
+      case storage::DataType::kDouble: {
+        const int cmp = engine::kernels::CompareDoubles(v.double_value(),
+                                                        ext.double_value());
+        replace = want_min ? cmp < 0 : cmp > 0;
         break;
+      }
       case storage::DataType::kBool:
         replace = want_min ? v.bool_value() < ext.bool_value()
                            : v.bool_value() > ext.bool_value();

@@ -140,10 +140,8 @@ TEST_F(RefreshTest, LazyStalenessDetectedAtQueryTimeWithoutRefresh) {
 }
 
 TEST_F(RefreshTest, CachedRecordsInvalidatedByMtimeChange) {
-  // Record-tier internals under test: pin the column/plan tiers off.
   auto wh = MustOpen(LoadStrategy::kLazy, dir_.path(),
-                     /*cache_budget=*/64ULL << 20, /*result_cache=*/false,
-                     /*column_cache=*/0, /*plan_cache=*/0);
+                     /*cache_budget=*/64ULL << 20, /*result_cache=*/false);
   const std::string sql =
       "SELECT AVG(D.sample_value) FROM mseed.dataview "
       "WHERE F.station = 'HGN' AND F.channel = 'BHZ'";

@@ -186,7 +186,9 @@ TEST_F(ServeStreamTest, EmptyResultStreamsSchemaThenEnd) {
 TEST_F(ServeStreamTest, PeakBufferedBytesStayFarBelowMaterialized) {
   // A wide scan whose materialized result dwarfs one batch. The cursor's
   // peak resident result bytes (drive loop -> consumer) must sit at least
-  // 10x below the materialized table, both serial and parallel.
+  // 10x below the materialized table, both serial and parallel. A cursor
+  // retains at most its backpressure window for whole-result admission, so
+  // this stream is never admitted; Query() retains and admits it.
   const char* sql =
       "SELECT D.sample_value, D.sample_time FROM mseed.dataview "
       "WHERE F.channel = 'BHZ';";
@@ -207,11 +209,16 @@ TEST_F(ServeStreamTest, PeakBufferedBytesStayFarBelowMaterialized) {
       rows += batch.num_rows();
     }
     const uint64_t peak = (*cursor)->peak_buffered_bytes();
+    EXPECT_EQ(wh->Stats().result_cache_entries, 0u);
 
     auto expected = wh->Query(sql);
     ASSERT_OK(expected);
+    EXPECT_FALSE(expected->report.result_cache_hit);
+    EXPECT_EQ(wh->Stats().result_cache_entries, 1u);
     const uint64_t materialized = expected->table.MemoryBytes();
     ASSERT_GT(expected->table.num_rows(), 20u * kTestBatchRows);
+    ASSERT_GT(expected->table.num_rows(),
+              wh->options().cursor_window_batches * kTestBatchRows);
     EXPECT_EQ(rows, expected->table.num_rows());
     EXPECT_GT(peak, 0u);
     EXPECT_LE(peak * 10, materialized)

@@ -6,11 +6,13 @@
 // parallel and spilled merges must match the evaluator's row-order sums;
 // one extra case with non-dyadic doubles pins the serial row-order sum.
 // Covers dictionary-encoded and plain string keys, NaN / signed-zero
-// double keys, multi-column keys, empty inputs, and recursive
-// spill-partition overflow.
+// double keys, NaN under MIN/MAX and ORDER BY, BOOL MIN/MAX,
+// multi-column keys, empty inputs, and recursive spill-partition
+// overflow.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -224,8 +226,49 @@ TEST_F(VectorAggTest, PlainAndForcedDictHighCardinalityKeys) {
 TEST_F(VectorAggTest, NaNAndSignedZeroDoubleKeys) {
   // NaN keys collapse into one group (bit-pattern equality); -0.0 and 0.0
   // stay distinct. First-occurrence output order is deterministic, so no
-  // ORDER BY is needed (NaN would not sort anyway).
+  // ORDER BY is needed.
   ExpectGroupByMatches("facts", {"d"}, {{"COUNT", ""}, {"SUM", "i64"}});
+}
+
+TEST_F(VectorAggTest, BoolMinMaxStaysBool) {
+  // The binder types MIN/MAX of a BOOL as BOOL; the result column must be
+  // BOOL too, grouped and ungrouped.
+  const std::vector<Agg> aggs = {{"MIN", "flag"}, {"MAX", "flag"}};
+  ExpectGroupByMatches("facts", {"grp"}, aggs);
+  ExpectGroupByMatches("facts", {}, aggs);
+}
+
+TEST_F(VectorAggTest, NaNDoubleMinMax) {
+  // Every group holds NaNs, some as its first row. NaN orders above every
+  // number, so MIN is the least number and MAX is NaN however the input
+  // is split into morsels and spill partitions.
+  const std::vector<Agg> aggs = {{"MIN", "d"}, {"MAX", "d"}};
+  ExpectGroupByMatches("facts", {"grp"}, aggs);
+  ExpectGroupByMatches("facts", {}, aggs);
+}
+
+TEST_F(VectorAggTest, OrderByDoubleSortsNaNLast) {
+  // A stable sort under kernels::CompareDoubles: NaN after every number,
+  // -0.0 tied with 0.0, ties in input order. Under the 1 MiB budget the
+  // sort merges sorted runs, which compare doubles the same way.
+  const Table& facts = *tables_.at("facts");
+  const Column& d = **facts.ColumnByName("d");
+  for (bool ascending : {true, false}) {
+    storage::SelectionVector order(facts.num_rows());
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const int cmp =
+          kernels::CompareDoubles(d.double_data()[a], d.double_data()[b]);
+      return ascending ? cmp < 0 : cmp > 0;
+    });
+    const Table sorted = facts.Gather(order);
+    Table expected;
+    ASSERT_STATUS_OK(expected.AddColumn("d", **sorted.ColumnByName("d")));
+    ASSERT_STATUS_OK(expected.AddColumn("i64", **sorted.ColumnByName("i64")));
+    ExpectMatchesReference({std::string("SELECT d, i64 FROM facts ORDER BY d") +
+                                (ascending ? "" : " DESC"),
+                            std::move(expected)});
+  }
 }
 
 TEST_F(VectorAggTest, MultiColumnKeysIncludingBool) {

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "common/log.h"
+#include "common/memory_budget.h"
 #include "core/schema.h"
 #include "mseed/repository.h"
 #include "storage/persist.h"
@@ -111,12 +112,9 @@ TEST_F(WarehouseTest, PaperQ1ExtractsOnlyMatchingRecords) {
 }
 
 TEST_F(WarehouseTest, RepeatQueryServedFromCache) {
-  // Pin the column/plan tiers off: this test asserts record-tier
-  // internals (per-record hit counts), which the upper tiers bypass.
   auto wh = MustOpen(LoadStrategy::kLazy, dir_.path(),
                      /*cache_budget=*/64ULL << 20,
-                     /*result_cache=*/false,
-                     /*column_cache=*/0, /*plan_cache=*/0);
+                     /*result_cache=*/false);
   auto first = wh->Query(lazyetl::testing::kPaperQ1);
   ASSERT_OK(first);
   EXPECT_GT(first->report.records_extracted, 0u);
@@ -241,11 +239,9 @@ TEST_F(WarehouseTest, LazyRefreshStatChecksIdentityCandidates) {
 }
 
 TEST_F(WarehouseTest, CacheBudgetForcesEviction) {
-  // Budget fits roughly one record's samples. Pin the column/plan tiers
-  // off: the re-run must reach the record tier to observe the eviction.
+  // Budget fits roughly one record's samples.
   auto wh = MustOpen(LoadStrategy::kLazy, dir_.path(),
-                     /*cache_budget=*/8 << 10, /*result_cache=*/false,
-                     /*column_cache=*/0, /*plan_cache=*/0);
+                     /*cache_budget=*/8 << 10, /*result_cache=*/false);
   auto r1 = wh->Query(lazyetl::testing::kPaperQ2);
   ASSERT_OK(r1);
   auto stats = wh->Stats();
@@ -290,13 +286,25 @@ TEST_F(WarehouseTest, StatsReflectState) {
   EXPECT_GT(stats.cache.entries, 0u);
 }
 
+// ClearCaches drops both caches, zeroes the record cache's counters and
+// hands its resident bytes back to the process-global budget they were
+// charged to.
 TEST_F(WarehouseTest, ClearCachesResets) {
+  common::MemoryBudget& global = common::MemoryBudget::Process();
+  const uint64_t before = global.used();
   auto wh = MustOpen(LoadStrategy::kLazy, dir_.path());
   ASSERT_OK(wh->Query(lazyetl::testing::kPaperQ1));
-  EXPECT_GT(wh->Stats().cache.entries, 0u);
+  auto warm = wh->Stats();
+  EXPECT_GT(warm.cache.entries, 0u);
+  EXPECT_EQ(warm.result_cache_entries, 1u);
+  EXPECT_EQ(global.used(), before + warm.cache.current_bytes);
   wh->ClearCaches();
-  EXPECT_EQ(wh->Stats().cache.entries, 0u);
-  EXPECT_EQ(wh->Stats().cache.hits, 0u);
+  auto cleared = wh->Stats();
+  EXPECT_EQ(cleared.cache.entries, 0u);
+  EXPECT_EQ(cleared.cache.current_bytes, 0u);
+  EXPECT_EQ(cleared.cache.hits, 0u);
+  EXPECT_EQ(cleared.result_cache_entries, 0u);
+  EXPECT_EQ(global.used(), before);
 }
 
 TEST_F(WarehouseTest, QueryErrorsPropagate) {
@@ -371,7 +379,6 @@ void ExpectSameReport(const QueryResult& queried, const QueryResult& streamed) {
   EXPECT_EQ(q.client_id, c.client_id);
   EXPECT_EQ(q.estimated_footprint_bytes, c.estimated_footprint_bytes);
   EXPECT_EQ(q.result_cache_hit, c.result_cache_hit);
-  EXPECT_EQ(q.plan_cache_hit, c.plan_cache_hit);
   EXPECT_EQ(q.result_rows, c.result_rows);
   EXPECT_EQ(q.plan_before, c.plan_before);
   EXPECT_EQ(q.plan_after, c.plan_after);

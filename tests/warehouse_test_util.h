@@ -32,14 +32,11 @@ inline mseed::GeneratedRepository MustGenerate(
 
 inline std::unique_ptr<core::Warehouse> MustOpen(
     core::LoadStrategy strategy, const std::string& root,
-    uint64_t cache_budget = 64ULL << 20, bool result_cache = true,
-    int column_cache = -1, int plan_cache = -1) {
+    uint64_t cache_budget = 64ULL << 20, bool result_cache = true) {
   core::WarehouseOptions options;
   options.strategy = strategy;
   options.cache_budget_bytes = cache_budget;
   options.enable_result_cache = result_cache;
-  options.enable_column_cache = column_cache;
-  options.enable_plan_cache = plan_cache;
   auto wh = core::Warehouse::Open(options);
   EXPECT_TRUE(wh.ok()) << wh.status().ToString();
   auto stats = (*wh)->AttachRepository(root);
