@@ -6,12 +6,21 @@
 // run reports a checksum of the result table: deterministic merges mean
 // the checksum is identical across thread counts (byte-identical results
 // for these integer-aggregate workloads).
+//
+// BM_Parallel_SizeSweep runs one filtered aggregate over inputs of 4K to
+// 2M rows (1 to 489 morsels of 4096 rows) at query_threads 1 and 4, on
+// wall time. The smallest size at which 4 threads beat 1 is the
+// crossover that kMorselsPerWorker (engine/operators/operator.h) is set
+// from; the `workers` counter shows what the drive loops then used.
+//
+//   ./bench_parallel --benchmark_filter=SizeSweep
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "engine/executor.h"
@@ -156,6 +165,61 @@ void BM_Parallel_JoinAggregate(benchmark::State& state) {
   state.counters["checksum"] = static_cast<double>(checksum % 1000000);
 }
 
+// The sweep's input: `rows` rows of (i32, i64). One size is resident at a
+// time; the sweep visits each size at both thread counts before the next.
+const Catalog& SweepCatalog(size_t rows) {
+  static std::unique_ptr<Catalog> catalog;
+  static size_t built_rows = 0;
+  if (catalog == nullptr || built_rows != rows) {
+    std::vector<int32_t> i32(rows);
+    std::vector<int64_t> i64(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      i32[i] = static_cast<int32_t>(i * 2654435761u % 8191) - 4096;
+      i64[i] = static_cast<int64_t>(i) * 1103515245 % (1LL << 40);
+    }
+    auto t = std::make_shared<Table>();
+    (void)t->AddColumn("i32", Column::FromInt32(std::move(i32)));
+    (void)t->AddColumn("i64", Column::FromInt64(std::move(i64)));
+    catalog = std::make_unique<Catalog>();
+    (void)catalog->RegisterTable("t", t);
+    built_rows = rows;
+  }
+  return *catalog;
+}
+
+void BM_Parallel_SizeSweep(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t threads = static_cast<size_t>(state.range(1));
+  const Catalog& catalog = SweepCatalog(rows);
+  auto stmt = sql::Parse(
+      "SELECT COUNT(*), SUM(i64), MAX(i32) FROM t WHERE i32 > 0");
+  sql::Binder binder(&catalog);
+  auto bound = binder.Bind(*stmt);
+  engine::Planner planner(&catalog, {});
+  auto planned = planner.Plan(*bound);
+  engine::Executor executor(&catalog, nullptr,
+                            {engine::kDefaultBatchRows, threads});
+  uint64_t workers = 0;
+  for (auto _ : state) {
+    ExecutionReport report;
+    auto result = executor.Execute(*planned->plan, &report);
+    if (!result.ok()) std::abort();
+    workers = report.query_threads;
+    benchmark::DoNotOptimize(*result);
+  }
+  state.counters["morsels"] = static_cast<double>(
+      (rows + engine::kDefaultBatchRows - 1) / engine::kDefaultBatchRows);
+  state.counters["threads"] = static_cast<double>(threads);
+  state.counters["workers"] = static_cast<double>(workers);
+}
+
+void SweepArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t morsels : {1, 4, 7, 10, 13, 16, 19, 24, 32, 38, 64, 128, 256}) {
+    for (int64_t threads : {1, 4}) b->Args({morsels * 4096, threads});
+  }
+  for (int64_t threads : {1, 4}) b->Args({kRows, threads});
+}
+
 #define PARALLEL_ARGS ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_Parallel_ScanAggregate) PARALLEL_ARGS;
@@ -164,6 +228,10 @@ BENCHMARK(BM_Parallel_GroupBy) PARALLEL_ARGS;
 BENCHMARK(BM_Parallel_Sort) PARALLEL_ARGS;
 BENCHMARK(BM_Parallel_TopK) PARALLEL_ARGS;
 BENCHMARK(BM_Parallel_JoinAggregate) PARALLEL_ARGS;
+BENCHMARK(BM_Parallel_SizeSweep)
+    ->Apply(SweepArgs)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lazyetl::bench

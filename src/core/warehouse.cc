@@ -214,6 +214,8 @@ class WarehouseRecordStream : public engine::RecordStream {
 
   Result<bool> Next(Table* out) override;
 
+  size_t chunks() const override { return chunks_; }
+
  private:
   // One requested file, validated and refreshed at stream creation.
   struct FileRequest {
@@ -258,6 +260,7 @@ class WarehouseRecordStream : public engine::RecordStream {
   ExecutionReport* report_;
 
   std::vector<FileRequest> files_;
+  size_t chunks_ = 0;             // non-empty chunks the files assemble to
   size_t next_file_ = 0;          // next file not yet cache-passed
   std::deque<ReadyTable> ready_;  // assembled chunks, fid order
   uint64_t outstanding_ = 0;      // reserved window bytes not yet released
@@ -501,6 +504,16 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
             std::to_string(fid));
       }
       provider->deps_.push_back({fid, entry.path, entry.mtime});
+      // The file's chunks, from its records' sample counts (AssembleChunks
+      // cuts each file into batch_rows-row chunks; Next skips empty ones).
+      uint64_t samples = 0;
+      for (int64_t seq : seqs) {
+        auto it = entry.seq_to_record.find(seq);
+        if (entry.metadata != nullptr && it != entry.seq_to_record.end()) {
+          samples += entry.metadata->records[it->second].header.num_samples;
+        }
+      }
+      if (samples > 0) stream->chunks_ += (samples - 1) / batch_rows + 1;
       FileRequest fr;
       fr.fid = fid;
       fr.mtime = entry.mtime;
@@ -1599,16 +1612,24 @@ struct QueryCursor::Impl {
   std::shared_ptr<const Table> served;
   size_t served_offset = 0;
 
-  // Whole-result admission at completion. `result_cache` is null when the
-  // tier is off or already answered the query. The result is retained
-  // while it spans at most `retain_limit` batches (0 = unbounded: Query()
-  // retains everything, a cursor only what fits its backpressure window);
-  // a result that outgrows the limit is dropped and never admitted.
+  // Whole-result admission at completion, one rule for Query() and
+  // cursors: a result is admitted when it spans at most `admit_limit`
+  // batches (cursor_window_batches) and the cache was not cleared since
+  // `generation` was read, before planning (see ResultRecycler). Null
+  // `result_cache`: the tier is off or already answered the query.
+  // Query() retains every batch (`keep_all`) to return it; a cursor
+  // retains only while the result may still be admitted.
   engine::ResultRecycler* result_cache = nullptr;
-  size_t retain_limit = 0;
+  uint64_t generation = 0;
+  size_t admit_limit = 0;
+  bool keep_all = false;
   bool retaining = false;
   size_t retained_batches = 0;
   Table retained;
+
+  // The warehouse's drive-loop counters, added to at release.
+  std::atomic<uint64_t>* serial_drives = nullptr;
+  std::atomic<uint64_t>* parallel_drives = nullptr;
 
   size_t batch_rows = engine::kDefaultBatchRows;
   uint64_t rows_streamed = 0;
@@ -1640,8 +1661,8 @@ struct QueryCursor::Impl {
   }
 
   Status Retain(const storage::TableSlice& view) {
-    if (retain_limit != 0 && retained_batches == retain_limit) {
-      retaining = false;
+    if (!keep_all && retained_batches == admit_limit) {
+      retaining = false;  // outgrew the admission limit
       retained = Table();
       return Status::OK();
     }
@@ -1654,12 +1675,13 @@ struct QueryCursor::Impl {
   // with every file it depends on, then release. Returns false, the
   // end-of-stream answer of Pull.
   bool Complete() {
-    if (result_cache != nullptr && retaining) {
+    if (result_cache != nullptr && retaining &&
+        retained_batches <= admit_limit) {
       engine::CachedResult entry;
       entry.table = retained;
       entry.deps = provider->deps();
       entry.admitted_at = NowNanos();
-      result_cache->Admit(report.sql, std::move(entry));
+      result_cache->Admit(report.sql, std::move(entry), generation);
     }
     Release();
     LogOp(LogCategory::kQuery,
@@ -1688,6 +1710,10 @@ struct QueryCursor::Impl {
     if (exec != nullptr) {
       exec->Close();
       peak_buffered_bytes = exec->peak_buffered_bytes();
+      serial_drives->fetch_add(report.serial_drives,
+                               std::memory_order_relaxed);
+      parallel_drives->fetch_add(report.parallel_drives,
+                                 std::memory_order_relaxed);
     }
     if (qctx != nullptr) report.execute_seconds = exec_phase.ElapsedSeconds();
     report.result_rows = rows_streamed;
@@ -1736,6 +1762,8 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
   ExecutionReport& report = im.report;
   im.batch_rows = options_.batch_rows == SIZE_MAX ? engine::kDefaultBatchRows
                                                   : options_.batch_rows;
+  im.serial_drives = &serial_drives_;
+  im.parallel_drives = &parallel_drives_;
 
   common::AdmissionRequest request;
   request.priority = query_options.priority;
@@ -1773,6 +1801,9 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
   };
   if (!options_.footprint_aware_admission) LAZYETL_RETURN_NOT_OK(admit());
 
+  // The result may be admitted only under the metadata version it is
+  // planned from: read the cache generation before the refresh and plan.
+  im.generation = result_recycler_->generation();
   LAZYETL_ASSIGN_OR_RETURN(CompiledQuery compiled,
                            Compile(sql, /*refresh=*/true, &report));
   im.planned = std::move(compiled.planned);
@@ -1808,8 +1839,9 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
 
   // Whole-result recycling. Serving from cache needs no execution
   // resources: the ticket is released as this returns.
-  im.retain_limit = window_batches;
-  im.retaining = window_batches == 0;  // Query() always keeps its result
+  im.admit_limit = options_.cursor_window_batches;
+  im.keep_all = window_batches == 0;  // Query() always keeps its result
+  im.retaining = im.keep_all;
   if (options_.enable_result_cache) {
     if (engine::CachedResultPtr cached =
             result_recycler_->ValidateAndGet(sql, dep_mtime_fn())) {
@@ -2001,6 +2033,8 @@ WarehouseStats Warehouse::Stats() const {
   stats.cache = recycler_->stats();
   stats.result_cache_hits = result_cache_hits_.load(std::memory_order_relaxed);
   stats.result_cache_entries = result_recycler_->entries();
+  stats.serial_drives = serial_drives_.load(std::memory_order_relaxed);
+  stats.parallel_drives = parallel_drives_.load(std::memory_order_relaxed);
   stats.queries_admitted = scheduler_->total_admitted();
   stats.queries_timed_out = scheduler_->total_timed_out();
   stats.queries_bypass_admitted = scheduler_->total_bypass_admissions();

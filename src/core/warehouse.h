@@ -91,8 +91,10 @@ struct WarehouseOptions {
   // extracts in windows of this many files, bounding peak
   // extracted-but-unconsumed data.
   unsigned extraction_threads = 1;
-  // Worker threads for query execution (morsel-driven parallelism in the
-  // batch pipeline). 0 = hardware_concurrency; 1 = the serial path.
+  // Most worker threads a drive loop of a query may use (morsel-driven
+  // parallelism in the batch pipeline; each loop sizes its workers from
+  // its input's morsel count). 0 = hardware_concurrency; 1 = the serial
+  // path.
   size_t query_threads = 0;
   // Admission control: at most this many Query() calls execute
   // concurrently; further callers wait per the admission policy (strict
@@ -207,10 +209,14 @@ struct QueryOptions {
 // Query(sql).table; the first batch always carries the result schema
 // (possibly with zero rows). A still-valid cached whole result is
 // streamed in batch-sized chunks. Both cache tiers are warmed as by
-// Query(): extracted records are admitted as they are read, and a stream
-// that runs to the end is admitted to the whole-result cache when it spanned at most
-// cursor_window_batches batches — the cursor retains no more than its
-// backpressure window, so wider results stream without being admitted.
+// Query(): extracted records are admitted as they are read, and a result
+// that runs to the end is admitted to the whole-result cache when it
+// spanned at most cursor_window_batches batches — the cursor retains no
+// more than its backpressure window, so wider results stream without
+// being admitted, and Query() admits by the same rule (returning wider
+// results in full all the same). A result is also never admitted when a
+// metadata reload or hydration cleared the cache after the query read
+// its generation, before planning.
 class QueryCursor {
  public:
   ~QueryCursor();
@@ -256,6 +262,9 @@ struct WarehouseStats {
   engine::RecyclerStats cache;
   uint64_t result_cache_hits = 0;
   uint64_t result_cache_entries = 0;
+  // Drive loops of finished queries: serial (one worker) and parallel.
+  uint64_t serial_drives = 0;
+  uint64_t parallel_drives = 0;
   // Scheduler observability: total admissions, queue timeouts and
   // footprint-bypass admissions, and the current number of executing /
   // queued queries (racy snapshots).
@@ -472,6 +481,9 @@ class Warehouse {
   // strategies track each attached file in it.
   ChangeJournal journal_;
   std::atomic<uint64_t> result_cache_hits_{0};
+  // Drive loops of finished queries, by mode (see ExecutionReport).
+  std::atomic<uint64_t> serial_drives_{0};
+  std::atomic<uint64_t> parallel_drives_{0};
 };
 
 }  // namespace lazyetl::core

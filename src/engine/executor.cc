@@ -98,6 +98,10 @@ void ExecutionCursor::Finalize(bool with_stats) {
         report_->probe_rows_bloom_filtered += os.rows_bloom_filtered;
         report_->join_build_seconds += os.join_build_seconds;
         report_->join_probe_seconds += os.join_probe_seconds;
+        if (os.drive_workers == 1) ++report_->serial_drives;
+        if (os.drive_workers > 1) ++report_->parallel_drives;
+        report_->query_threads =
+            std::max(report_->query_threads, os.drive_workers);
       }
       report_->peak_intermediate_bytes += peak;
     }
@@ -177,7 +181,6 @@ Result<std::unique_ptr<ExecutionCursor>> Executor::OpenCursor(
   // even an abandoned cursor reports them (the materializing path set
   // them after the drain, error or not — same observable result).
   if (report != nullptr) {
-    report->query_threads = threads;
     report->morsel_rows = batch_rows == SIZE_MAX ? 0 : batch_rows;
     report->memory_budget_bytes = qctx->admitted_budget_bytes();
     report->ticket_id = qctx->ticket_id();

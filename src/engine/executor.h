@@ -16,6 +16,7 @@
 #ifndef LAZYETL_ENGINE_EXECUTOR_H_
 #define LAZYETL_ENGINE_EXECUTOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -32,6 +33,10 @@ namespace lazyetl::engine {
 // memory-friendly).
 inline constexpr size_t kDefaultBatchRows = 4096;
 
+// "Cannot tell": the morsel or chunk count of a source that does not know
+// it in advance.
+inline constexpr size_t kUnknownMorsels = SIZE_MAX;
+
 // A pull stream of record chunks produced by lazy extraction. Chunks
 // arrive file-by-file, each at most the requested batch size, so the
 // engine never holds more than a bounded window of extracted data.
@@ -43,6 +48,10 @@ class RecordStream {
 
   // Fills *out with the next chunk; returns false at end of stream.
   virtual Result<bool> Next(storage::Table* out) = 0;
+
+  // The chunks the stream will emit, known once it is created;
+  // kUnknownMorsels when it cannot tell.
+  virtual size_t chunks() const { return kUnknownMorsels; }
 };
 
 // Supplies actual data at query time (implemented by the lazy ETL layer).
@@ -69,10 +78,12 @@ struct ExecutorOptions {
   // Rows per pipeline batch. SIZE_MAX reproduces whole-table intermediates
   // (the materialize-everything baseline, useful for comparison).
   size_t batch_rows = kDefaultBatchRows;
-  // Worker threads driving the batch pipeline (morsel-driven parallelism:
-  // sources hand out disjoint batch-sized morsels, pipeline breakers merge
-  // per-batch partial states deterministically). 0 = hardware_concurrency;
-  // 1 = the serial execution path. Results are deterministic at any
+  // Most worker threads a drive loop of the batch pipeline may use
+  // (morsel-driven parallelism: sources hand out disjoint batch-sized
+  // morsels, pipeline breakers merge per-batch partial states
+  // deterministically; each loop sizes its workers from its input's
+  // morsel count). 0 = hardware_concurrency; 1 = the serial execution
+  // path. Results are deterministic at any
   // setting; floating-point SUM/AVG combine per-batch partials in batch
   // order under parallelism, which can differ from the serial row-order
   // sum in the last few ulps.

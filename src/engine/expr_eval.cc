@@ -48,27 +48,6 @@ struct EvalInput {
     if (col.dict_encoded()) col.DecodeInPlace();
     return col;
   }
-
-  // Whether `name` resolves to a column (precomputed-expression probe).
-  bool Has(const std::string& name) const {
-    if (table != nullptr) return table->ColumnIndex(name).ok();
-    return slice->ColumnIndex(name).ok();
-  }
-
-  // Raw (possibly encoded) column and the base offset of the viewed rows —
-  // the zero-copy access path for the vectorized predicate kernels.
-  const Column* Raw(const std::string& name, size_t* base_offset) const {
-    if (table != nullptr) {
-      auto c = table->ColumnByName(name);
-      if (!c.ok()) return nullptr;
-      *base_offset = 0;
-      return *c;
-    }
-    auto i = slice->ColumnIndex(name);
-    if (!i.ok()) return nullptr;
-    *base_offset = slice->offset();
-    return &slice->column(*i);
-  }
 };
 
 EvalInput FromTable(const Table& t) { return {t.num_rows(), &t, nullptr}; }
@@ -559,77 +538,56 @@ void RunDictKernel(const Column& col, size_t base, size_t n, CmpOp op,
   RunKernel(codes, base, n, code_op, idx, first, sel);
 }
 
-// One conjunct against the raw (possibly encoded) column. `first` builds
-// the selection, otherwise refines it. Returns false when this conjunct
-// needs the generic path (unresolvable column, string/non-string mix).
-bool TryFastConjunct(const ColumnComparison& fc, const EvalInput& input,
-                     bool first, SelectionVector* sel) {
-  size_t base = 0;
-  const Column* col = input.Raw(fc.column->display, &base);
-  if (col == nullptr) return false;
-  size_t n = input.num_rows;
-  if (col->type() == DataType::kString) {
+// One conjunct against the raw (possibly encoded) viewed column. `first`
+// builds the selection, otherwise refines it. Returns false when the
+// column's type does not fit the literal (the generic path decides).
+bool RunConjunct(const ColumnComparison& fc, const Column& col, size_t base,
+                 size_t n, bool first, SelectionVector* sel) {
+  if (col.type() == DataType::kString) {
     if (fc.literal->type() != DataType::kString) return false;
     const std::string& lit = fc.literal->string_value();
-    if (col->dict_encoded()) {
-      RunDictKernel(*col, base, n, fc.op, lit, first, sel);
+    if (col.dict_encoded()) {
+      RunDictKernel(col, base, n, fc.op, lit, first, sel);
     } else {
-      RunKernel(col->string_data().data(), base, n, fc.op, lit, first, sel);
+      RunKernel(col.string_data().data(), base, n, fc.op, lit, first, sel);
     }
     return true;
   }
   if (fc.literal->type() == DataType::kString) return false;
-  if (IsIntLike(col->type()) && IsIntLike(fc.literal->type())) {
-    return RunNumericKernel(*col, base, n, fc.op, fc.literal->AsInt64(),
-                            first, sel);
+  if (IsIntLike(col.type()) && IsIntLike(fc.literal->type())) {
+    return RunNumericKernel(col, base, n, fc.op, fc.literal->AsInt64(), first,
+                            sel);
   }
-  return RunNumericKernel(*col, base, n, fc.op, fc.literal->AsDouble(), first,
+  return RunNumericKernel(col, base, n, fc.op, fc.literal->AsDouble(), first,
                           sel);
 }
 
-// Whether every conjunct can run through the kernels (columns resolve and
-// operand types are compatible) — checked before evaluating anything so a
-// type error in a later conjunct still surfaces through the generic path
-// even when an earlier conjunct would have emptied the selection.
-bool CanRunFast(const std::vector<ColumnComparison>& conjuncts,
-                const EvalInput& input) {
-  for (const auto& fc : conjuncts) {
-    size_t base = 0;
-    const Column* col = input.Raw(fc.column->display, &base);
-    if (col == nullptr) return false;
-    bool col_str = col->type() == DataType::kString;
-    bool lit_str = fc.literal->type() == DataType::kString;
-    if (col_str != lit_str) return false;
-  }
-  return true;
-}
+}  // namespace
 
-Result<SelectionVector> EvaluatePredicateImpl(const BoundExpr& expr,
-                                              const EvalInput& input) {
-  std::vector<ColumnComparison> conjuncts;
-  auto shadowed = [&input](const std::string& name) {
-    return input.Has(name);
-  };
-  if (CollectConjunctComparisons(expr, shadowed, &conjuncts) &&
-      !conjuncts.empty() && CanRunFast(conjuncts, input)) {
+Result<SelectionVector> EvaluatePredicate(const PreparedPredicate& predicate,
+                                          const TableSlice& input) {
+  if (!predicate.Matches(input)) {
+    return EvaluatePredicate(PreparePredicate(*predicate.expr, input), input);
+  }
+  // Kernel path. Preparation checked every conjunct's column and operand
+  // types before anything runs, so a type error in a later conjunct still
+  // surfaces through the generic path even when an earlier conjunct would
+  // have emptied the selection.
+  if (!predicate.conjuncts.empty()) {
     SelectionVector sel;
     bool ok = true;
-    bool first = true;
-    for (const auto& fc : conjuncts) {
-      if (!TryFastConjunct(fc, input, first, &sel)) {
-        ok = false;
-        break;
-      }
-      first = false;
-      if (sel.empty()) break;  // later conjuncts were pre-validated
+    for (size_t k = 0; k < predicate.conjuncts.size() && ok; ++k) {
+      ok = RunConjunct(predicate.conjuncts[k],
+                       input.column(predicate.columns[k]), input.offset(),
+                       input.num_rows(), /*first=*/k == 0, &sel);
+      if (sel.empty()) break;
     }
     if (ok) return sel;
   }
-  LAZYETL_ASSIGN_OR_RETURN(Column mask, EvaluateExprImpl(expr, input));
+  LAZYETL_ASSIGN_OR_RETURN(Column mask,
+                           EvaluateExprImpl(*predicate.expr, FromSlice(input)));
   return MaskToSelection(mask);
 }
-
-}  // namespace
 
 Result<Column> EvaluateExpr(const BoundExpr& expr, const Table& input) {
   return EvaluateExprImpl(expr, FromTable(input));
@@ -641,12 +599,13 @@ Result<Column> EvaluateExpr(const BoundExpr& expr, const TableSlice& input) {
 
 Result<SelectionVector> EvaluatePredicate(const BoundExpr& expr,
                                           const Table& input) {
-  return EvaluatePredicateImpl(expr, FromTable(input));
+  return EvaluatePredicate(expr,
+                           TableSlice::FromTable(input, 0, input.num_rows()));
 }
 
 Result<SelectionVector> EvaluatePredicate(const BoundExpr& expr,
                                           const TableSlice& input) {
-  return EvaluatePredicateImpl(expr, FromSlice(input));
+  return EvaluatePredicate(PreparePredicate(expr, input), input);
 }
 
 }  // namespace lazyetl::engine

@@ -11,6 +11,7 @@
 #define LAZYETL_ENGINE_EXPR_EVAL_H_
 
 #include "common/result.h"
+#include "engine/pruning.h"
 #include "sql/binder.h"
 #include "storage/slice.h"
 #include "storage/table.h"
@@ -41,6 +42,13 @@ Result<storage::SelectionVector> EvaluatePredicate(const sql::BoundExpr& expr,
 // Per-batch predicate: the returned row ids are slice-relative.
 Result<storage::SelectionVector> EvaluatePredicate(
     const sql::BoundExpr& expr, const storage::TableSlice& input);
+
+// The per-morsel form of a predicate prepared once per scan (see
+// PreparePredicate): column-literal conjunctions run straight through the
+// comparison kernels, everything else through the generic evaluator. A
+// batch whose schema differs from the prepared one is re-analysed.
+Result<storage::SelectionVector> EvaluatePredicate(
+    const PreparedPredicate& predicate, const storage::TableSlice& input);
 
 }  // namespace lazyetl::engine
 

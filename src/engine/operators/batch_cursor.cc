@@ -17,7 +17,8 @@ BatchCursor::~BatchCursor() { Close(); }
 
 void BatchCursor::Start() {
   started_ = true;
-  parallel_ = opts_.threads > 1 && op_->ParallelSafe();
+  opts_.threads = DriveWorkers(op_, opts_.threads);
+  parallel_ = opts_.threads > 1;
   if (!parallel_) return;
   watermark_.assign(opts_.threads, kNoneDelivered);
   finished_.assign(opts_.threads, false);

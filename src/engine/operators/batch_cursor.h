@@ -38,8 +38,10 @@ namespace lazyetl::engine {
 class BatchCursor {
  public:
   struct Options {
-    // Worker threads for the drive loop; <= 1 (or a parallel-unsafe root)
-    // selects the inline serial mode, which buffers nothing.
+    // Upper bound on the drive loop's workers; the loop uses
+    // DriveWorkers(op, threads). One worker (a small input, a
+    // parallel-unsafe root, threads <= 1) selects the inline serial mode,
+    // which buffers nothing.
     size_t threads = 1;
     // Backpressure window: maximum batches held in the cursor (in-order
     // ready queue + out-of-order reassembly buffer) before producers

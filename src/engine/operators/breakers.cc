@@ -228,6 +228,7 @@ class SortOperator : public BatchOperator {
   // The streaming merge is inherently serial; the in-memory emitter is
   // parallel-safe as before.
   bool ParallelSafe() const override { return !external_; }
+  size_t MorselCount() const override { return emitter_.MorselCount(); }
 
  protected:
   Status OpenImpl() override {
@@ -435,6 +436,7 @@ class TopKOperator : public BatchOperator {
   }
 
   bool ParallelSafe() const override { return true; }
+  size_t MorselCount() const override { return emitter_.MorselCount(); }
 
  protected:
   Status OpenImpl() override {
@@ -1454,6 +1456,7 @@ class AggregateOperator : public BatchOperator {
   }
 
   bool ParallelSafe() const override { return !external_; }
+  size_t MorselCount() const override { return emitter_.MorselCount(); }
 
  protected:
   Status OpenImpl() override {
@@ -1828,6 +1831,7 @@ class DistinctOperator : public BatchOperator {
   // Streaming (serial) mode shares the seen-set across calls; only the
   // materialised parallel mode may be pulled concurrently.
   bool ParallelSafe() const override { return parallel_mode_; }
+  size_t MorselCount() const override { return emitter_.MorselCount(); }
 
  protected:
   Status OpenImpl() override {
@@ -2067,6 +2071,7 @@ class HashJoinOperator : public BatchOperator {
   bool ParallelSafe() const override {
     return !grace_ && child(1)->ParallelSafe();
   }
+  size_t MorselCount() const override { return child(1)->MorselCount(); }
 
  protected:
   Status OpenImpl() override {

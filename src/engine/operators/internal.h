@@ -66,6 +66,11 @@ class TableEmitter {
     return true;
   }
 
+  // The slices Next() hands out (0 for an empty table).
+  size_t MorselCount() const {
+    return table_ == nullptr ? 0 : (table_->num_rows() + step_ - 1) / step_;
+  }
+
   const storage::Table& table() const { return *table_; }
 
  private:

@@ -86,6 +86,8 @@ class LazyDataScanOperator : public BatchOperator {
   }
 
   bool ParallelSafe() const override { return true; }
+  // The chunks of the rewritten record stream: one batch each at most.
+  size_t MorselCount() const override { return stream_->chunks(); }
 
  protected:
   Status OpenImpl() override {

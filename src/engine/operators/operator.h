@@ -66,13 +66,22 @@ struct Batch {
   }
 };
 
+// Drive-loop sizing: a loop over a source that will emit `m` morsels uses
+// min(query_threads, ceil(m / kMorselsPerWorker)) workers, so a small
+// input runs on the serial path instead of paying for workers it cannot
+// keep busy. Set from the measured crossover of bench_parallel's
+// input-size sweep (README "Morsel-driven parallelism"): below it, one
+// worker beats four on wall time.
+inline constexpr size_t kMorselsPerWorker = 16;
+
 // Everything an operator needs from its surroundings.
 struct ExecContext {
   const storage::Catalog* catalog = nullptr;
   LazyDataProvider* provider = nullptr;
   ExecutionReport* report = nullptr;
   size_t batch_rows = kDefaultBatchRows;
-  // Resolved worker count for this query (>= 1; 1 = the serial path).
+  // Resolved cap on each drive loop's workers (>= 1; 1 = the serial path);
+  // see DriveWorkers.
   size_t query_threads = 1;
   // Memory governance (owned by the Executor, outlives the tree). When
   // `budget` is null or unlimited, breakers keep their in-memory fast
@@ -139,6 +148,14 @@ class BatchOperator {
   // True when Next() may be called concurrently from several workers.
   // Evaluated after Open() (breakers decide their mode there).
   virtual bool ParallelSafe() const { return false; }
+
+  // The morsels Next() will hand a drive loop, exact once Open()ed (a
+  // streaming operator forwards its child's count); kUnknownMorsels when
+  // it cannot tell. Only asked of parallel-safe operators.
+  virtual size_t MorselCount() const { return kUnknownMorsels; }
+
+  // Records the workers of the drive loop that pulls this operator.
+  void RecordDrive(size_t workers) { stats_.drive_workers = workers; }
 
   // Toggled by the parallel driver on the subtree it drives. While set,
   // operators suppress their at-least-one-empty-batch end-of-stream
@@ -250,11 +267,11 @@ using BatchOperatorPtr = std::unique_ptr<BatchOperator>;
 Result<BatchOperatorPtr> BuildOperatorTree(const PlanNode& plan,
                                            ExecContext* ctx);
 
-// Drains an already-opened operator into one materialised table (Next
-// loop only — the caller owns Open/Close). Used by the executor driver
-// for the query result and by pipeline breakers that need their input
-// whole.
-Result<storage::Table> DrainToTable(BatchOperator* op);
+// The workers a drive loop over the opened `op` uses, at most `threads`:
+// 1 (the serial path) unless `op` is parallel-safe, else sized from its
+// MorselCount by kMorselsPerWorker (all `threads` when it cannot tell).
+// Records the count on `op`.
+size_t DriveWorkers(BatchOperator* op, size_t threads);
 
 // Receives drained batches: called concurrently from different workers,
 // but serially per worker id. The seqs a given worker delivers are
@@ -271,18 +288,21 @@ using BatchSink = std::function<Status(size_t worker, Batch&& batch)>;
 // waiting on it.
 using WorkerDone = std::function<void(size_t worker)>;
 
-// Morsel-driven drive loop: pulls `op` from `threads` concurrent workers
-// when it is parallel-safe (plain serial pull otherwise) and hands every
-// batch to `sink`. Guarantees the at-least-one-batch contract: if the
-// parallel phase produced nothing, one serial pull fetches the schema
-// batch.
+// Morsel-driven drive loop: pulls `op` from DriveWorkers(op, threads)
+// concurrent workers (plain serial pull when that is 1) and hands every
+// batch to `sink`; worker ids stay below `threads`. Guarantees the
+// at-least-one-batch contract: if the parallel phase produced nothing,
+// one serial pull fetches the schema batch.
 Status ParallelDrain(BatchOperator* op, size_t threads,
                      const BatchSink& sink);
 Status ParallelDrain(BatchOperator* op, size_t threads, const BatchSink& sink,
                      const WorkerDone& done);
 
-// DrainToTable with a parallel drive loop: batches are reassembled in seq
-// order, so the result is byte-identical to the serial drain. Streaming
+// Drains an already-opened operator into one materialised table (the
+// caller owns Open/Close) through a drive loop of DriveWorkers(op,
+// threads) workers: batches are reassembled in seq order, so the result
+// is byte-identical to the serial drain. Used by breakers that need their
+// input whole and by LazyDataScan's metadata side. Streaming
 // in-order flush: per-worker seq watermarks let every contiguous seq
 // prefix append to the result while the drain is still running, so the
 // transient buffering holds only out-of-order batches instead of the

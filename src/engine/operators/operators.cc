@@ -1,7 +1,8 @@
 // Streaming (non-breaking) operators: Scan, Filter, Project, Limit, the
-// fused FilterScan — plus the plan-to-operator translation, the serial
-// drain helper and the morsel-driven parallel drive loop.
+// fused FilterScan — plus the plan-to-operator translation, the
+// materializing drain and the morsel-driven drive loop with its sizing.
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <string>
@@ -108,6 +109,9 @@ class ScanOperator : public BatchOperator {
         bloom_slot_(std::move(bloom_slot)) {}
 
   bool ParallelSafe() const override { return true; }
+  size_t MorselCount() const override {
+    return rows_ == 0 ? 0 : (rows_ + step_ - 1) / step_;
+  }
 
  protected:
   Status OpenImpl() override {
@@ -194,6 +198,8 @@ class ScanOperator : public BatchOperator {
 // gathers the qualifying rows. An all-pass batch is forwarded unchanged
 // (zero-copy); all-drop batches are skipped. Parallel safe when the child
 // is: predicate evaluation and gather touch only the worker's own batch.
+// The predicate is prepared once, against the child's first batch (an
+// operator's batches share one schema, which it cannot tell before).
 class FilterOperator : public BatchOperator {
  public:
   FilterOperator(const sql::BoundExpr* predicate, BatchOperatorPtr child)
@@ -202,6 +208,7 @@ class FilterOperator : public BatchOperator {
   }
 
   bool ParallelSafe() const override { return child()->ParallelSafe(); }
+  size_t MorselCount() const override { return child()->MorselCount(); }
 
  protected:
   Result<bool> NextImpl(Batch* out) override {
@@ -217,8 +224,11 @@ class FilterOperator : public BatchOperator {
         }
         return false;
       }
+      std::call_once(prepared_once_, [&] {
+        prepared_ = PreparePredicate(*predicate_, in.view);
+      });
       LAZYETL_ASSIGN_OR_RETURN(SelectionVector sel,
-                               EvaluatePredicate(*predicate_, in.view));
+                               EvaluatePredicate(prepared_, in.view));
       if (sel.size() == in.num_rows()) {
         *out = std::move(in);
         emitted_.store(true);
@@ -244,6 +254,8 @@ class FilterOperator : public BatchOperator {
 
  private:
   const sql::BoundExpr* predicate_;
+  std::once_flag prepared_once_;
+  PreparedPredicate prepared_;
   std::mutex empty_mu_;
   Table empty_;
   bool empty_captured_ = false;
@@ -273,6 +285,17 @@ class FilterScanOperator : public BatchOperator {
   }
 
   bool ParallelSafe() const override { return true; }
+
+  // The morsels the zone maps do not prune.
+  size_t MorselCount() const override {
+    size_t morsels = 0;
+    for (size_t start = 0; start < rows_; start += step_) {
+      if (RangeCanMatch(constraints_, start, std::min(step_, rows_ - start))) {
+        ++morsels;
+      }
+    }
+    return morsels;
+  }
 
   // The fused operator stands in for a Filter above a Scan: report both
   // stages so pipeline introspection stays shaped like the plan. The
@@ -311,12 +334,14 @@ class FilterScanOperator : public BatchOperator {
     emitted_.store(false, std::memory_order_relaxed);
     pending_.clear();
     pending_first_seq_ = 0;
-    // Zone-map constraints for morsel pruning; empty (prune nothing) when
-    // disabled, when statistics are missing, or when the predicate is not
-    // a conjunction of column-literal comparisons.
+    // The predicate is analysed once, here, for both morsel evaluation
+    // and the zone-map constraints of morsel pruning (empty — prune
+    // nothing — when disabled, when statistics are missing, or when the
+    // predicate is not a conjunction of column-literal comparisons).
+    prepared_ = PreparePredicate(*predicate_, base_);
     constraints_.clear();
     if (PruningEnabled()) {
-      constraints_ = ExtractScanConstraints(*predicate_, base_, *table_);
+      constraints_ = ExtractScanConstraints(prepared_, base_, *table_);
     }
     bloom_.Open(bloom_slot_, base_);
     return Status::OK();
@@ -357,7 +382,7 @@ class FilterScanOperator : public BatchOperator {
                                   prev, viewed, std::memory_order_relaxed)) {
       }
       LAZYETL_ASSIGN_OR_RETURN(SelectionVector sel,
-                               EvaluatePredicate(*predicate_, morsel));
+                               EvaluatePredicate(prepared_, morsel));
       if (bloom_.active()) {
         // sel entries are morsel-relative; absolute row = start + entry.
         rows_bloom_filtered_.fetch_add(bloom_.Refine(start, &sel),
@@ -418,6 +443,7 @@ class FilterScanOperator : public BatchOperator {
   std::atomic<uint64_t> morsels_pruned_{0};
   std::atomic<uint64_t> rows_pruned_{0};
   std::atomic<uint64_t> rows_bloom_filtered_{0};
+  PreparedPredicate prepared_;
   std::vector<ScanConstraint> constraints_;
   SelectionVector pending_;  // absolute row ids, serial path only
   uint64_t pending_first_seq_ = 0;
@@ -434,6 +460,7 @@ class ProjectOperator : public BatchOperator {
   }
 
   bool ParallelSafe() const override { return child()->ParallelSafe(); }
+  size_t MorselCount() const override { return child()->MorselCount(); }
 
  protected:
   Result<bool> NextImpl(Batch* out) override {
@@ -546,31 +573,29 @@ Result<BatchOperatorPtr> BuildProbeSide(
 
 }  // namespace
 
-Result<Table> DrainToTable(BatchOperator* op) {
-  Table result;
-  bool first = true;
-  Batch batch;
-  while (true) {
-    LAZYETL_ASSIGN_OR_RETURN(bool more, op->Next(&batch));
-    if (!more) break;
-    if (first) {
-      result = batch.view.Materialize();
-      first = false;
-    } else {
-      LAZYETL_RETURN_NOT_OK(result.AppendSlice(batch.view));
-    }
-  }
-  return result;
-}
-
 Status ParallelDrain(BatchOperator* op, size_t threads,
                      const BatchSink& sink) {
   return ParallelDrain(op, threads, sink, nullptr);
 }
 
+size_t DriveWorkers(BatchOperator* op, size_t threads) {
+  size_t workers = 1;
+  if (threads > 1 && op->ParallelSafe()) {
+    const size_t morsels = op->MorselCount();
+    workers = morsels == kUnknownMorsels
+                  ? threads
+                  : std::clamp<size_t>(
+                        (morsels + kMorselsPerWorker - 1) / kMorselsPerWorker,
+                        1, threads);
+  }
+  op->RecordDrive(workers);
+  return workers;
+}
+
 Status ParallelDrain(BatchOperator* op, size_t threads, const BatchSink& sink,
                      const WorkerDone& done) {
-  if (threads <= 1 || !op->ParallelSafe()) {
+  threads = DriveWorkers(op, threads);
+  if (threads <= 1) {
     Batch batch;
     while (true) {
       LAZYETL_ASSIGN_OR_RETURN(bool more, op->Next(&batch));
@@ -624,14 +649,13 @@ Status ParallelDrain(BatchOperator* op, size_t threads, const BatchSink& sink,
   return Status::OK();
 }
 
-// Streaming in-order reassembly: the materializing drain is now a thin
+// Streaming in-order reassembly: the materializing drain is a thin
 // consumer over BatchCursor (the resumable, suspended form of this same
-// watermark drive loop — see batch_cursor.h). An unbounded window keeps
-// the historical behavior: the consumer appends every contiguous seq
-// prefix while the drain runs, so only out-of-order batches buffer.
+// watermark drive loop — see batch_cursor.h), which sizes the loop and
+// pulls a one-worker loop inline. An unbounded window keeps the
+// historical behavior: the consumer appends every contiguous seq prefix
+// while the drain runs, so only out-of-order batches buffer.
 Result<Table> DrainToTableOrdered(BatchOperator* op, size_t threads) {
-  if (threads <= 1 || !op->ParallelSafe()) return DrainToTable(op);
-
   BatchCursor cursor(op, BatchCursor::Options{threads, /*window_batches=*/0});
   Table result;
   bool first = true;

@@ -71,6 +71,37 @@ bool CollectConjunctComparisons(
   return true;
 }
 
+bool PreparedPredicate::Matches(const TableSlice& batch) const {
+  if (batch.num_columns() != num_columns) return false;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (batch.column_name(columns[i]) != column_names[i]) return false;
+  }
+  return true;
+}
+
+PreparedPredicate PreparePredicate(const BoundExpr& expr,
+                                   const TableSlice& schema) {
+  PreparedPredicate out;
+  out.expr = &expr;
+  out.num_columns = schema.num_columns();
+  std::vector<ColumnComparison> cmps;
+  auto shadowed = [&schema](const std::string& name) {
+    return schema.ColumnIndex(name).ok();
+  };
+  if (!CollectConjunctComparisons(expr, shadowed, &cmps)) return out;
+  for (const auto& cc : cmps) {
+    auto i = schema.ColumnIndex(cc.column->display);
+    if (!i.ok()) return out;
+    bool col_str = schema.column(*i).type() == DataType::kString;
+    bool lit_str = cc.literal->type() == DataType::kString;
+    if (col_str != lit_str) return out;
+    out.columns.push_back(*i);
+    out.column_names.push_back(schema.column_name(*i));
+  }
+  out.conjuncts = std::move(cmps);
+  return out;
+}
+
 namespace {
 
 bool IsIntLike(DataType t) {
@@ -146,33 +177,25 @@ bool PruningEnabled() {
   return v.empty() || v == "0";
 }
 
-std::vector<ScanConstraint> ExtractScanConstraints(const BoundExpr& predicate,
-                                                   const TableSlice& base,
-                                                   const Table& table) {
+std::vector<ScanConstraint> ExtractScanConstraints(
+    const PreparedPredicate& predicate, const TableSlice& base,
+    const Table& table) {
+  // An unprepared shape is one the evaluator either rejects or runs
+  // generically (an unresolvable column, a string/non-string mix): never
+  // prune it, since a pruned morsel must be indistinguishable from an
+  // all-drop morsel, errors included.
   std::vector<ScanConstraint> out;
-  if (!table.has_stats()) return out;
-  std::vector<ColumnComparison> cmps;
-  auto shadowed = [&base](const std::string& name) {
-    return base.ColumnIndex(name).ok();
-  };
-  if (!CollectConjunctComparisons(predicate, shadowed, &cmps) ||
-      cmps.empty()) {
-    return out;
-  }
-  for (const auto& cc : cmps) {
-    auto bi = base.ColumnIndex(cc.column->display);
-    if (!bi.ok()) return {};  // the evaluator would error; never prune
+  if (!table.has_stats() || predicate.conjuncts.empty()) return out;
+  for (size_t k = 0; k < predicate.conjuncts.size(); ++k) {
+    const ColumnComparison& cc = predicate.conjuncts[k];
     size_t ti = 0;
-    if (!BaseColumnIndex(base, *bi, table, &ti)) return {};
+    if (!BaseColumnIndex(base, predicate.columns[k], table, &ti)) return {};
     const ColumnZoneMap* zm = table.zone_map(ti);
     if (zm == nullptr) return {};
-    bool col_str = zm->type == DataType::kString;
-    bool lit_str = cc.literal->type() == DataType::kString;
-    if (col_str != lit_str) return {};  // type error in the evaluator
     ScanConstraint c;
     c.zone_map = zm;
     c.op = cc.op;
-    if (col_str) {
+    if (zm->type == DataType::kString) {
       c.domain = ScanConstraint::Domain::kString;
       c.sval = cc.literal->string_value();
     } else if (IsIntLike(zm->type) && IsIntLike(cc.literal->type())) {
@@ -225,7 +248,7 @@ uint64_t EstimateFilteredScanBytes(const Table& table, const TableSlice& base,
   if (!have_maps || maps.empty()) return full;
 
   std::vector<ScanConstraint> constraints =
-      ExtractScanConstraints(predicate, base, table);
+      ExtractScanConstraints(PreparePredicate(predicate, base), base, table);
   size_t num_chunks = maps[0]->chunks.size();
   uint64_t total = 0;
   for (size_t ch = 0; ch < num_chunks; ++ch) {

@@ -51,6 +51,31 @@ bool CollectConjunctComparisons(
     const std::function<bool(const std::string&)>& shadowed,
     std::vector<ColumnComparison>* out);
 
+// A predicate analysed once against the columns of the batches it will
+// filter, so per-morsel evaluation runs only the kernels. `conjuncts` is
+// the AND-tree of column-literal comparisons when every comparison's
+// column resolves in the schema with a kernel-compatible operand type
+// (column and literal both strings or both non-strings); it is empty
+// when the predicate needs the generic evaluator.
+struct PreparedPredicate {
+  const sql::BoundExpr* expr = nullptr;
+  std::vector<ColumnComparison> conjuncts;
+  // Per conjunct: the schema position and name of its column.
+  std::vector<size_t> columns;
+  std::vector<std::string> column_names;
+  size_t num_columns = 0;  // of the schema it was prepared against
+
+  // Whether `batch` has the schema this was prepared against (an
+  // operator's batches all share one schema; this is the cheap guard).
+  bool Matches(const storage::TableSlice& batch) const;
+};
+
+// Analyses `expr` against `schema` (only its column names and types are
+// read). The same shape rules as CollectConjunctComparisons, with a node
+// shadowed when its display string names a schema column.
+PreparedPredicate PreparePredicate(const sql::BoundExpr& expr,
+                                   const storage::TableSlice& schema);
+
 // --- Zone-map constraints --------------------------------------------------
 
 // Whether zone-map pruning is active (LAZYETL_DISABLE_PRUNING unset/0/"").
@@ -69,14 +94,16 @@ struct ScanConstraint {
   std::string sval;
 };
 
-// Extracts constraints for `predicate` over `base` (the scan's renamed,
-// possibly projected view of catalog table `table`). Returns an empty list
-// — disabling pruning — whenever the predicate shape, operand types, or
-// missing statistics make pruning unsound (including predicates the
-// generic evaluator would reject: a pruned morsel must be indistinguishable
-// from an all-drop morsel, errors included).
+// Extracts constraints for `predicate`, prepared against `base` (the
+// scan's renamed, possibly projected view of catalog table `table`), so a
+// scan analyses its predicate once for both pruning and evaluation.
+// Returns an empty list — disabling pruning — whenever the predicate
+// shape, operand types, or missing statistics make pruning unsound
+// (including predicates the generic evaluator would reject: a pruned
+// morsel must be indistinguishable from an all-drop morsel, errors
+// included).
 std::vector<ScanConstraint> ExtractScanConstraints(
-    const sql::BoundExpr& predicate, const storage::TableSlice& base,
+    const PreparedPredicate& predicate, const storage::TableSlice& base,
     const storage::Table& table);
 
 // Whether rows [start, start + length) of the base table could contain a

@@ -177,14 +177,17 @@ std::vector<RecordKey> Recycler::Keys() const {
   return {lru_.begin(), lru_.end()};
 }
 
-void ResultRecycler::Admit(const std::string& sql, CachedResult result) {
+bool ResultRecycler::Admit(const std::string& sql, CachedResult result,
+                           uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (generation != generation_) return false;
   if (map_.size() >= max_entries_ && !map_.count(sql)) {
     // Simple bound: drop an arbitrary entry (result cache is a small,
     // best-effort layer; record-level recycling does the heavy lifting).
     map_.erase(map_.begin());
   }
   map_[sql] = std::make_shared<const CachedResult>(std::move(result));
+  return true;
 }
 
 }  // namespace lazyetl::engine

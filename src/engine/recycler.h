@@ -221,10 +221,22 @@ class ResultRecycler {
     return entry;
   }
 
-  void Admit(const std::string& sql, CachedResult result);
+  // Admission fence: every Clear() — each metadata reload or hydration
+  // calls it — starts a new generation. A query records generation()
+  // before it plans and hands it to Admit, which refuses the result when
+  // the cache was cleared in between: a result planned from metadata that
+  // has since changed is never admitted under the new file mtimes.
+  uint64_t generation() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return generation_;
+  }
+
+  // Inserts `result` unless `generation` is stale; returns whether it did.
+  bool Admit(const std::string& sql, CachedResult result, uint64_t generation);
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
+    ++generation_;
   }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -239,8 +251,9 @@ class ResultRecycler {
 
  private:
   const size_t max_entries_;
-  mutable std::mutex mu_;  // guards map_
+  mutable std::mutex mu_;  // guards map_, generation_
   std::unordered_map<std::string, CachedResultPtr> map_;
+  uint64_t generation_ = 0;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> invalidations_{0};

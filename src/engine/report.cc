@@ -33,7 +33,8 @@ std::string ExecutionReport::ToString() const {
     os << "result served from recycler cache\n";
   }
   if (query_threads > 1) {
-    os << "query threads: " << query_threads << "\n";
+    os << "query threads: " << query_threads << " (drive loops: "
+       << serial_drives << " serial, " << parallel_drives << " parallel)\n";
   }
   if (ticket_id > 0) {
     std::snprintf(buf, sizeof(buf),

@@ -59,6 +59,9 @@ struct OperatorStats {
   // ever reached the join because their key hash was provably absent from
   // the build side.
   uint64_t rows_bloom_filtered = 0;
+  // Workers of the drive loop that pulled this operator (1 = serial); 0
+  // when its parent pulled it directly.
+  uint64_t drive_workers = 0;
   double seconds = 0;        // aggregate worker time inside Open()/Next()
   double self_seconds = 0;   // `seconds` minus the children's `seconds`
 };
@@ -104,8 +107,13 @@ struct ExecutionReport {
   // (sum over operators of materialised state + largest emitted batch).
   std::vector<OperatorStats> operator_stats;
   uint64_t peak_intermediate_bytes = 0;
-  // Resolved worker count of the morsel-driven drive loop (1 = serial).
+  // The most workers any drive loop of the query used (1 = all serial):
+  // each loop sizes its workers from its input's morsel count, capped at
+  // the configured query_threads. And how many loops ran serially and on
+  // several workers.
   uint64_t query_threads = 1;
+  uint64_t serial_drives = 0;
+  uint64_t parallel_drives = 0;
   // Memory governance: the resolved per-query budget (0 = unlimited) and
   // spill totals summed over the pipeline's operators.
   uint64_t memory_budget_bytes = 0;

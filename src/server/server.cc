@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <system_error>
 #include <utility>
 
@@ -372,29 +373,38 @@ bool QueryServer::HandleQuery(const HttpRequest& req,
 bool QueryServer::HandleStats(HttpResponseWriter* writer) {
   core::WarehouseStats ws = warehouse_->Stats();
   ServerCounters sc = counters();
-  char body[768];
-  std::snprintf(
-      body, sizeof(body),
-      "{\"queries_admitted\":%llu,\"queries_timed_out\":%llu,"
-      "\"queries_active\":%zu,\"queries_waiting\":%zu,"
-      "\"connections\":%llu,\"queries_ok\":%llu,"
-      "\"queries_rejected\":%llu,\"mid_stream_errors\":%llu,"
-      "\"batches_streamed\":%llu,\"rows_streamed\":%llu,"
-      "\"journal_files_tracked\":%llu,\"journal_files_untracked\":%llu,"
-      "\"journal_events_drained\":%llu,\"journal_queue_overflows\":%llu}",
-      static_cast<unsigned long long>(ws.queries_admitted),
-      static_cast<unsigned long long>(ws.queries_timed_out),
-      ws.queries_active, ws.queries_waiting,
-      static_cast<unsigned long long>(sc.connections),
-      static_cast<unsigned long long>(sc.queries_ok),
-      static_cast<unsigned long long>(sc.queries_rejected),
-      static_cast<unsigned long long>(sc.mid_stream_errors),
-      static_cast<unsigned long long>(sc.batches_streamed),
-      static_cast<unsigned long long>(sc.rows_streamed),
-      static_cast<unsigned long long>(ws.journal.files_tracked),
-      static_cast<unsigned long long>(ws.journal.files_untracked),
-      static_cast<unsigned long long>(ws.journal.events_drained),
-      static_cast<unsigned long long>(ws.journal.queue_overflows));
+  const std::pair<const char*, uint64_t> fields[] = {
+      {"queries_admitted", ws.queries_admitted},
+      {"queries_timed_out", ws.queries_timed_out},
+      {"queries_active", ws.queries_active},
+      {"queries_waiting", ws.queries_waiting},
+      {"connections", sc.connections},
+      {"queries_ok", sc.queries_ok},
+      {"queries_rejected", sc.queries_rejected},
+      {"mid_stream_errors", sc.mid_stream_errors},
+      {"batches_streamed", sc.batches_streamed},
+      {"rows_streamed", sc.rows_streamed},
+      {"record_cache_hits", ws.cache.hits},
+      {"record_cache_misses", ws.cache.misses},
+      {"record_cache_evictions", ws.cache.evictions},
+      {"record_cache_resident_bytes", ws.cache.current_bytes},
+      {"result_cache_hits", ws.result_cache_hits},
+      {"result_cache_entries", ws.result_cache_entries},
+      {"serial_drives", ws.serial_drives},
+      {"parallel_drives", ws.parallel_drives},
+      {"journal_files_tracked", ws.journal.files_tracked},
+      {"journal_files_untracked", ws.journal.files_untracked},
+      {"journal_events_drained", ws.journal.events_drained},
+      {"journal_queue_overflows", ws.journal.queue_overflows},
+  };
+  std::string body;
+  for (const auto& [name, value] : fields) {
+    body.push_back(body.empty() ? '{' : ',');
+    AppendJsonString(name, &body);
+    body.push_back(':');
+    body.append(std::to_string(value));
+  }
+  body.push_back('}');
   return writer->WriteFull(200, "application/json", body).ok();
 }
 

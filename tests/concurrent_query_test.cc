@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -95,6 +97,7 @@ struct Outcome {
   bool ok = false;
   std::string error;
   Table table;
+  uint64_t query_threads = 0;  // most workers of the query's drive loops
 };
 
 // Runs `threads` clients × `iters` passes of the workload (each client
@@ -117,6 +120,7 @@ std::vector<Outcome> RunClients(Warehouse* wh, int threads, int iters) {
           if (result.ok()) {
             out.ok = true;
             out.table = std::move(result->table);
+            out.query_threads = result->report.query_threads;
           } else {
             out.error = result.status().ToString();
           }
@@ -154,6 +158,7 @@ std::unique_ptr<Warehouse> OpenConcurrent(LoadStrategy strategy,
   options.max_concurrent_queries = max_concurrent;
   options.extraction_threads = 2;
   options.query_threads = 2;
+  options.batch_rows = 64;  // enough morsels for parallel drive loops
   auto wh = Warehouse::Open(options);
   EXPECT_TRUE(wh.ok()) << wh.status().ToString();
   auto stats = (*wh)->AttachRepository(root);
@@ -184,10 +189,14 @@ TEST(ConcurrentQueryTest, MixedWorkloadMatchesSerial) {
         EXPECT_EQ(stats.queries_admitted, outcomes.size());
         EXPECT_EQ(stats.queries_active, 0u);
       }
+      uint64_t workers = 0;
       for (const Outcome& out : outcomes) {
         ASSERT_TRUE(out.ok) << out.error << "\n  " << out.sql;
         ExpectTablesEqual(expected.at(out.sql), out.table, out.sql);
+        workers = std::max(workers, out.query_threads);
       }
+      // The concurrent queries include parallel drive loops.
+      EXPECT_GT(workers, 1u);
     }
   }
 }

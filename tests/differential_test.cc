@@ -281,6 +281,7 @@ TEST_P(ConcurrentDifferentialTest, RandomQueriesAgreeUnderPriorities) {
     options.enable_result_cache = false;
     options.max_concurrent_queries = 4;
     options.query_threads = 2;
+    options.batch_rows = 64;  // enough morsels for parallel drive loops
     options.extraction_threads = 2;
     auto wh = Warehouse::Open(options);
     ASSERT_TRUE(wh.ok()) << wh.status().ToString();
@@ -309,6 +310,7 @@ TEST_P(ConcurrentDifferentialTest, RandomQueriesAgreeUnderPriorities) {
     bool ok = false;
     std::string error;
     storage::Table table;
+    uint64_t query_threads = 0;
   };
   std::vector<Outcome> outcomes(sqls.size());
   std::vector<std::thread> clients;
@@ -323,6 +325,7 @@ TEST_P(ConcurrentDifferentialTest, RandomQueriesAgreeUnderPriorities) {
         if (r.ok()) {
           outcomes[slot].ok = true;
           outcomes[slot].table = std::move(r->table);
+          outcomes[slot].query_threads = r->report.query_threads;
         } else {
           outcomes[slot].error = r.status().ToString();
         }
@@ -331,11 +334,15 @@ TEST_P(ConcurrentDifferentialTest, RandomQueriesAgreeUnderPriorities) {
   }
   for (auto& t : clients) t.join();
 
+  uint64_t workers = 0;
   for (size_t i = 0; i < outcomes.size(); ++i) {
     SCOPED_TRACE(sqls[i]);
     ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
     ExpectTablesAgree(expected[i], outcomes[i].table, sqls[i]);
+    workers = std::max(workers, outcomes[i].query_threads);
   }
+  // Some generated query drives its pipeline on both workers.
+  EXPECT_GT(workers, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentDifferentialTest,

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cstdlib>
 #include <cstring>
 
@@ -243,8 +245,9 @@ struct LazyConfig {
 // Lazy warehouses at query_threads 1 and 4, each plain, under a memory
 // budget below two files' extraction estimate (so every extraction window
 // shrinks to its one-file floor, and breakers spill). 512-row batches
-// split most records across chunks. The eager reference runs at the same
-// thread count.
+// split most records across chunks; at 4 threads both sides run 64-row
+// batches, enough morsels that the drive loops really use several
+// workers. The eager reference runs at the same thread count.
 const LazyConfig kLazyConfigs[] = {
     {"threads1", 1, 0},
     {"threads4", 4, 0},
@@ -279,7 +282,11 @@ class RecordGranularParityTest : public ::testing::Test {
     // Every run executes: cold runs extract, warm runs hit the caches.
     options.enable_result_cache = false;
     options.extraction_threads = 4;
-    if (strategy != LoadStrategy::kEager) options.batch_rows = 512;
+    if (query_threads > 1) {
+      options.batch_rows = 64;
+    } else if (strategy != LoadStrategy::kEager) {
+      options.batch_rows = 512;
+    }
     auto wh = Warehouse::Open(options);
     EXPECT_TRUE(wh.ok()) << wh.status().ToString();
     auto stats = (*wh)->AttachRepository(dir_->path());
@@ -300,8 +307,9 @@ class RecordGranularParityTest : public ::testing::Test {
   }
 
   // Every lazy configuration answers `sql` cold and warm byte-identically
-  // to the eager warehouse at the same thread count.
-  void ExpectParity(const std::string& sql) {
+  // to the eager warehouse at the same thread count. `workers`, when
+  // given, receives the most workers a lazy run's drive loops used.
+  void ExpectParity(const std::string& sql, uint64_t* workers = nullptr) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       auto eager = EagerAnswer(threads, sql);
       ASSERT_OK(eager);
@@ -314,6 +322,9 @@ class RecordGranularParityTest : public ::testing::Test {
           ASSERT_OK(got);
           ExpectBytesEqual(eager->table, got->table,
                            std::string(run) + ": " + sql);
+          if (workers != nullptr) {
+            *workers = std::max(*workers, got->report.query_threads);
+          }
         }
       }
     }
@@ -349,9 +360,13 @@ TEST_F(RecordGranularParityTest, GroupByDictionaryString) {
       "SELECT F.station, COUNT(*), MIN(D.sample_value), "
       "MAX(D.sample_value), SUM(D.sample_value) FROM mseed.dataview "
       "WHERE F.network = 'NL' GROUP BY F.station");
+  // The whole-repository scan keeps the parallel drive under test.
+  uint64_t workers = 0;
   ExpectParity(
       "SELECT F.station, F.channel, COUNT(*) FROM mseed.dataview "
-      "GROUP BY F.station, F.channel");
+      "GROUP BY F.station, F.channel",
+      &workers);
+  EXPECT_GT(workers, 1u);
 }
 
 TEST_F(RecordGranularParityTest, GroupByPlainStringOverDictionaryCap) {

@@ -2,13 +2,17 @@
 // query_threads ∈ {1, 2, 8} × batch sizes {1, 4096} returns exactly what
 // the serial path returns — including empty results, multi-file lazy
 // scans, join + aggregate + top-k plans — and the per-operator row counts
-// in the ExecutionReport are identical across thread counts. Integer and
+// in the ExecutionReport are identical across thread counts. The report's
+// query_threads is exactly what the drive-loop sizing rule predicts: a
+// loop over m morsels uses min(threads, ceil(m / kMorselsPerWorker))
+// workers. Integer and
 // string results must be byte-identical; floating-point aggregates merge
 // per-batch partials in seq order and are compared with a tight
 // tolerance.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -18,7 +22,9 @@
 #include "common/thread_pool.h"
 #include "core/warehouse.h"
 #include "engine/executor.h"
+#include "engine/operators/operator.h"
 #include "engine/planner.h"
+#include "engine/pruning.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/catalog.h"
@@ -67,6 +73,14 @@ std::map<std::string, uint64_t> RowsByOperator(const ExecutionReport& r) {
   return rows;
 }
 
+// The workers the sizing rule gives a query whose largest parallel drive
+// loop covers `rows` rows (after zone-map pruning) in `batch`-row morsels.
+size_t PredictedWorkers(size_t rows, size_t batch, size_t threads) {
+  const size_t morsels = (rows + batch - 1) / batch;
+  return std::clamp<size_t>(
+      (morsels + kMorselsPerWorker - 1) / kMorselsPerWorker, 1, threads);
+}
+
 // --- ThreadPool --------------------------------------------------------------
 
 TEST(ThreadPoolTest, ParallelForRunsEveryItemOnce) {
@@ -92,18 +106,19 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
 
 // --- Engine-level parity over hand-built tables ------------------------------
 
+constexpr size_t kRows = 20000;
+
 class ParallelEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Enough rows that every thread count sees many morsels at batch 4096
-    // too few for at batch 1.
-    constexpr int kRows = 20000;
+    // Many morsels at batch 1; at batch 4096 only 5, which the sizing
+    // rule drives serially.
     std::vector<std::string> grp;
     std::vector<int32_t> i32;
     std::vector<int64_t> i64;
     std::vector<double> d;
     std::vector<std::string> s;
-    for (int i = 0; i < kRows; ++i) {
+    for (int i = 0; i < static_cast<int>(kRows); ++i) {
       grp.push_back(i % 2 ? "odd" : "even");
       i32.push_back(i * 7 % 31 - 15);
       i64.push_back((1LL << 40) * (i % 3 - 1) + i);
@@ -133,7 +148,9 @@ class ParallelEngineTest : public ::testing::Test {
     return executor.Execute(*planned->plan, report);
   }
 
-  void ExpectParity(const std::string& sql) {
+  // `driven_rows`: the rows the query's largest parallel drive loop
+  // covers after zone-map pruning (0 when every loop is serial).
+  void ExpectParity(const std::string& sql, size_t driven_rows = kRows) {
     for (size_t batch : kBatchSizes) {
       ExecutionReport serial_report;
       auto serial = Run(sql, batch, 1, &serial_report);
@@ -146,7 +163,9 @@ class ParallelEngineTest : public ::testing::Test {
         std::string context = sql + " @batch=" + std::to_string(batch) +
                               " threads=" + std::to_string(threads);
         ExpectTablesEqual(*serial, *got, context);
-        EXPECT_EQ(report.query_threads, threads) << context;
+        EXPECT_EQ(report.query_threads,
+                  PredictedWorkers(driven_rows, batch, threads))
+            << context;
         // Stats consistency: per-operator emitted rows are exact under
         // concurrency.
         EXPECT_EQ(RowsByOperator(report), serial_rows) << context;
@@ -159,7 +178,9 @@ class ParallelEngineTest : public ::testing::Test {
 
 TEST_F(ParallelEngineTest, FilterShapes) {
   ExpectParity("SELECT i32, d FROM t WHERE i32 > 0");
-  ExpectParity("SELECT s FROM t WHERE grp = 'odd' AND d < 5.0");
+  // d < 5.0 holds only in the first zone-map chunk.
+  ExpectParity("SELECT s FROM t WHERE grp = 'odd' AND d < 5.0",
+               PruningEnabled() ? storage::kZoneMapChunkRows : kRows);
   ExpectParity("SELECT i64 FROM t WHERE i32 = -15");  // highly selective
 }
 
@@ -182,15 +203,48 @@ TEST_F(ParallelEngineTest, SortTopKDistinctShapes) {
   ExpectParity("SELECT grp, i32 FROM t ORDER BY grp LIMIT 23");
   ExpectParity("SELECT DISTINCT grp, s FROM t ORDER BY s");
   ExpectParity("SELECT DISTINCT i32 FROM t");
-  ExpectParity("SELECT i32 FROM t LIMIT 3");
+  // A Limit root is pulled serially, and nothing below it drives.
+  ExpectParity("SELECT i32 FROM t LIMIT 3", 0);
 }
 
 TEST_F(ParallelEngineTest, EmptyResults) {
-  ExpectParity("SELECT i32, s FROM t WHERE i32 > 1000");
-  ExpectParity("SELECT COUNT(*) FROM t WHERE i32 > 1000");
-  ExpectParity("SELECT grp, COUNT(*) FROM t WHERE i32 > 1000 GROUP BY grp");
-  ExpectParity("SELECT DISTINCT s FROM t WHERE i32 > 1000 ORDER BY s");
-  ExpectParity("SELECT i64 FROM t WHERE i32 > 1000 ORDER BY i64 LIMIT 5");
+  // The zone maps prune every morsel: the scans hand out none.
+  const size_t driven = PruningEnabled() ? 0 : kRows;
+  ExpectParity("SELECT i32, s FROM t WHERE i32 > 1000", driven);
+  ExpectParity("SELECT COUNT(*) FROM t WHERE i32 > 1000", driven);
+  ExpectParity("SELECT grp, COUNT(*) FROM t WHERE i32 > 1000 GROUP BY grp",
+               driven);
+  ExpectParity("SELECT DISTINCT s FROM t WHERE i32 > 1000 ORDER BY s",
+               driven);
+  ExpectParity("SELECT i64 FROM t WHERE i32 > 1000 ORDER BY i64 LIMIT 5",
+               driven);
+}
+
+TEST_F(ParallelEngineTest, LargeInputUsesEveryWorker) {
+  // kMorselsPerWorker × 8 morsels at batch 4096: enough for 8 workers.
+  const size_t rows = kMorselsPerWorker * 8 * kDefaultBatchRows;
+  std::vector<int32_t> i32(rows);
+  std::vector<int64_t> i64(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    i32[i] = static_cast<int32_t>(i * 7 % 31) - 15;
+    i64[i] = static_cast<int64_t>(i) * 3;
+  }
+  auto big = std::make_shared<Table>();
+  ASSERT_STATUS_OK(big->AddColumn("i32", Column::FromInt32(std::move(i32))));
+  ASSERT_STATUS_OK(big->AddColumn("i64", Column::FromInt64(std::move(i64))));
+  ASSERT_STATUS_OK(catalog_.RegisterTable("big", big));
+
+  const char* sql = "SELECT COUNT(*), SUM(i64), MIN(i32) FROM big WHERE i32 > 0";
+  ExecutionReport serial_report;
+  auto serial = Run(sql, kDefaultBatchRows, 1, &serial_report);
+  ASSERT_OK(serial);
+  EXPECT_EQ(serial_report.query_threads, 1u);
+  ExecutionReport report;
+  auto got = Run(sql, kDefaultBatchRows, 8, &report);
+  ASSERT_OK(got);
+  ExpectTablesEqual(*serial, *got, sql);
+  EXPECT_EQ(report.query_threads, 8u);
+  EXPECT_GE(report.parallel_drives, 1u);
 }
 
 TEST_F(ParallelEngineTest, TopKBoundsMaterialisedState) {

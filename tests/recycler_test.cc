@@ -220,7 +220,7 @@ TEST(ResultRecyclerTest, HitMissAndInvalidation) {
   ASSERT_STATUS_OK(result.table.AddColumn(
       "x", storage::Column::FromInt64({42})));
   result.deps = {{1, "/repo/a.mseed", 100}};
-  cache.Admit("SELECT 1", std::move(result));
+  EXPECT_TRUE(cache.Admit("SELECT 1", std::move(result), cache.generation()));
 
   // All deps unchanged -> hit.
   auto unchanged = [](const ResultDependency& d) { return d.mtime; };
@@ -244,9 +244,28 @@ TEST(ResultRecyclerTest, BoundedEntries) {
   ResultRecycler cache(2);
   for (int i = 0; i < 5; ++i) {
     CachedResult r;
-    cache.Admit("q" + std::to_string(i), std::move(r));
+    cache.Admit("q" + std::to_string(i), std::move(r), cache.generation());
   }
   EXPECT_LE(cache.entries(), 2u);
+}
+
+TEST(ResultRecyclerTest, AdmitFromBeforeClearIsRefused) {
+  ResultRecycler cache;
+  // A query records the generation before planning; a metadata reload
+  // (Clear) lands before it completes.
+  const uint64_t planned_at = cache.generation();
+  cache.Clear();
+  CachedResult stale;
+  stale.deps = {{1, "/repo/a.mseed", 200}};
+  EXPECT_FALSE(cache.Admit("SELECT 1", std::move(stale), planned_at));
+  EXPECT_EQ(cache.entries(), 0u);
+  auto any = [](const ResultDependency& d) { return d.mtime; };
+  EXPECT_EQ(cache.ValidateAndGet("SELECT 1", any), nullptr);
+
+  // A query planned after the reload is admitted.
+  CachedResult fresh;
+  EXPECT_TRUE(cache.Admit("SELECT 1", std::move(fresh), cache.generation()));
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 }  // namespace

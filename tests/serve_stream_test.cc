@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -37,6 +39,15 @@ using storage::Table;
 // Multi-batch by construction: batch_rows is forced tiny so even the
 // small demo repository streams tens of batches.
 constexpr size_t kTestBatchRows = 128;
+
+// The unsigned value of `key` in a flat JSON object such as GET /stats.
+uint64_t StatField(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
+}
 
 std::unique_ptr<Warehouse> OpenServing(const std::string& root,
                                        size_t query_threads,
@@ -188,7 +199,8 @@ TEST_F(ServeStreamTest, PeakBufferedBytesStayFarBelowMaterialized) {
   // peak resident result bytes (drive loop -> consumer) must sit at least
   // 10x below the materialized table, both serial and parallel. A cursor
   // retains at most its backpressure window for whole-result admission, so
-  // this stream is never admitted; Query() retains and admits it.
+  // this stream is never admitted; Query() follows the same admission rule:
+  // it returns every row but admits nothing, and its repeat is a miss.
   const char* sql =
       "SELECT D.sample_value, D.sample_time FROM mseed.dataview "
       "WHERE F.channel = 'BHZ';";
@@ -214,7 +226,12 @@ TEST_F(ServeStreamTest, PeakBufferedBytesStayFarBelowMaterialized) {
     auto expected = wh->Query(sql);
     ASSERT_OK(expected);
     EXPECT_FALSE(expected->report.result_cache_hit);
-    EXPECT_EQ(wh->Stats().result_cache_entries, 1u);
+    EXPECT_EQ(wh->Stats().result_cache_entries, 0u);
+    auto repeat = wh->Query(sql);
+    ASSERT_OK(repeat);
+    EXPECT_FALSE(repeat->report.result_cache_hit);
+    EXPECT_EQ(repeat->table.num_rows(), expected->table.num_rows());
+    EXPECT_EQ(wh->Stats().result_cache_entries, 0u);
     const uint64_t materialized = expected->table.MemoryBytes();
     ASSERT_GT(expected->table.num_rows(), 20u * kTestBatchRows);
     ASSERT_GT(expected->table.num_rows(),
@@ -413,6 +430,22 @@ TEST_F(ServeStreamTest, QueueTimeoutIs503AndCounted) {
       << *stats;
   EXPECT_NE(stats->find("\"journal_queue_overflows\":0}"), std::string::npos)
       << *stats;
+
+  // Cache and drive counters agree with the warehouse's own.
+  const WarehouseStats ws = wh->Stats();
+  EXPECT_EQ(StatField(*stats, "record_cache_hits"), ws.cache.hits);
+  EXPECT_EQ(StatField(*stats, "record_cache_misses"), ws.cache.misses);
+  EXPECT_GT(ws.cache.misses, 0u);
+  EXPECT_EQ(StatField(*stats, "record_cache_evictions"), ws.cache.evictions);
+  EXPECT_EQ(StatField(*stats, "record_cache_resident_bytes"),
+            ws.cache.current_bytes);
+  EXPECT_GT(ws.cache.current_bytes, 0u);
+  EXPECT_EQ(StatField(*stats, "result_cache_hits"), ws.result_cache_hits);
+  // The completed one-row query was admitted; the abandoned one was not.
+  EXPECT_EQ(StatField(*stats, "result_cache_entries"), 1u);
+  EXPECT_EQ(StatField(*stats, "serial_drives"), ws.serial_drives);
+  EXPECT_EQ(StatField(*stats, "parallel_drives"), ws.parallel_drives);
+  EXPECT_GT(ws.serial_drives, 0u);
 }
 
 // --- Concurrent serving over the socket -----------------------------------
