@@ -15,6 +15,8 @@
 #ifndef LAZYETL_ENGINE_KERNELS_H_
 #define LAZYETL_ENGINE_KERNELS_H_
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -151,17 +153,32 @@ inline bool Improves(const V& v, const V& cur, bool want_min) {
 }
 
 // Min/max over data[offset, offset+n) refining running bounds. `first`
-// marks whether the running bounds are not yet seeded.
+// marks whether the running bounds are not yet seeded. Integers reduce
+// with std::min/std::max (equal integers are indistinguishable, so this is
+// the strict-improvement chain); doubles keep the CompareDoubles chain.
 template <typename T, typename V>
 inline void MinMaxRange(const T* data, size_t offset, size_t n, bool want_min,
                         bool* first, V* extreme) {
-  for (size_t i = 0; i < n; ++i) {
-    V v = static_cast<V>(data[offset + i]);
-    if (*first || Improves(v, *extreme, want_min)) {
-      *extreme = v;
-      *first = false;
-    }
+  if (n == 0) return;
+  data += offset;
+  size_t i = 0;
+  if (*first) {
+    *extreme = static_cast<V>(data[0]);
+    *first = false;
+    i = 1;
   }
+  V ext = *extreme;
+  if constexpr (std::is_floating_point_v<V>) {
+    for (; i < n; ++i) {
+      const V v = static_cast<V>(data[i]);
+      if (Improves(v, ext, want_min)) ext = v;
+    }
+  } else if (want_min) {
+    for (; i < n; ++i) ext = std::min(ext, static_cast<V>(data[i]));
+  } else {
+    for (; i < n; ++i) ext = std::max(ext, static_cast<V>(data[i]));
+  }
+  *extreme = ext;
 }
 
 // Sum over a contiguous range for SUM/AVG state: integer part vectorizes
@@ -201,7 +218,9 @@ inline void SumDoubleRange(const double* data, size_t offset, size_t n,
 // through an open-addressing map whose probe check is per-column bit
 // equality against the group's first row. Because rows are visited in
 // order, ids are dense in first-occurrence order — packing is only
-// needed once per *group*, not once per row.
+// needed once per *group*, not once per row. When the batch comes in runs
+// of equal keys (the lazy data scan emits one run per mSEED record), only
+// run heads are hashed and probed; see FindRunHeads.
 
 inline constexpr uint64_t kGroupHashSeed = 0x2545F4914F6CDD1Dull;
 
@@ -224,61 +243,81 @@ inline uint64_t HashBytes(const char* data, size_t n) {
   return h;
 }
 
-// Folds rows [offset, offset+n) of `c` into the per-row hash accumulators.
-inline void HashColumn(const storage::Column& c, size_t offset, size_t n,
-                       uint64_t* hashes) {
+// Folds row `base + row(i)` of `c` into hashes[i], for i in [0, n).
+// `row` is the identity for a contiguous range and a selection lookup for
+// a gather; it inlines, so each case stays one plain loop. A dictionary-
+// encoded string hashes dict_hashes[code] when `dict_hashes` is given
+// (the encoding-independent join hash, see HashDictionary) and its code
+// itself otherwise (the grouping identity within one column).
+template <typename RowFn>
+inline void HashColumnAt(const storage::Column& c, size_t base, size_t n,
+                         RowFn row, const uint64_t* dict_hashes,
+                         uint64_t* hashes) {
   switch (c.type()) {
     case storage::DataType::kString:
       if (c.dict_encoded()) {
-        const uint32_t* codes = c.dict_codes().data() + offset;
-        for (size_t i = 0; i < n; ++i) {
-          hashes[i] = MixHash(hashes[i], codes[i]);
+        const uint32_t* codes = c.dict_codes().data() + base;
+        if (dict_hashes != nullptr) {
+          for (size_t i = 0; i < n; ++i) {
+            hashes[i] = MixHash(hashes[i], dict_hashes[codes[row(i)]]);
+          }
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            hashes[i] = MixHash(hashes[i], codes[row(i)]);
+          }
         }
       } else {
-        const std::string* s = c.string_data().data() + offset;
+        const std::string* s = c.string_data().data() + base;
         for (size_t i = 0; i < n; ++i) {
-          hashes[i] = MixHash(hashes[i], HashBytes(s[i].data(), s[i].size()));
+          const std::string& v = s[row(i)];
+          hashes[i] = MixHash(hashes[i], HashBytes(v.data(), v.size()));
         }
       }
       break;
     case storage::DataType::kDouble: {
-      const double* d = c.double_data().data() + offset;
+      const double* d = c.double_data().data() + base;
       for (size_t i = 0; i < n; ++i) {
-        uint64_t bits;
-        std::memcpy(&bits, &d[i], sizeof(bits));
-        hashes[i] = MixHash(hashes[i], bits);
+        hashes[i] = MixHash(hashes[i], std::bit_cast<uint64_t>(d[row(i)]));
       }
       break;
     }
     case storage::DataType::kBool: {
-      const uint8_t* b = c.bool_data().data() + offset;
+      const uint8_t* b = c.bool_data().data() + base;
       for (size_t i = 0; i < n; ++i) {
-        hashes[i] = MixHash(hashes[i], b[i] != 0 ? 1u : 0u);
+        hashes[i] = MixHash(hashes[i], b[row(i)] != 0 ? 1u : 0u);
       }
       break;
     }
     case storage::DataType::kInt32: {
-      const int32_t* v = c.int32_data().data() + offset;
+      const int32_t* v = c.int32_data().data() + base;
       for (size_t i = 0; i < n; ++i) {
         hashes[i] = MixHash(
-            hashes[i], static_cast<uint64_t>(static_cast<int64_t>(v[i])));
+            hashes[i], static_cast<uint64_t>(static_cast<int64_t>(v[row(i)])));
       }
       break;
     }
     default: {  // kInt64 / kTimestamp
-      const int64_t* v = c.int64_data().data() + offset;
+      const int64_t* v = c.int64_data().data() + base;
       for (size_t i = 0; i < n; ++i) {
-        hashes[i] = MixHash(hashes[i], static_cast<uint64_t>(v[i]));
+        hashes[i] = MixHash(hashes[i], static_cast<uint64_t>(v[row(i)]));
       }
       break;
     }
   }
 }
 
+// Folds rows [offset, offset+n) of `c` into the per-row hash accumulators.
+inline void HashColumn(const storage::Column& c, size_t offset, size_t n,
+                       uint64_t* hashes) {
+  HashColumnAt(c, offset, n, [](size_t i) { return i; }, nullptr, hashes);
+}
+
 // Bit-exact row equality over the grouping columns — the PackRowKey
-// equivalence relation (see the block comment above).
-inline bool GroupRowsEqual(const storage::Column* const* cols, size_t ncols,
-                           size_t offset, size_t a, size_t b) {
+// equivalence relation (see the block comment above). Always inlined: it
+// is the per-row probe check of GroupIdBuilder.
+[[gnu::always_inline]] inline bool GroupRowsEqual(
+    const storage::Column* const* cols, size_t ncols, size_t offset,
+    size_t a, size_t b) {
   for (size_t c = 0; c < ncols; ++c) {
     const storage::Column& col = *cols[c];
     switch (col.type()) {
@@ -321,50 +360,227 @@ inline bool GroupRowsEqual(const storage::Column* const* cols, size_t ncols,
   return true;
 }
 
+// --- Run detection (run-aware grouping and join) -------------------------
+
+// Marks d[i] for each row i in [1, n) whose value differs from row i-1
+// under `differs`, overwriting d[1, n) when `first` and or-ing into it
+// otherwise. Returns the number of marks in d[1, n) afterwards. For
+// numbers, a stretch of kStride rows whose bytes equal their
+// predecessors' (one memcmp of the column against itself shifted by a
+// row) cannot differ under `differs`, which is bit-wise or coarser, so it
+// is skipped without a per-row compare: long runs cost memcmp's speed.
+template <typename T, typename DiffersFn>
+inline size_t MarkChanges(const T* v, size_t n, bool first, uint8_t* d,
+                          DiffersFn differs) {
+  constexpr size_t kStride = 32;
+  for (size_t i = 1; i < n;) {
+    const size_t end = std::min(n, i + kStride);
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (std::memcmp(v + i, v + i - 1, (end - i) * sizeof(T)) == 0) {
+        if (first) std::memset(d + i, 0, end - i);
+        i = end;
+        continue;
+      }
+    }
+    for (; i < end; ++i) {
+      const uint8_t m = static_cast<uint8_t>(differs(v[i - 1], v[i]));
+      d[i] = first ? m : static_cast<uint8_t>(d[i] | m);
+    }
+  }
+  uint32_t marks = 0;
+  for (size_t i = 1; i < n; ++i) marks += d[i];
+  return marks;
+}
+
+// Lists in `heads` the rows of [offset, offset+rows) that start a run of
+// equal keys: row 0, and every row whose key differs from the previous
+// row's in some column — bit-wise, as GroupRowsEqual compares (dictionary
+// codes, 8-byte words, double bit patterns, bool truth values, string
+// contents). Works column at a time; `differs` is caller scratch. Returns
+// false, with `heads` unspecified, once more than `max_heads` rows are
+// known to head a run, or when the first block of the first column
+// already holds more than its pro-rata share of max_heads: a batch
+// without runs, whose caller's per-row path is then cheaper, pays for one
+// block of compares.
+inline bool FindRunHeads(const storage::Column* const* cols, size_t ncols,
+                         size_t offset, size_t rows, size_t max_heads,
+                         std::vector<uint8_t>* differs,
+                         storage::SelectionVector* heads) {
+  heads->clear();
+  if (rows == 0) return true;
+  differs->resize(rows);
+  uint8_t* d = differs->data();
+  d[0] = 1;
+  if (ncols == 0) std::fill(d + 1, d + rows, 0);
+  size_t count = 1;
+  // Within a column, the count covers the rows compared so far: a lower
+  // bound on the final count, checked every kBlock rows.
+  constexpr size_t kBlock = 256;
+  for (size_t c = 0; c < ncols; ++c) {
+    const storage::Column& col = *cols[c];
+    count = 1;
+    for (size_t b = 1; b < rows; b += kBlock) {
+      // Rows [b, e) are compared against their predecessors, so the
+      // block's view starts one row early.
+      const size_t e = std::min(rows, b + kBlock);
+      const size_t n = e - b + 1;
+      uint8_t* db = d + b - 1;
+      const size_t at = offset + b - 1;
+      const bool first = c == 0;
+      switch (col.type()) {
+        case storage::DataType::kString:
+          if (col.dict_encoded()) {
+            count += MarkChanges(col.dict_codes().data() + at, n, first, db,
+                                 std::not_equal_to<>());
+          } else {
+            count += MarkChanges(col.string_data().data() + at, n, first, db,
+                                 std::not_equal_to<>());
+          }
+          break;
+        case storage::DataType::kDouble:
+          count += MarkChanges(col.double_data().data() + at, n, first, db,
+                               [](double x, double y) {
+                                 return std::bit_cast<uint64_t>(x) !=
+                                        std::bit_cast<uint64_t>(y);
+                               });
+          break;
+        case storage::DataType::kBool:
+          count += MarkChanges(col.bool_data().data() + at, n, first, db,
+                               [](uint8_t x, uint8_t y) {
+                                 return (x != 0) != (y != 0);
+                               });
+          break;
+        case storage::DataType::kInt32:
+          count += MarkChanges(col.int32_data().data() + at, n, first, db,
+                               std::not_equal_to<>());
+          break;
+        default:  // kInt64 / kTimestamp
+          count += MarkChanges(col.int64_data().data() + at, n, first, db,
+                               std::not_equal_to<>());
+          break;
+      }
+      if (count > max_heads) return false;
+      if (c == 0 && b == 1 && (count - 1) * rows > max_heads * (e - 1)) {
+        return false;
+      }
+    }
+  }
+  heads->resize(count + 1);  // one slack slot for the branch-free scatter
+  uint32_t* h = heads->data();
+  size_t k = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    h[k] = static_cast<uint32_t>(i);
+    k += d[i];
+  }
+  heads->resize(count);
+  return true;
+}
+
+// Calls fn(gid, begin, length) for each run [begin, begin+length) that
+// `heads` (FindRunHeads output over [0, rows)) delimits, in row order; a
+// run's gid is its head's gids[] entry.
+template <typename Fn>
+inline void ForEachRun(const storage::SelectionVector& heads, size_t rows,
+                       const uint32_t* gids, Fn fn) {
+  for (size_t k = 0; k < heads.size(); ++k) {
+    const size_t begin = heads[k];
+    const size_t end = k + 1 < heads.size() ? heads[k + 1] : rows;
+    fn(gids[begin], begin, end - begin);
+  }
+}
+
 // Open-addressing batch group-id map. Build() fills `gids` (one dense id
 // per row) and `first_row` (representative row per group, strictly
-// ascending = first-occurrence order) and returns the group count. The
-// scratch vectors persist across batches, so steady-state builds allocate
-// nothing.
+// ascending = first-occurrence order) and returns the group count. When
+// the batch's mean run length is at least kMinRunLength (and its first
+// block of rows does not already show shorter runs), `run_heads` lists
+// its runs (every row of a run has its head's gid) and only the heads are
+// hashed and probed; otherwise `run_heads` is empty and every row is. The
+// choice follows the batch's own run count, and both paths assign the
+// same ids. The scratch vectors persist across batches, so steady-state
+// builds allocate nothing.
 struct GroupIdBuilder {
-  std::vector<uint64_t> hashes;
-  std::vector<uint32_t> gids;       // per row: dense group id
-  std::vector<uint32_t> first_row;  // per group: first row (batch-relative)
-  std::vector<uint32_t> slots;      // probe table: group id + 1; 0 = empty
+  static constexpr size_t kMinRunLength = 4;
+
+  std::vector<uint64_t> hashes;      // per hashed row (or run head)
+  std::vector<uint32_t> gids;        // per row: dense group id
+  std::vector<uint32_t> first_row;   // per group: first row (batch-relative)
+  std::vector<uint64_t> group_hash;  // per group: its key hash
+  storage::SelectionVector run_heads;
+  std::vector<uint8_t> run_marks;    // FindRunHeads scratch
+  std::vector<uint32_t> slots;       // probe table: group id + 1; 0 = empty
   size_t mask = 0;
 
   size_t Build(const storage::Column* const* cols, size_t ncols,
                size_t offset, size_t rows) {
-    hashes.assign(rows, kGroupHashSeed);
+    if (!FindRunHeads(cols, ncols, offset, rows, rows / kMinRunLength,
+                      &run_marks, &run_heads)) {
+      run_heads.clear();
+    }
+    const bool runs = !run_heads.empty();
+    const size_t keyed = runs ? run_heads.size() : rows;
+    hashes.assign(keyed, kGroupHashSeed);
     for (size_t c = 0; c < ncols; ++c) {
-      HashColumn(*cols[c], offset, rows, hashes.data());
+      if (runs) {
+        const uint32_t* heads = run_heads.data();
+        HashColumnAt(*cols[c], offset, keyed,
+                     [heads](size_t i) { return heads[i]; }, nullptr,
+                     hashes.data());
+      } else {
+        HashColumn(*cols[c], offset, rows, hashes.data());
+      }
     }
     size_t cap = 16;
-    while (cap < rows * 2) cap <<= 1;
+    while (cap < keyed * 2) cap <<= 1;
     mask = cap - 1;
     slots.assign(cap, 0);
     gids.resize(rows);
     first_row.clear();
-    for (size_t r = 0; r < rows; ++r) {
-      size_t slot = hashes[r] & mask;
+    group_hash.clear();
+    if (runs) {
+      Probe<true>(cols, ncols, offset, rows);
+    } else {
+      Probe<false>(cols, ncols, offset, rows);
+    }
+    return first_row.size();
+  }
+
+ private:
+  // Gives the k-th hashed row (run head k when kRuns, else row k) its
+  // group, found or added in first-occurrence order, and gives the rest
+  // of its run the same group.
+  template <bool kRuns>
+  void Probe(const storage::Column* const* cols, size_t ncols, size_t offset,
+             size_t rows) {
+    const size_t keyed = kRuns ? run_heads.size() : rows;
+    for (size_t k = 0; k < keyed; ++k) {
+      const size_t r = kRuns ? run_heads[k] : k;
+      const uint64_t h = hashes[k];
+      size_t slot = h & mask;
+      uint32_t g;
       for (;;) {
-        uint32_t s = slots[slot];
+        const uint32_t s = slots[slot];
         if (s == 0) {
-          slots[slot] = static_cast<uint32_t>(first_row.size()) + 1;
-          gids[r] = static_cast<uint32_t>(first_row.size());
+          g = static_cast<uint32_t>(first_row.size());
+          slots[slot] = g + 1;
           first_row.push_back(static_cast<uint32_t>(r));
+          group_hash.push_back(h);
           break;
         }
-        uint32_t g = s - 1;
-        if (hashes[first_row[g]] == hashes[r] &&
+        g = s - 1;
+        if (group_hash[g] == h &&
             GroupRowsEqual(cols, ncols, offset, first_row[g], r)) {
-          gids[r] = g;
           break;
         }
         slot = (slot + 1) & mask;
       }
+      if constexpr (kRuns) {
+        const size_t end = k + 1 < keyed ? run_heads[k + 1] : rows;
+        std::fill(gids.begin() + r, gids.begin() + end, g);
+      } else {
+        gids[r] = g;
+      }
     }
-    return first_row.size();
   }
 };
 
@@ -372,7 +588,9 @@ struct GroupIdBuilder {
 //
 // One pass over the batch with a group-id scatter. All kernels visit rows
 // in ascending order, so each group's double SUM/AVG state accumulates in
-// row order and a NaN that seeds a group's double MIN/MAX sticks.
+// row order and a NaN that seeds a group's double MIN/MAX sticks. (A batch
+// in runs folds each run through the range kernels above instead, which
+// make the same updates in the same order.)
 
 inline void CountGrouped(const uint32_t* gids, size_t n, int64_t* counts) {
   for (size_t i = 0; i < n; ++i) ++counts[gids[i]];
@@ -440,52 +658,7 @@ inline void HashDictionary(const std::vector<std::string>& dict,
 // otherwise).
 inline void JoinHashColumn(const storage::Column& c, size_t offset, size_t n,
                            const uint64_t* dict_hashes, uint64_t* hashes) {
-  switch (c.type()) {
-    case storage::DataType::kString:
-      if (c.dict_encoded()) {
-        const uint32_t* codes = c.dict_codes().data() + offset;
-        for (size_t i = 0; i < n; ++i) {
-          hashes[i] = MixHash(hashes[i], dict_hashes[codes[i]]);
-        }
-      } else {
-        const std::string* s = c.string_data().data() + offset;
-        for (size_t i = 0; i < n; ++i) {
-          hashes[i] = MixHash(hashes[i], HashBytes(s[i].data(), s[i].size()));
-        }
-      }
-      break;
-    case storage::DataType::kDouble: {
-      const double* d = c.double_data().data() + offset;
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t bits;
-        std::memcpy(&bits, &d[i], sizeof(bits));
-        hashes[i] = MixHash(hashes[i], bits);
-      }
-      break;
-    }
-    case storage::DataType::kBool: {
-      const uint8_t* b = c.bool_data().data() + offset;
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = MixHash(hashes[i], b[i] != 0 ? 1u : 0u);
-      }
-      break;
-    }
-    case storage::DataType::kInt32: {
-      const int32_t* v = c.int32_data().data() + offset;
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = MixHash(
-            hashes[i], static_cast<uint64_t>(static_cast<int64_t>(v[i])));
-      }
-      break;
-    }
-    default: {  // kInt64 / kTimestamp
-      const int64_t* v = c.int64_data().data() + offset;
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = MixHash(hashes[i], static_cast<uint64_t>(v[i]));
-      }
-      break;
-    }
-  }
+  HashColumnAt(c, offset, n, [](size_t i) { return i; }, dict_hashes, hashes);
 }
 
 // Gather variant: folds rows base_offset + rows[i] of `c` into hashes[i].
@@ -493,54 +666,8 @@ inline void JoinHashColumn(const storage::Column& c, size_t offset, size_t n,
 inline void JoinHashRows(const storage::Column& c, size_t base_offset,
                          const uint32_t* rows, size_t n,
                          const uint64_t* dict_hashes, uint64_t* hashes) {
-  switch (c.type()) {
-    case storage::DataType::kString:
-      if (c.dict_encoded()) {
-        const uint32_t* codes = c.dict_codes().data() + base_offset;
-        for (size_t i = 0; i < n; ++i) {
-          hashes[i] = MixHash(hashes[i], dict_hashes[codes[rows[i]]]);
-        }
-      } else {
-        const std::string* s = c.string_data().data() + base_offset;
-        for (size_t i = 0; i < n; ++i) {
-          const std::string& v = s[rows[i]];
-          hashes[i] = MixHash(hashes[i], HashBytes(v.data(), v.size()));
-        }
-      }
-      break;
-    case storage::DataType::kDouble: {
-      const double* d = c.double_data().data() + base_offset;
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t bits;
-        std::memcpy(&bits, &d[rows[i]], sizeof(bits));
-        hashes[i] = MixHash(hashes[i], bits);
-      }
-      break;
-    }
-    case storage::DataType::kBool: {
-      const uint8_t* b = c.bool_data().data() + base_offset;
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = MixHash(hashes[i], b[rows[i]] != 0 ? 1u : 0u);
-      }
-      break;
-    }
-    case storage::DataType::kInt32: {
-      const int32_t* v = c.int32_data().data() + base_offset;
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = MixHash(
-            hashes[i],
-            static_cast<uint64_t>(static_cast<int64_t>(v[rows[i]])));
-      }
-      break;
-    }
-    default: {  // kInt64 / kTimestamp
-      const int64_t* v = c.int64_data().data() + base_offset;
-      for (size_t i = 0; i < n; ++i) {
-        hashes[i] = MixHash(hashes[i], static_cast<uint64_t>(v[rows[i]]));
-      }
-      break;
-    }
-  }
+  HashColumnAt(c, base_offset, n, [rows](size_t i) { return rows[i]; },
+               dict_hashes, hashes);
 }
 
 // Equality classes of the packed-key encoding: bool packs one byte,

@@ -584,57 +584,68 @@ class Accumulator {
     }
   }
 
-  // Folds rows [0, rows) of `arg` into group 0 (ungrouped aggregation):
-  // integer sums vectorize freely, double sums accumulate in row order,
-  // min/max run the seeded comparison chain row by row.
-  void UpdateBulk(const Column* arg, size_t rows) {
-    bool first = count_[0] == 0;
-    count_[0] += static_cast<int64_t>(rows);
+  // Folds rows [offset, offset+n) of `arg` into group `g` (group 0 of an
+  // ungrouped aggregation, or one run of a grouped batch): integer sums
+  // vectorize freely, double sums accumulate in row order, min/max run
+  // the seeded comparison chain (integers as std::min/std::max).
+  void FoldRange(size_t g, const Column* arg, size_t offset, size_t n) {
+    bool first = count_[g] == 0;
+    count_[g] += static_cast<int64_t>(n);
     if (function_ == "COUNT") return;
     if (function_ == "AVG" || function_ == "SUM") {
       if (arg->type() == DataType::kDouble) {
-        kernels::SumDoubleRange(arg->double_data().data(), 0, rows,
-                                &dsum_[0]);
+        kernels::SumDoubleRange(arg->double_data().data(), offset, n,
+                                &dsum_[g]);
       } else if (arg->type() == DataType::kInt32) {
-        kernels::SumRange(arg->int32_data().data(), 0, rows, &isum_[0],
-                          &dsum_[0]);
+        kernels::SumRange(arg->int32_data().data(), offset, n, &isum_[g],
+                          &dsum_[g]);
       } else if (arg->type() == DataType::kBool) {
-        kernels::SumRange(arg->bool_data().data(), 0, rows, &isum_[0],
-                          &dsum_[0]);
+        kernels::SumRange(arg->bool_data().data(), offset, n, &isum_[g],
+                          &dsum_[g]);
       } else {
-        kernels::SumRange(arg->int64_data().data(), 0, rows, &isum_[0],
-                          &dsum_[0]);
+        kernels::SumRange(arg->int64_data().data(), offset, n, &isum_[g],
+                          &dsum_[g]);
       }
       return;
     }
     bool want_min = function_ == "MIN";
     if (arg_type_ == DataType::kString) {
-      for (size_t row = 0; row < rows; ++row) {
+      for (size_t row = offset; row < offset + n; ++row) {
         const std::string& v = arg->StringAt(row);
-        if (first || kernels::Improves(v, sext_[0], want_min)) {
-          sext_[0] = v;
+        if (first || kernels::Improves(v, sext_[g], want_min)) {
+          sext_[g] = v;
           first = false;
         }
       }
     } else if (arg_type_ == DataType::kDouble) {
-      kernels::MinMaxRange(arg->double_data().data(), 0, rows, want_min,
-                           &first, &dext_[0]);
+      kernels::MinMaxRange(arg->double_data().data(), offset, n, want_min,
+                           &first, &dext_[g]);
     } else if (arg->type() == DataType::kInt32) {
-      kernels::MinMaxRange(arg->int32_data().data(), 0, rows, want_min,
-                           &first, &iext_[0]);
+      kernels::MinMaxRange(arg->int32_data().data(), offset, n, want_min,
+                           &first, &iext_[g]);
     } else if (arg->type() == DataType::kBool) {
-      kernels::MinMaxRange(arg->bool_data().data(), 0, rows, want_min,
-                           &first, &iext_[0]);
+      kernels::MinMaxRange(arg->bool_data().data(), offset, n, want_min,
+                           &first, &iext_[g]);
     } else {
-      kernels::MinMaxRange(arg->int64_data().data(), 0, rows, want_min,
-                           &first, &iext_[0]);
+      kernels::MinMaxRange(arg->int64_data().data(), offset, n, want_min,
+                           &first, &iext_[g]);
     }
   }
 
   // Folds rows [0, rows) of `arg` into the groups `gids[row]`, visiting
   // rows in ascending order: each group's double sum adds its rows in row
-  // order, and its min/max chain sees them in row order.
-  void UpdateGrouped(const uint32_t* gids, const Column* arg, size_t rows) {
+  // order, and its min/max chain sees them in row order. When `runs` (the
+  // batch's GroupIdBuilder::run_heads) is non-empty, each run of one gid
+  // folds through FoldRange: the same updates, in the same order.
+  void UpdateGrouped(const uint32_t* gids, const SelectionVector& runs,
+                     const Column* arg, size_t rows) {
+    if (!runs.empty()) {
+      kernels::ForEachRun(runs, rows, gids,
+                          [&](uint32_t g, size_t begin, size_t n) {
+                            FoldRange(g, arg, begin, n);
+                          });
+      return;
+    }
     if (function_ == "COUNT") {
       kernels::CountGrouped(gids, rows, count_.data());
       return;
@@ -1664,7 +1675,7 @@ class AggregateOperator : public BatchOperator {
       partial->tag_row.push_back(0);
       for (auto& acc : partial->accs) acc.Resize(1);
       for (size_t i = 0; i < partial->accs.size(); ++i) {
-        partial->accs[i].UpdateBulk(&scratch->arg_cols[i], rows);
+        partial->accs[i].FoldRange(0, &scratch->arg_cols[i], 0, rows);
       }
       return Status::OK();
     }
@@ -1691,8 +1702,8 @@ class AggregateOperator : public BatchOperator {
     }
     for (auto& acc : partial->accs) acc.Resize(ngroups);
     for (size_t i = 0; i < partial->accs.size(); ++i) {
-      partial->accs[i].UpdateGrouped(b.gids.data(), &scratch->arg_cols[i],
-                                     rows);
+      partial->accs[i].UpdateGrouped(b.gids.data(), b.run_heads,
+                                     &scratch->arg_cols[i], rows);
     }
     return Status::OK();
   }
@@ -1725,7 +1736,7 @@ class AggregateOperator : public BatchOperator {
         group_count_ = 1;
         for (auto& acc : accs_) acc.Resize(group_count_);
         for (size_t i = 0; i < accs_.size(); ++i) {
-          accs_[i].UpdateBulk(&arg_cols[i], rows);
+          accs_[i].FoldRange(0, &arg_cols[i], 0, rows);
         }
       }
       return Status::OK();
@@ -1760,7 +1771,8 @@ class AggregateOperator : public BatchOperator {
       builder_.gids[row] = global_gids_[builder_.gids[row]];
     }
     for (size_t i = 0; i < accs_.size(); ++i) {
-      accs_[i].UpdateGrouped(builder_.gids.data(), &arg_cols[i], rows);
+      accs_[i].UpdateGrouped(builder_.gids.data(), builder_.run_heads,
+                             &arg_cols[i], rows);
     }
     return Status::OK();
   }

@@ -230,12 +230,9 @@ class LazyDataScanOperator : public BatchOperator {
     }
     const size_t n = chunk.num_rows();
     SelectionVector run_start;
-    for (size_t r = 0; r < n; ++r) {
-      if (r == 0 ||
-          !kernels::JoinRowsEqual(keys.data(), keys.data(), nkeys, r - 1, r)) {
-        run_start.push_back(static_cast<uint32_t>(r));
-      }
-    }
+    std::vector<uint8_t> run_marks;
+    kernels::FindRunHeads(keys.data(), nkeys, 0, n, n, &run_marks,
+                          &run_start);
     const size_t runs = run_start.size();
 
     Stopwatch probe_timer;

@@ -1,12 +1,15 @@
 #include "mseed/reader.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -16,6 +19,56 @@ namespace {
 // Bytes read per record during a metadata scan: fixed header (48) +
 // blockette 1000 (8) + optional blockette 100 (12), rounded up.
 constexpr size_t kHeaderProbeBytes = 128;
+
+// Largest single read ReadSelectedRecords issues for a stretch of
+// adjacent records; bounds its buffer on long selections.
+constexpr uint64_t kMaxStretchBytes = 1 << 20;
+
+// A file opened for positioned reads, closed when it goes out of scope.
+class ReadOnlyFile {
+ public:
+  static Result<ReadOnlyFile> Open(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      return Status::IOError("cannot open " + path + ": " +
+                             std::strerror(errno));
+    }
+    return ReadOnlyFile(fd, path);
+  }
+  ReadOnlyFile(ReadOnlyFile&& other) noexcept
+      : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(ReadOnlyFile&&) = delete;
+  ~ReadOnlyFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  // Fills `buf` from `offset` on with as many preads as it takes. Returns
+  // the bytes read: fewer than buf->size() only at end of file.
+  Result<size_t> ReadAt(uint64_t offset, std::vector<uint8_t>* buf) const {
+    size_t got = 0;
+    while (got < buf->size()) {
+      const ssize_t n = ::pread(fd_, buf->data() + got, buf->size() - got,
+                                static_cast<off_t>(offset + got));
+      if (n > 0) {
+        got += static_cast<size_t>(n);
+      } else if (n == 0) {
+        break;
+      } else if (errno != EINTR) {
+        return Status::IOError("cannot read " + path_ + ": " +
+                               std::strerror(errno));
+      }
+    }
+    return got;
+  }
+
+ private:
+  ReadOnlyFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+
+  int fd_;
+  std::string path_;
+};
 
 // Fills the file-level aggregates of `md` from its record list.
 Status Summarize(FileMetadata* md) {
@@ -105,52 +158,55 @@ Result<FileMetadata> ScanMetadata(const std::string& path) {
   return md;
 }
 
-Result<std::vector<int32_t>> ReadRecordSamples(const std::string& path,
-                                               const RecordInfo& info) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open " + path);
-  }
-  std::vector<uint8_t> buf(info.header.record_length);
-  in.seekg(static_cast<std::streamoff>(info.file_offset));
-  in.read(reinterpret_cast<char*>(buf.data()),
-          static_cast<std::streamsize>(buf.size()));
-  if (in.gcount() != static_cast<std::streamsize>(buf.size())) {
-    return Status::IOError("short read of record at offset " +
-                           std::to_string(info.file_offset) + " in " + path);
-  }
-  return DecodeRecordData(info.header, buf.data(), buf.size());
-}
-
 Result<std::vector<std::vector<int32_t>>> ReadSelectedRecords(
     const FileMetadata& metadata, const std::vector<size_t>& record_indexes) {
-  std::ifstream in(metadata.path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open " + metadata.path);
-  }
-  std::vector<std::vector<int32_t>> out;
-  out.reserve(record_indexes.size());
-  std::vector<uint8_t> buf;
+  const std::string& path = metadata.path;
   for (size_t idx : record_indexes) {
     if (idx >= metadata.records.size()) {
       return Status::InvalidArgument("record index " + std::to_string(idx) +
-                                     " out of range for " + metadata.path);
+                                     " out of range for " + path);
     }
-    const RecordInfo& info = metadata.records[idx];
-    buf.resize(info.header.record_length);
-    in.seekg(static_cast<std::streamoff>(info.file_offset));
-    in.read(reinterpret_cast<char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-    if (in.gcount() != static_cast<std::streamsize>(buf.size())) {
-      return Status::IOError("short read of record " + std::to_string(idx) +
-                             " in " + metadata.path);
+  }
+  LAZYETL_ASSIGN_OR_RETURN(ReadOnlyFile file, ReadOnlyFile::Open(path));
+  std::vector<std::vector<int32_t>> out;
+  out.reserve(record_indexes.size());
+  std::vector<uint8_t> buf;
+  // One read per stretch of requested records that lie back to back in
+  // the file (at most kMaxStretchBytes), then one decode per record from
+  // the buffer. Gaps between requested records are never read.
+  for (size_t i = 0; i < record_indexes.size();) {
+    const RecordInfo& head = metadata.records[record_indexes[i]];
+    uint64_t stretch_end = head.file_offset + head.header.record_length;
+    size_t j = i + 1;
+    for (; j < record_indexes.size(); ++j) {
+      const RecordInfo& next = metadata.records[record_indexes[j]];
+      const uint64_t next_end = next.file_offset + next.header.record_length;
+      if (next.file_offset != stretch_end ||
+          next_end - head.file_offset > kMaxStretchBytes) {
+        break;
+      }
+      stretch_end = next_end;
     }
-    auto samples = DecodeRecordData(info.header, buf.data(), buf.size());
-    if (!samples.ok()) {
-      return samples.status().WithContext("record " + std::to_string(idx) +
-                                          " of " + metadata.path);
+    buf.resize(static_cast<size_t>(stretch_end - head.file_offset));
+    LAZYETL_ASSIGN_OR_RETURN(size_t got,
+                             file.ReadAt(head.file_offset, &buf));
+    for (; i < j; ++i) {
+      const size_t idx = record_indexes[i];
+      const RecordInfo& info = metadata.records[idx];
+      const size_t at =
+          static_cast<size_t>(info.file_offset - head.file_offset);
+      const size_t len = info.header.record_length;
+      if (at + len > got) {
+        return Status::IOError("short read of record " + std::to_string(idx) +
+                               " in " + path);
+      }
+      auto samples = DecodeRecordData(info.header, buf.data() + at, len);
+      if (!samples.ok()) {
+        return samples.status().WithContext("record " + std::to_string(idx) +
+                                            " of " + path);
+      }
+      out.push_back(std::move(*samples));
     }
-    out.push_back(std::move(*samples));
   }
   return out;
 }

@@ -66,13 +66,13 @@ struct FileMetadata {
 // seeks to the next record using the length from blockette 1000.
 Result<FileMetadata> ScanMetadata(const std::string& path);
 
-// Decodes the waveform of a single record.
-Result<std::vector<int32_t>> ReadRecordSamples(const std::string& path,
-                                               const RecordInfo& info);
-
 // Decodes a subset of records in one pass over the file. `record_indexes`
 // index into `metadata.records` and must be sorted ascending. Returns one
-// sample vector per requested record, in the same order.
+// sample vector per requested record, in the same order. The file is
+// opened once and read with one pread per stretch of requested records
+// that are adjacent on disk; only requested record bytes are read. Fails
+// with InvalidArgument for an index out of range and IOError when the
+// file is shorter than its metadata says.
 Result<std::vector<std::vector<int32_t>>> ReadSelectedRecords(
     const FileMetadata& metadata, const std::vector<size_t>& record_indexes);
 

@@ -233,8 +233,13 @@ inline int32_t SignExtend(uint32_t v, int bits) {
   return static_cast<int32_t>(v);
 }
 
-// Decode driver shared by both codecs. `expand` appends the differences
-// encoded in one data word.
+// Most differences one data word can hold (Steim-2 nibble 11, dnib 10).
+constexpr size_t kMaxDiffsPerWord = 7;
+
+// Decode driver shared by both codecs. `expand` writes the differences
+// encoded in one data word at `out` and returns how many it wrote. The
+// differences land in the output vector itself and are integrated in
+// place, so a record costs one allocation.
 template <typename ExpandFn>
 Result<std::vector<int32_t>> DecodeImpl(const uint8_t* frames,
                                         size_t num_bytes,
@@ -250,14 +255,15 @@ Result<std::vector<int32_t>> DecodeImpl(const uint8_t* frames,
   size_t num_frames = num_bytes / kSteimFrameBytes;
   int32_t x0 = 0;
   int32_t xn = 0;
-  std::vector<int32_t> diffs;
-  diffs.reserve(expected_samples);
+  // Slack for the last word's overshoot past expected_samples.
+  std::vector<int32_t> samples(expected_samples + kMaxDiffsPerWord);
+  int32_t* out = samples.data();
+  size_t found = 0;
 
-  for (size_t f = 0; f < num_frames && diffs.size() < expected_samples; ++f) {
+  for (size_t f = 0; f < num_frames && found < expected_samples; ++f) {
     const uint8_t* frame = frames + f * kSteimFrameBytes;
     uint32_t w0 = ReadBE32(frame);
-    for (size_t w = 1; w < kWordsPerFrame && diffs.size() < expected_samples;
-         ++w) {
+    for (size_t w = 1; w < kWordsPerFrame && found < expected_samples; ++w) {
       uint32_t nibble = (w0 >> (30 - 2 * w)) & 0x3u;
       uint32_t word = ReadBE32(frame + 4 * w);
       if (f == 0 && w == 1) {
@@ -269,23 +275,25 @@ Result<std::vector<int32_t>> DecodeImpl(const uint8_t* frames,
         continue;
       }
       if (nibble == kNibbleSpecial) continue;  // padding
-      expand(word, nibble, &diffs);
+      found += expand(word, nibble, out + found);
     }
   }
 
-  if (diffs.size() < expected_samples) {
+  if (found < expected_samples) {
     return Status::CorruptData(
         std::string(codec) + " decode: expected " +
         std::to_string(expected_samples) + " samples, found " +
-        std::to_string(diffs.size()));
+        std::to_string(found));
   }
 
-  std::vector<int32_t> samples(expected_samples);
-  samples[0] = x0;
+  // The first difference is relative to the previous record: X0 replaces
+  // it. Each later sample adds its difference, wrapping in 32 bits.
+  samples.resize(expected_samples);
+  out[0] = x0;
   uint32_t acc = static_cast<uint32_t>(x0);
   for (size_t i = 1; i < expected_samples; ++i) {
-    acc += static_cast<uint32_t>(diffs[i]);
-    samples[i] = static_cast<int32_t>(acc);
+    acc += static_cast<uint32_t>(out[i]);
+    out[i] = static_cast<int32_t>(acc);
   }
   if (samples.back() != xn) {
     return Status::CorruptData(
@@ -296,62 +304,68 @@ Result<std::vector<int32_t>> DecodeImpl(const uint8_t* frames,
   return samples;
 }
 
-void ExpandSteim1(uint32_t word, uint32_t nibble, std::vector<int32_t>* out) {
+size_t ExpandSteim1(uint32_t word, uint32_t nibble, int32_t* out) {
   switch (nibble) {
     case kNibbleBytes:
-      for (int i = 0; i < 4; ++i) {
-        out->push_back(SignExtend(word >> (24 - 8 * i), 8));
-      }
-      break;
+      for (int i = 0; i < 4; ++i) out[i] = SignExtend(word >> (24 - 8 * i), 8);
+      return 4;
     case kNibble2:
-      out->push_back(SignExtend(word >> 16, 16));
-      out->push_back(SignExtend(word, 16));
-      break;
+      out[0] = SignExtend(word >> 16, 16);
+      out[1] = SignExtend(word, 16);
+      return 2;
     case kNibble3:
-      out->push_back(static_cast<int32_t>(word));
-      break;
+      out[0] = static_cast<int32_t>(word);
+      return 1;
     default:
-      break;
+      return 0;
   }
 }
 
-void ExpandSteim2(uint32_t word, uint32_t nibble, std::vector<int32_t>* out) {
+size_t ExpandSteim2(uint32_t word, uint32_t nibble, int32_t* out) {
   uint32_t dnib = word >> 30;
   switch (nibble) {
     case kNibbleBytes:
-      for (int i = 0; i < 4; ++i) {
-        out->push_back(SignExtend(word >> (24 - 8 * i), 8));
-      }
-      break;
+      for (int i = 0; i < 4; ++i) out[i] = SignExtend(word >> (24 - 8 * i), 8);
+      return 4;
     case kNibble2:
       if (dnib == 0x1) {
-        out->push_back(SignExtend(word, 30));
-      } else if (dnib == 0x2) {
-        out->push_back(SignExtend(word >> 15, 15));
-        out->push_back(SignExtend(word, 15));
-      } else if (dnib == 0x3) {
-        for (int i = 0; i < 3; ++i) {
-          out->push_back(SignExtend(word >> (20 - 10 * i), 10));
-        }
+        out[0] = SignExtend(word, 30);
+        return 1;
       }
-      break;
+      if (dnib == 0x2) {
+        out[0] = SignExtend(word >> 15, 15);
+        out[1] = SignExtend(word, 15);
+        return 2;
+      }
+      if (dnib == 0x3) {
+        for (int i = 0; i < 3; ++i) {
+          out[i] = SignExtend(word >> (20 - 10 * i), 10);
+        }
+        return 3;
+      }
+      return 0;
     case kNibble3:
       if (dnib == 0x0) {
         for (int i = 0; i < 5; ++i) {
-          out->push_back(SignExtend(word >> (24 - 6 * i), 6));
+          out[i] = SignExtend(word >> (24 - 6 * i), 6);
         }
-      } else if (dnib == 0x1) {
-        for (int i = 0; i < 6; ++i) {
-          out->push_back(SignExtend(word >> (25 - 5 * i), 5));
-        }
-      } else if (dnib == 0x2) {
-        for (int i = 0; i < 7; ++i) {
-          out->push_back(SignExtend(word >> (24 - 4 * i), 4));
-        }
+        return 5;
       }
-      break;
+      if (dnib == 0x1) {
+        for (int i = 0; i < 6; ++i) {
+          out[i] = SignExtend(word >> (25 - 5 * i), 5);
+        }
+        return 6;
+      }
+      if (dnib == 0x2) {
+        for (int i = 0; i < 7; ++i) {
+          out[i] = SignExtend(word >> (24 - 4 * i), 4);
+        }
+        return 7;
+      }
+      return 0;
     default:
-      break;
+      return 0;
   }
 }
 

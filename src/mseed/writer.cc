@@ -1,6 +1,5 @@
 #include "mseed/writer.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -10,12 +9,6 @@
 #include "mseed/steim.h"
 
 namespace lazyetl::mseed {
-
-NanoTime SampleTimeAt(NanoTime start, double rate, size_t index) {
-  if (rate <= 0.0) return start;
-  return start + static_cast<int64_t>(
-                     std::llround(static_cast<double>(index) * 1e9 / rate));
-}
 
 namespace {
 

@@ -3,6 +3,7 @@
 #ifndef LAZYETL_MSEED_WRITER_H_
 #define LAZYETL_MSEED_WRITER_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,9 +58,19 @@ Result<WriteStats> AppendToMseedFile(const std::string& path,
                                      int32_t first_sequence_number);
 
 // Time of sample `index` in a series starting at `start` with `rate`
-// samples/second. Centralised so the writer, the eager loader, and the lazy
-// extractor produce bit-identical timestamps.
-NanoTime SampleTimeAt(NanoTime start, double rate, size_t index);
+// samples/second: start + llround(index * 1e9 / rate). Centralised so the
+// writer, the eager loader, and the lazy extractor produce bit-identical
+// timestamps, and inline because the extractor calls it once per sample.
+// The rounding is llround's, half away from zero, without the libm call:
+// below 2^63 the truncating cast is exact and so is x - trunc(x).
+inline NanoTime SampleTimeAt(NanoTime start, double rate, size_t index) {
+  if (rate <= 0.0) return start;
+  const double x = static_cast<double>(index) * 1e9 / rate;
+  if (!(std::fabs(x) < 0x1p63)) return start + std::llround(x);
+  const int64_t t = static_cast<int64_t>(x);
+  const double frac = x - static_cast<double>(t);
+  return start + t + (frac >= 0.5) - (frac <= -0.5);
+}
 
 }  // namespace lazyetl::mseed
 

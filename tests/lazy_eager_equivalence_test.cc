@@ -14,6 +14,7 @@
 
 #include "core/schema.h"
 #include "core/warehouse.h"
+#include "mseed/reader.h"
 #include "mseed/repository.h"
 #include "storage/slice.h"
 #include "test_util.h"
@@ -440,6 +441,54 @@ TEST_F(RecordGranularParityTest, EmptySelection) {
   ExpectParity(
       "SELECT F.station, D.sample_value FROM mseed.dataview "
       "WHERE D.sample_value > 1000000000");
+}
+
+TEST(RecordGapReadTest, SelectedRecordsWithGapsReadOnlyTheirBytes) {
+  // Two-minute files hold a dozen records each. Skipping records 2 and 5
+  // leaves gaps inside every file, with adjacent records between them:
+  // the extractor reads the stretches around the gaps and never a gap, so
+  // a cold lazy query's bytes_read is the sum of the selected records'
+  // lengths, and its answer is byte-identical to the eager one.
+  ScopedTempDir dir;
+  auto cfg = SmallRepoConfig();
+  cfg.num_days = 1;
+  cfg.seconds_per_segment = 120.0;
+  MustGenerate(dir.path(), cfg);
+  const std::string sql =
+      "SELECT F.uri, R.seq_no, COUNT(*), SUM(D.sample_value), "
+      "MIN(D.sample_time), MAX(D.sample_value) FROM mseed.dataview "
+      "WHERE F.station = 'ISK' AND R.seq_no <> 2 AND R.seq_no <> 5 "
+      "GROUP BY F.uri, R.seq_no ORDER BY F.uri, R.seq_no";
+  auto eager = MustOpen(LoadStrategy::kEager, dir.path())->Query(sql);
+  ASSERT_OK(eager);
+
+  auto lazy = MustOpen(LoadStrategy::kLazy, dir.path(), 64ULL << 20,
+                       /*result_cache=*/false);
+  auto uris = lazy->Query("SELECT uri FROM mseed.files WHERE station = 'ISK'");
+  ASSERT_OK(uris);
+  ASSERT_GT(uris->table.num_rows(), 0u);
+  uint64_t want_bytes = 0;
+  uint64_t want_records = 0;
+  for (size_t r = 0; r < uris->table.num_rows(); ++r) {
+    auto md = mseed::ScanMetadata(uris->table.GetValue(r, 0).string_value());
+    ASSERT_OK(md);
+    ASSERT_GE(md->records.size(), 7u) << md->path;
+    for (const mseed::RecordInfo& info : md->records) {
+      const int32_t seq = info.header.sequence_number;
+      if (seq == 2 || seq == 5) continue;
+      want_bytes += info.header.record_length;
+      ++want_records;
+    }
+  }
+  auto cold = lazy->Query(sql);
+  ASSERT_OK(cold);
+  ExpectBytesEqual(eager->table, cold->table, "cold: " + sql);
+  EXPECT_EQ(cold->report.records_extracted, want_records);
+  EXPECT_EQ(cold->report.bytes_read, want_bytes);
+  auto warm = lazy->Query(sql);
+  ASSERT_OK(warm);
+  ExpectBytesEqual(eager->table, warm->table, "warm: " + sql);
+  EXPECT_EQ(warm->report.bytes_read, 0u);
 }
 
 }  // namespace

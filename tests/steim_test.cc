@@ -192,6 +192,40 @@ TEST(SteimTest, DecodeDetectsReverseConstantMismatch) {
             std::string::npos);
 }
 
+TEST(SteimTest, InPlaceIntegrationStillChecksXn) {
+  // Multi-frame records of both codecs: a wrong Xn, or a flipped
+  // difference that the in-place integration carries to the last sample,
+  // is CorruptData; the intact frames still decode.
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int32_t> step(-300, 300);
+  std::vector<int32_t> v(700);
+  int32_t x = 1000;
+  for (auto& s : v) s = x += step(rng);
+  for (bool steim2 : {false, true}) {
+    auto enc = Encode(steim2, v, 64, v[0]);
+    ASSERT_OK(enc);
+    ASSERT_EQ(enc->samples_encoded, v.size());
+    ASSERT_GT(enc->frames.size(), 2 * kSteimFrameBytes);
+    auto ok = Decode(steim2, enc->frames, v.size());
+    ASSERT_OK(ok);
+    EXPECT_EQ(*ok, v);
+
+    std::vector<uint8_t> bad_xn = enc->frames;
+    bad_xn[11] ^= 0x01;  // low byte of Xn (word 2 of frame 0)
+    auto dec = Decode(steim2, bad_xn, v.size());
+    ASSERT_FALSE(dec.ok()) << (steim2 ? "steim2" : "steim1");
+    EXPECT_TRUE(dec.status().IsCorruptData());
+    EXPECT_NE(dec.status().message().find("reverse integration"),
+              std::string::npos);
+
+    std::vector<uint8_t> bad_diff = enc->frames;
+    bad_diff[kSteimFrameBytes + 7] ^= 0x01;  // low bit of frame 1, word 1
+    auto dec2 = Decode(steim2, bad_diff, v.size());
+    ASSERT_FALSE(dec2.ok()) << (steim2 ? "steim2" : "steim1");
+    EXPECT_TRUE(dec2.status().IsCorruptData());
+  }
+}
+
 TEST(SteimTest, CompressionRatioOnRealisticData) {
   // Seismic-like data (small differences) should compress well below
   // 4 bytes/sample with Steim-2.

@@ -7,8 +7,9 @@
 // one extra case with non-dyadic doubles pins the serial row-order sum.
 // Covers dictionary-encoded and plain string keys, NaN / signed-zero
 // double keys, NaN under MIN/MAX and ORDER BY, BOOL MIN/MAX,
-// multi-column keys, empty inputs, and recursive spill-partition
-// overflow.
+// multi-column keys, empty inputs, recursive spill-partition overflow,
+// and keys in runs (long, length-1 and alternating), which take the
+// run-aware group-id and accumulator path.
 
 #include <gtest/gtest.h>
 
@@ -113,7 +114,71 @@ class VectorAggTest : public ::testing::Test {
     ASSERT_STATUS_OK(noisy->AddColumn("x", Column::FromDouble(x)));
     ASSERT_STATUS_OK(catalog_.RegisterTable("noisy", noisy));
 
-    tables_ = {{"facts", facts}, {"factsd", forced}, {"noisy", noisy}};
+    // Keys in runs, as the lazy data scan emits them (one run per mSEED
+    // record): long runs, length-1 runs, alternating keys, and runs that
+    // return to earlier groups. The first 4096-row batch takes the
+    // run-aware path; the alternating tail keeps the per-row path.
+    std::vector<int64_t> rk;
+    for (int i = 0; i < kRows; ++i) {
+      if (i >= 1000 && i < 1100) {
+        rk.push_back(100000 + i);  // length-1 runs
+      } else if (i >= 2000 && i < 2100) {
+        rk.push_back(i % 2 == 0 ? 7 : 8);  // alternating
+      } else if (i < 3000) {
+        rk.push_back(i / 150);  // long runs
+      } else if (i < 4000) {
+        rk.push_back((i / 250) % 5);  // long runs of earlier groups
+      } else {
+        rk.push_back(i % 3);  // no runs
+      }
+    }
+    std::vector<int64_t> ra;
+    std::vector<double> rd;
+    std::vector<std::string> rs;
+    std::vector<uint8_t> rf;
+    std::vector<int64_t> v;
+    std::vector<double> w;
+    std::vector<double> rx;
+    for (int i = 0; i < kRows; ++i) {
+      const int64_t key = rk[i];
+      ra.push_back(i / 1500);  // changes rarely: multi-key runs split on rk
+      // NaN, -0.0 and 0.0 keys in neighbouring runs must not merge.
+      switch (key % 4) {
+        case 0: rd.push_back(nan); break;
+        case 1: rd.push_back(-0.0); break;
+        case 2: rd.push_back(0.0); break;
+        default: rd.push_back(static_cast<double>(key) * 0.25); break;
+      }
+      rs.push_back("s" + std::to_string(key % 50));
+      rf.push_back(static_cast<uint8_t>(key / 3 % 2));
+      v.push_back((i * 37LL) % 1000 - 500);
+      if (i % 53 == 0) {
+        w.push_back(nan);
+      } else if (i % 11 == 0) {
+        w.push_back(i % 22 == 0 ? 0.0 : -0.0);
+      } else {
+        w.push_back((i % 97) * 0.125 - 5.0);
+      }
+      rx.push_back(std::sqrt(i + 3.0) * 7.3);
+    }
+    auto runs = std::make_shared<Table>();
+    ASSERT_STATUS_OK(runs->AddColumn("rk", Column::FromInt64(rk)));
+    ASSERT_STATUS_OK(runs->AddColumn("ra", Column::FromInt64(ra)));
+    ASSERT_STATUS_OK(runs->AddColumn("rd", Column::FromDouble(rd)));
+    ASSERT_STATUS_OK(runs->AddColumn("rs", Column::FromString(rs)));
+    Column rg_col = Column::FromString(rs);
+    ASSERT_TRUE(rg_col.TryDictEncode(64));
+    ASSERT_STATUS_OK(runs->AddColumn("rg", std::move(rg_col)));
+    ASSERT_STATUS_OK(runs->AddColumn("rf", Column::FromBool(rf)));
+    ASSERT_STATUS_OK(runs->AddColumn("v", Column::FromInt64(v)));
+    ASSERT_STATUS_OK(runs->AddColumn("w", Column::FromDouble(w)));
+    ASSERT_STATUS_OK(runs->AddColumn("rx", Column::FromDouble(rx)));
+    ASSERT_STATUS_OK(catalog_.RegisterTable("runs", runs));
+
+    tables_ = {{"facts", facts},
+               {"factsd", forced},
+               {"noisy", noisy},
+               {"runs", runs}};
   }
 
   Result<Table> Run(const std::string& sql, size_t threads, uint64_t budget,
@@ -380,6 +445,144 @@ TEST_F(VectorAggTest, SerialDoubleSumsAddInRowOrder) {
     ASSERT_OK(got);
     testing::ExpectTablesBitEqual(*got, query.expected,
                                   query.sql + " @threads=1");
+  }
+}
+
+TEST_F(VectorAggTest, RunKeysInt64) {
+  ExpectGroupByMatches("runs", {"rk"},
+                       {{"COUNT", ""},
+                        {"SUM", "v"},
+                        {"MIN", "v"},
+                        {"MAX", "v"},
+                        {"AVG", "w"},
+                        {"MIN", "w"},
+                        {"MAX", "w"},
+                        {"MIN", "rf"},
+                        {"MAX", "rs"}});
+}
+
+TEST_F(VectorAggTest, RunKeysNaNAndSignedZeroDoubles) {
+  ExpectGroupByMatches("runs", {"rd"},
+                       {{"COUNT", ""}, {"SUM", "v"}, {"MIN", "w"},
+                        {"MAX", "w"}, {"SUM", "w"}});
+}
+
+TEST_F(VectorAggTest, RunKeysDictAndPlainStrings) {
+  const std::vector<Agg> aggs = {
+      {"COUNT", ""}, {"SUM", "w"}, {"MIN", "rs"}, {"MAX", "v"}};
+  ExpectGroupByMatches("runs", {"rs"}, aggs);
+  ExpectGroupByMatches("runs", {"rg"}, aggs);
+}
+
+TEST_F(VectorAggTest, RunKeysMultiColumnOneColumnChanges) {
+  // ra changes every 1500 rows, rk at every run head: a head is a change
+  // in either column.
+  ExpectGroupByMatches("runs", {"ra", "rk"},
+                       {{"COUNT", ""}, {"SUM", "v"}, {"MAX", "w"}});
+  ExpectGroupByMatches("runs", {"rg", "rf", "rd"},
+                       {{"COUNT", ""}, {"MIN", "v"}, {"AVG", "w"}});
+}
+
+TEST_F(VectorAggTest, RunKeysDistinct) {
+  ExpectDistinctMatches("runs", {"rk"});
+  ExpectDistinctMatches("runs", {"ra", "rd"});
+  ExpectDistinctMatches("runs", {"rg", "rs"});
+}
+
+TEST_F(VectorAggTest, RunKeysSerialDoubleSumsAddInRowOrder) {
+  // The run path folds a run through SumDoubleRange: still row order.
+  const std::vector<Agg> aggs = {
+      {"SUM", "rx"}, {"AVG", "rx"}, {"MIN", "rx"}, {"MAX", "rx"}};
+  for (const auto& groups :
+       {std::vector<std::string>{"rk"}, std::vector<std::string>{"rs"}}) {
+    const GroupQuery query =
+        MakeGroupQuery("runs", groups, aggs, "", *tables_.at("runs"));
+    ExecutionReport report;
+    auto got = Run(query.sql, 1, 0, &report);
+    ASSERT_OK(got);
+    testing::ExpectTablesBitEqual(*got, query.expected,
+                                  query.sql + " @threads=1");
+  }
+}
+
+TEST_F(VectorAggTest, BatchGroupIdsOnRunsMatchReference) {
+  // The builder on its own over a batch in runs (it must take the run
+  // path) and over one without (it must not): per row, the gid's first
+  // row holds an equal key; per group, first rows are RefDistinct's.
+  const Table& runs = *tables_.at("runs");
+  storage::SelectionVector head(4000);
+  for (uint32_t i = 0; i < head.size(); ++i) head[i] = i;
+  const Table run_part = runs.Gather(head);
+  const std::vector<std::pair<const Table*, std::vector<std::string>>> cases =
+      {{&run_part, {"rk"}},
+       {&run_part, {"rd"}},
+       {&run_part, {"rs"}},
+       {&run_part, {"rg", "rf"}},
+       {&run_part, {"ra", "rk"}},
+       {&runs, {"rk"}},
+       {tables_.at("facts").get(), {"grp", "k"}}};
+  for (const auto& [table, cols] : cases) {
+    const std::string context = cols.front() + " over " +
+                                std::to_string(table->num_rows()) + " rows";
+    Table keys;
+    std::vector<const Column*> colptrs;
+    for (const auto& c : cols) {
+      ASSERT_STATUS_OK(keys.AddColumn(c, **table->ColumnByName(c)));
+    }
+    for (size_t c = 0; c < keys.num_columns(); ++c) {
+      colptrs.push_back(&keys.column(c));
+    }
+    kernels::GroupIdBuilder builder;
+    const size_t rows = keys.num_rows();
+    const size_t ngroups =
+        builder.Build(colptrs.data(), colptrs.size(), 0, rows);
+    EXPECT_EQ(builder.run_heads.empty(), table != &run_part) << context;
+    ASSERT_EQ(builder.first_row.size(), ngroups);
+    for (size_t r = 0; r < rows; ++r) {
+      const uint32_t g = builder.gids[r];
+      ASSERT_LT(g, ngroups) << context;
+      ASSERT_LE(builder.first_row[g], r) << context;
+      ASSERT_TRUE(kernels::GroupRowsEqual(colptrs.data(), colptrs.size(), 0,
+                                          builder.first_row[g], r))
+          << context << " row " << r;
+    }
+    testing::ExpectTablesBitEqual(keys.Gather(builder.first_row),
+                                  testing::RefDistinct(keys), context);
+  }
+}
+
+TEST_F(VectorAggTest, RunHeadsMarkEveryKeyChange) {
+  // FindRunHeads against a row-by-row GroupRowsEqual scan, and its
+  // give-up bound.
+  const Table& runs = *tables_.at("runs");
+  for (const auto& cols : {std::vector<std::string>{"rk"},
+                           std::vector<std::string>{"rd"},
+                           std::vector<std::string>{"rs"},
+                           std::vector<std::string>{"rg", "rf"},
+                           std::vector<std::string>{"ra", "rd", "rs"}}) {
+    std::vector<const Column*> colptrs;
+    for (const auto& c : cols) colptrs.push_back(*runs.ColumnByName(c));
+    const size_t offset = 7;
+    const size_t rows = runs.num_rows() - offset;
+    storage::SelectionVector want;
+    for (size_t r = 0; r < rows; ++r) {
+      if (r == 0 || !kernels::GroupRowsEqual(colptrs.data(), colptrs.size(),
+                                             offset, r - 1, r)) {
+        want.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    std::vector<uint8_t> marks;
+    storage::SelectionVector heads;
+    ASSERT_TRUE(kernels::FindRunHeads(colptrs.data(), colptrs.size(), offset,
+                                      rows, rows, &marks, &heads));
+    EXPECT_EQ(heads, want) << cols.front();
+    ASSERT_TRUE(kernels::FindRunHeads(colptrs.data(), colptrs.size(), offset,
+                                      rows, want.size(), &marks, &heads));
+    EXPECT_EQ(heads, want) << cols.front();
+    EXPECT_FALSE(kernels::FindRunHeads(colptrs.data(), colptrs.size(), offset,
+                                       rows, want.size() - 1, &marks,
+                                       &heads))
+        << cols.front();
   }
 }
 

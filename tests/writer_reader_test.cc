@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -147,10 +148,73 @@ TEST(ReaderTest, ReadSingleRecord) {
   ASSERT_OK(WriteMseedFile(path, series, WriterOptions{}));
   auto md = ScanMetadata(path);
   ASSERT_OK(md);
-  auto samples = ReadRecordSamples(path, md->records[0]);
+  auto samples = ReadSelectedRecords(*md, {0});
   ASSERT_OK(samples);
-  EXPECT_EQ(samples->size(), md->records[0].header.num_samples);
-  EXPECT_EQ((*samples)[0], series.samples[0]);
+  ASSERT_EQ(samples->size(), 1u);
+  EXPECT_EQ((*samples)[0].size(), md->records[0].header.num_samples);
+  EXPECT_EQ((*samples)[0][0], series.samples[0]);
+}
+
+TEST(ReaderTest, ReadSelectedRecordsAcrossStretchesAndGaps) {
+  // Adjacent requested records share one read; a gap starts the next.
+  ScopedTempDir dir;
+  TimeSeries series = MakeSeries(8000);
+  std::string path = dir.path() + "/stretch.mseed";
+  ASSERT_OK(WriteMseedFile(path, series, WriterOptions{}));
+  auto md = ScanMetadata(path);
+  ASSERT_OK(md);
+  auto full = ReadFull(path);
+  ASSERT_OK(full);
+  const size_t n = md->records.size();
+  ASSERT_GT(n, 8u);
+  for (const std::vector<size_t>& wanted :
+       {std::vector<size_t>{0, 1, 2, 4, 5, 7, n - 1},
+        std::vector<size_t>{3}, std::vector<size_t>{}}) {
+    auto selected = ReadSelectedRecords(*md, wanted);
+    ASSERT_OK(selected);
+    ASSERT_EQ(selected->size(), wanted.size());
+    for (size_t i = 0; i < wanted.size(); ++i) {
+      EXPECT_EQ((*selected)[i], full->record_samples[wanted[i]]) << wanted[i];
+    }
+  }
+  std::vector<size_t> all(n);
+  std::iota(all.begin(), all.end(), size_t{0});
+  auto everything = ReadSelectedRecords(*md, all);
+  ASSERT_OK(everything);
+  EXPECT_EQ(*everything, full->record_samples);
+}
+
+TEST(ReaderTest, ReadSelectedRecordsRejectsOutOfRangeIndex) {
+  ScopedTempDir dir;
+  std::string path = dir.path() + "/range.mseed";
+  ASSERT_OK(WriteMseedFile(path, MakeSeries(2000), WriterOptions{}));
+  auto md = ScanMetadata(path);
+  ASSERT_OK(md);
+  auto got = ReadSelectedRecords(*md, {0, md->records.size()});
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsInvalidArgument()) << got.status().ToString();
+}
+
+TEST(ReaderTest, ReadSelectedRecordsFailsOnFileTruncatedAfterScan) {
+  // The metadata promises more bytes than the file now holds: the stretch
+  // read comes up short and the record that does not fit is an IOError.
+  ScopedTempDir dir;
+  std::string path = dir.path() + "/shrunk.mseed";
+  ASSERT_OK(WriteMseedFile(path, MakeSeries(4000), WriterOptions{}));
+  auto md = ScanMetadata(path);
+  ASSERT_OK(md);
+  ASSERT_GT(md->records.size(), 3u);
+  std::filesystem::resize_file(path, 2 * 512 + 100);
+  for (const std::vector<size_t>& wanted :
+       {std::vector<size_t>{0, 1, 2, 3}, std::vector<size_t>{2},
+        std::vector<size_t>{3}}) {
+    auto got = ReadSelectedRecords(*md, wanted);
+    ASSERT_FALSE(got.ok());
+    EXPECT_TRUE(got.status().IsIOError()) << got.status().ToString();
+  }
+  auto head = ReadSelectedRecords(*md, {0, 1});  // still whole on disk
+  ASSERT_OK(head);
+  EXPECT_EQ(head->size(), 2u);
 }
 
 TEST(ReaderTest, RecordStartTimesAdvance) {
@@ -231,6 +295,23 @@ TEST(SampleTimeAtTest, ExactForIntegralRates) {
   EXPECT_EQ(SampleTimeAt(start, 40.0, 40), start + kNanosPerSecond);
   EXPECT_EQ(SampleTimeAt(start, 40.0, 1), start + 25000000LL);
   EXPECT_EQ(SampleTimeAt(start, 1.0, 3600), start + 3600 * kNanosPerSecond);
+}
+
+TEST(SampleTimeAtTest, RoundsLikeLlround) {
+  // The inline rounding must be llround's, half away from zero, for
+  // integral and non-integral periods alike; 2e9 and 8e8 Hz put exact
+  // halves and quarters in the fraction.
+  const NanoTime start = *ParseTimestamp("2010-01-12T00:00:00.000");
+  for (double rate : {40.0, 100.0, 0.1, 1.0 / 3.0, 3.0, 7.0, 2e9, 8e8}) {
+    for (size_t i = 0; i < 200000; i += (i < 1000 ? 1 : 997)) {
+      const NanoTime want =
+          start + std::llround(static_cast<double>(i) * 1e9 / rate);
+      ASSERT_EQ(SampleTimeAt(start, rate, i), want)
+          << "rate " << rate << " index " << i;
+    }
+  }
+  EXPECT_EQ(SampleTimeAt(start, 0.0, 5), start);
+  EXPECT_EQ(SampleTimeAt(start, -1.0, 5), start);
 }
 
 }  // namespace
