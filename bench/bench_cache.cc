@@ -87,12 +87,12 @@ void BM_Cache_ResultRecyclingAblation(benchmark::State& state) {
   state.SetLabel(result_cache ? "record+result-cache" : "record-cache-only");
 }
 
+// Doubling steps between 8 KiB and 4 MiB, so the budget at which the hit
+// rate saturates is resolved to a factor of two.
 BENCHMARK(BM_Cache_BudgetSweep)
-    ->Arg(8)       // 8 KiB: thrashes
-    ->Arg(64)      // 64 KiB
-    ->Arg(512)     // 512 KiB
-    ->Arg(4096)    // 4 MiB
-    ->Arg(65536)   // 64 MiB: whole working set resident
+    ->RangeMultiplier(2)
+    ->Range(8, 4096)  // KiB: 8 KiB thrashes
+    ->Arg(65536)      // 64 MiB: whole working set resident
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Cache_ResultRecyclingAblation)
     ->Arg(0)

@@ -18,19 +18,31 @@ Result<TransformedRecord> TransformRecord(const mseed::RecordHeader& header,
         "record advertises " + std::to_string(header.num_samples) +
         " samples but decoded " + std::to_string(samples.size()));
   }
-  LAZYETL_ASSIGN_OR_RETURN(NanoTime start, header.StartTime());
+  Result<NanoTime> start = header.StartTime();
+  if (!start.ok()) {
+    return Status::CorruptData("record has an unreadable start time: " +
+                               start.status().message());
+  }
   double rate = header.SampleRate();
   if (rate <= 0.0) {
     return Status::CorruptData("record has no sample rate: " +
                                header.SourceId());
   }
   TransformedRecord out;
-  out.sample_times.resize(samples.size());
-  for (size_t i = 0; i < samples.size(); ++i) {
-    out.sample_times[i] = mseed::SampleTimeAt(start, rate, i);
-  }
+  out.start_time = *start;
+  out.sample_rate = rate;
   out.sample_values = std::move(samples);  // identity value transform
   return out;
+}
+
+void AppendSampleTimes(NanoTime start, double rate, size_t begin,
+                       size_t count, std::vector<int64_t>* out) {
+  const size_t base = out->size();
+  out->resize(base + count);
+  int64_t* dst = out->data() + base;
+  for (size_t i = 0; i < count; ++i) {
+    dst[i] = mseed::SampleTimeAt(start, rate, begin + i);
+  }
 }
 
 Status AppendFileRow(Table* files, int64_t file_id,
@@ -79,14 +91,14 @@ Status AppendDataRows(Table* data, int64_t file_id, int64_t seq_no,
   LAZYETL_ASSIGN_OR_RETURN(size_t time_idx, data->ColumnIndex("sample_time"));
   LAZYETL_ASSIGN_OR_RETURN(size_t val_idx, data->ColumnIndex("sample_value"));
 
-  size_t n = rec.sample_times.size();
+  size_t n = rec.sample_values.size();
   auto& fids = data->column(fid_idx).int64_data();
   auto& seqs = data->column(seq_idx).int64_data();
-  auto& times = data->column(time_idx).int64_data();
   auto& values = data->column(val_idx).int32_data();
   fids.insert(fids.end(), n, file_id);
   seqs.insert(seqs.end(), n, seq_no);
-  times.insert(times.end(), rec.sample_times.begin(), rec.sample_times.end());
+  AppendSampleTimes(rec.start_time, rec.sample_rate, 0, n,
+                    &data->column(time_idx).int64_data());
   values.insert(values.end(), rec.sample_values.begin(),
                 rec.sample_values.end());
   return Status::OK();

@@ -8,6 +8,7 @@
 #ifndef LAZYETL_CORE_ETL_H_
 #define LAZYETL_CORE_ETL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,11 +21,15 @@
 namespace lazyetl::core {
 
 // The record-level transformation (§3.2, "transformations performed on a
-// fine granularity are added to the end of the extraction phase"):
-// materialises a timestamp for every sample of a record from its header
-// metadata and passes raw counts through the (identity) value transform.
+// fine granularity are added to the end of the extraction phase"): checks
+// the decoded record against its header and passes raw counts through the
+// (identity) value transform. A sample's timestamp is a function of the
+// header's start time and sample rate, so the record keeps those two
+// fields and AppendSampleTimes derives the timestamps wherever rows are
+// built — by the eager loader and by the lazy chunk assembly alike.
 struct TransformedRecord {
-  std::vector<int64_t> sample_times;
+  NanoTime start_time = 0;
+  double sample_rate = 0.0;  // > 0
   std::vector<int32_t> sample_values;
 };
 
@@ -32,6 +37,13 @@ struct TransformedRecord {
 // move them in, and they become the record's values without a copy.
 Result<TransformedRecord> TransformRecord(const mseed::RecordHeader& header,
                                           std::vector<int32_t> samples);
+
+// Appends the timestamps of samples [begin, begin + count) of a record
+// starting at `start` with `rate` samples/second. `begin` is a position
+// within the record, so a record split across chunks derives the same
+// timestamps as a whole one.
+void AppendSampleTimes(NanoTime start, double rate, size_t begin,
+                       size_t count, std::vector<int64_t>* out);
 
 // Appends one F-table row describing `md` (with the given id).
 Status AppendFileRow(storage::Table* files, int64_t file_id,
@@ -41,7 +53,8 @@ Status AppendFileRow(storage::Table* files, int64_t file_id,
 Status AppendRecordRows(storage::Table* records, int64_t file_id,
                         const mseed::FileMetadata& md);
 
-// Appends D-table rows for one record's transformed samples.
+// Appends D-table rows for one transformed record: its values and the
+// timestamps AppendSampleTimes derives for them.
 Status AppendDataRows(storage::Table* data, int64_t file_id, int64_t seq_no,
                       const TransformedRecord& rec);
 

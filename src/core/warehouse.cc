@@ -290,7 +290,8 @@ Status WarehouseDataProvider::RunExtractionJobs(std::vector<ExtractJob>* jobs) {
         return;
       }
       auto record = std::make_shared<CachedRecord>();
-      record->sample_times = std::move(transformed->sample_times);
+      record->start_time = transformed->start_time;
+      record->sample_rate = transformed->sample_rate;
       record->sample_values = std::move(transformed->sample_values);
       record->file_mtime = job->mtime;
       job->results.push_back(std::move(record));
@@ -359,9 +360,9 @@ Result<std::vector<Table>> WarehouseDataProvider::AssembleChunks(
           } else if (sc.base_column == "seq_no") {
             values.insert(values.end(), p.length, p.staged->seq_no);
           } else {
-            const auto& src = p.staged->record->sample_times;
-            values.insert(values.end(), src.begin() + p.begin,
-                          src.begin() + p.begin + p.length);
+            const CachedRecord& rec = *p.staged->record;
+            AppendSampleTimes(rec.start_time, rec.sample_rate, p.begin,
+                              p.length, &values);
           }
         }
         col = sc.base_column == "sample_time"
@@ -377,7 +378,7 @@ Result<std::vector<Table>> WarehouseDataProvider::AssembleChunks(
   std::vector<Piece> pieces;
   size_t rows = 0;
   for (const StagedRecord& staged : records) {
-    const size_t n = staged.record->sample_times.size();
+    const size_t n = staged.record->sample_values.size();
     for (size_t begin = 0; begin < n;) {
       const size_t length = std::min(n - begin, batch_rows - rows);
       pieces.push_back({&staged, begin, length});
@@ -566,8 +567,9 @@ Status WarehouseRecordStream::AdvanceWindow() {
             std::to_string(fr.fid));
       }
 
-      // Estimated decoded footprint of this file's requested records
-      // (8-byte time + 4-byte value per sample, plus per-record slack).
+      // Estimated footprint of this file's assembled chunks (8-byte time +
+      // 4-byte value per sample, plus per-record slack). The decoded
+      // records they are assembled from hold only the 4-byte values.
       uint64_t est = 0;
       if (entry.metadata != nullptr) {
         for (int64_t seq : fr.seqs) {

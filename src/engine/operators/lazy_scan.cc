@@ -254,27 +254,32 @@ class LazyDataScanOperator : public BatchOperator {
     for (size_t j = 0; in_place && j < runs; ++j) {
       in_place = head_run[j] == j;
     }
+    auto run_end = [&](uint32_t run) {
+      return run + 1 < runs ? run_start[run + 1] : static_cast<uint32_t>(n);
+    };
+    // In place, each used metadata column fills its run's row once per run
+    // (run_lengths); otherwise the matches are expanded row by row.
+    SelectionVector run_lengths;
     SelectionVector build_sel;
     SelectionVector probe_sel;
-    build_sel.reserve(n);
-    for (size_t j = 0; j < head_run.size();) {
-      const uint32_t run = head_run[j];
-      size_t last = j;
-      while (last < head_run.size() && head_run[last] == run) ++last;
-      const uint32_t begin = run_start[run];
-      const uint32_t end =
-          run + 1 < runs ? run_start[run + 1] : static_cast<uint32_t>(n);
-      if (in_place) {
-        build_sel.insert(build_sel.end(), end - begin, head_build[j]);
-      } else {
-        for (uint32_t row = begin; row < end; ++row) {
+    if (in_place) {
+      run_lengths.resize(runs);
+      for (uint32_t run = 0; run < runs; ++run) {
+        run_lengths[run] = run_end(run) - run_start[run];
+      }
+    } else {
+      for (size_t j = 0; j < head_run.size();) {
+        const uint32_t run = head_run[j];
+        size_t last = j;
+        while (last < head_run.size() && head_run[last] == run) ++last;
+        for (uint32_t row = run_start[run]; row < run_end(run); ++row) {
           for (size_t m = j; m < last; ++m) {
             build_sel.push_back(head_build[m]);
             probe_sel.push_back(row);
           }
         }
+        j = last;
       }
-      j = last;
     }
 
     Table out;
@@ -284,8 +289,11 @@ class LazyDataScanOperator : public BatchOperator {
                               meta_.column_name(c))) {
         continue;
       }
-      LAZYETL_RETURN_NOT_OK(out.AddColumn(meta_.column_name(c),
-                                          meta_.column(c).Gather(build_sel)));
+      const Column& meta = meta_.column(c);
+      LAZYETL_RETURN_NOT_OK(out.AddColumn(
+          meta_.column_name(c), in_place ? meta.GatherRuns(head_build,
+                                                           run_lengths)
+                                         : meta.Gather(build_sel)));
     }
     for (size_t c = 0; c < chunk.num_columns(); ++c) {
       LAZYETL_RETURN_NOT_OK(out.AddColumn(

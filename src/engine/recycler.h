@@ -3,11 +3,11 @@
 //
 // "Materialization of the extracted and transformed data is simply caching
 // the result of a view definition" — here at record granularity: the unit
-// of caching is one decoded, transformed mSEED record (its sample_time and
-// sample_value vectors). An LRU policy bounds the cache to a byte budget.
-// Each entry remembers the source file's modification time at admission;
-// lazy refresh compares it against the file's current mtime and re-extracts
-// when outdated.
+// of caching is one decoded, transformed mSEED record (its sample values
+// plus the start time and sample rate its timestamps derive from). An LRU
+// policy bounds the cache to a byte budget. Each entry remembers the
+// source file's modification time at admission; lazy refresh compares it
+// against the file's current mtime and re-extracts when outdated.
 //
 // Concurrency: both caches are shared by every in-flight query of a
 // Warehouse. The structures are mutex-guarded and lookups hand out
@@ -68,19 +68,22 @@ struct RecordKeyHash {
   }
 };
 
-// One cached record: already extracted *and* transformed. Immutable once
-// shared: the record a query stream assembles from is the same object the
-// cache holds.
+// One cached record: already extracted *and* transformed. It holds what
+// extraction produces — the decoded values and the two header fields that
+// determine every sample's timestamp (core::AppendSampleTimes derives them
+// at assembly) — so a cached sample costs 4 bytes. Immutable once shared:
+// the record a query stream assembles from is the same object the cache
+// holds.
 struct CachedRecord {
-  std::vector<int64_t> sample_times;   // nanosecond timestamps
+  NanoTime start_time = 0;             // first sample's timestamp
+  double sample_rate = 0.0;            // samples per second
   std::vector<int32_t> sample_values;  // raw counts
   NanoTime file_mtime = 0;             // source file mtime at admission
   NanoTime admitted_at = 0;
 
   // Bytes accounted against the cache budget.
   uint64_t Bytes() const {
-    return sample_times.size() * sizeof(int64_t) +
-           sample_values.size() * sizeof(int32_t) + sizeof(CachedRecord);
+    return sample_values.size() * sizeof(int32_t) + sizeof(CachedRecord);
   }
 };
 

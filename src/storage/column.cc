@@ -282,6 +282,31 @@ Column Column::Gather(const SelectionVector& sel) const {
   return out;
 }
 
+Column Column::GatherRuns(const SelectionVector& rows,
+                          const SelectionVector& counts) const {
+  size_t total = 0;
+  for (uint32_t count : counts) total += count;
+  auto fill = [&](const auto& src, auto* dst) {
+    dst->reserve(total);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      dst->insert(dst->end(), counts[i], src[rows[i]]);
+    }
+  };
+  if (dict_) {
+    std::vector<uint32_t> codes;
+    fill(codes_, &codes);
+    return FromDictionary(dict_, std::move(codes));
+  }
+  Column out(type_);
+  std::visit(
+      [&](const auto& src) {
+        using VecT = std::decay_t<decltype(src)>;
+        fill(src, &std::get<VecT>(out.data_));
+      },
+      data_);
+  return out;
+}
+
 Column Column::GatherFrom(const SelectionVector& sel,
                           size_t base_offset) const {
   if (dict_) {

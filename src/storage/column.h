@@ -107,6 +107,11 @@ class Column {
   // New column containing rows picked by `sel`, in order.
   Column Gather(const SelectionVector& sel) const;
 
+  // New column holding row `rows[i]` repeated `counts[i]` times, for each
+  // i in order: a gather of whole runs, filled once per run.
+  Column GatherRuns(const SelectionVector& rows,
+                    const SelectionVector& counts) const;
+
   // Gather with a base offset: rows picked are `base_offset + sel[i]`.
   // Used by slices, whose selection vectors are slice-relative.
   Column GatherFrom(const SelectionVector& sel, size_t base_offset) const;

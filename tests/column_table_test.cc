@@ -81,6 +81,30 @@ TEST(ColumnTest, Gather) {
   EXPECT_EQ(g.string_data()[2], "b");
 }
 
+TEST(ColumnTest, GatherRunsEqualsGatherOfRepeatedRows) {
+  // Each rows[i] repeated counts[i] times, zero-length runs included: the
+  // same column a per-row Gather of the expanded selection builds, for
+  // plain, numeric and dictionary-encoded columns alike.
+  const SelectionVector rows = {2, 0, 3, 2};
+  const SelectionVector counts = {3, 0, 1, 2};
+  const SelectionVector expanded = {2, 2, 2, 3, 2, 2};
+  Column dict = Column::FromString({"x", "y", "x", "z"});
+  ASSERT_TRUE(dict.TryDictEncode(16));
+  for (const Column& c :
+       {Column::FromString({"a", "b", "c", "d"}),
+        Column::FromInt64({10, 11, 12, 13}),
+        Column::FromDouble({0.5, 1.5, 2.5, 3.5}), dict}) {
+    Column runs = c.GatherRuns(rows, counts);
+    Column want = c.Gather(expanded);
+    ASSERT_EQ(runs.size(), want.size());
+    EXPECT_EQ(runs.dict_encoded(), c.dict_encoded());
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_TRUE(runs.GetValue(r).Equals(want.GetValue(r))) << r;
+    }
+  }
+  EXPECT_EQ(Column::FromInt32({1}).GatherRuns({}, {}).size(), 0u);
+}
+
 TEST(ColumnTest, AppendColumn) {
   Column a = Column::FromInt64({1, 2});
   Column b = Column::FromInt64({3});

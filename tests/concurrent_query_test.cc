@@ -479,10 +479,11 @@ TEST(ConcurrentQueryTest, EvictionUnderPressureKeepsCacheHitParity) {
 
   // Tiny record cache: the second pass of every query mixes recycler hits
   // with re-extractions of evicted records. Results must be identical
-  // run-to-run; evictions change only timings.
+  // run-to-run; evictions change only timings. A cached sample costs
+  // 4 bytes, so the budget is sized against that.
   auto wh = OpenConcurrent(LoadStrategy::kLazy, dir.path(),
                            /*max_concurrent=*/4,
-                           /*cache_budget=*/64ULL << 10);
+                           /*cache_budget=*/16ULL << 10);
   std::vector<Outcome> first = RunClients(wh.get(), 4, 1);
   WarehouseStats warm = wh->Stats();
   EXPECT_GT(warm.cache.admissions, 0u);

@@ -28,27 +28,59 @@ mseed::RecordHeader MakeHeader(uint16_t num_samples, double rate = 40.0) {
   return h;
 }
 
-TEST(TransformRecordTest, MaterialisesSampleTimes) {
+TEST(TransformRecordTest, KeepsHeaderTimingAndValues) {
   auto h = MakeHeader(4);
   auto out = TransformRecord(h, {10, 20, 30, 40});
   ASSERT_OK(out);
-  NanoTime start = *h.StartTime();
-  EXPECT_EQ(out->sample_times,
-            (std::vector<int64_t>{start, start + 25000000,
-                                  start + 50000000, start + 75000000}));
+  EXPECT_EQ(out->start_time, *h.StartTime());
+  EXPECT_EQ(out->sample_rate, 40.0);
   EXPECT_EQ(out->sample_values, (std::vector<int32_t>{10, 20, 30, 40}));
+  std::vector<int64_t> times;
+  AppendSampleTimes(out->start_time, out->sample_rate, 0, 4, &times);
+  NanoTime start = out->start_time;
+  EXPECT_EQ(times, (std::vector<int64_t>{start, start + 25000000,
+                                         start + 50000000, start + 75000000}));
 }
 
-TEST(TransformRecordTest, MatchesWriterTimestamps) {
-  // The lazy transform and the writer must agree exactly — the basis of
-  // the lazy==eager invariant.
-  auto h = MakeHeader(100);
-  std::vector<int32_t> samples(100, 1);
-  auto out = TransformRecord(h, samples);
-  ASSERT_OK(out);
-  NanoTime start = *h.StartTime();
-  for (size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_EQ(out->sample_times[i], mseed::SampleTimeAt(start, 40.0, i));
+TEST(TransformRecordTest, DerivedTimesMatchWriterForFullRecord) {
+  // The derived times and the writer must agree exactly — the basis of
+  // the lazy==eager invariant. 3 and 7 Hz have no integral period in
+  // nanoseconds, so every timestamp goes through the rounding.
+  for (double rate : {40.0, 3.0, 7.0}) {
+    SCOPED_TRACE(rate);
+    auto h = MakeHeader(100, rate);
+    auto out = TransformRecord(h, std::vector<int32_t>(100, 1));
+    ASSERT_OK(out);
+    std::vector<int64_t> times;
+    AppendSampleTimes(out->start_time, out->sample_rate, 0, 100, &times);
+    ASSERT_EQ(times.size(), 100u);
+    NanoTime start = *h.StartTime();
+    for (size_t i = 0; i < times.size(); ++i) {
+      EXPECT_EQ(times[i], mseed::SampleTimeAt(start, rate, i)) << i;
+    }
+  }
+}
+
+TEST(TransformRecordTest, DerivedTimesForRangeStartingMidRecord) {
+  // A chunk piece that starts mid-record derives times from the sample's
+  // position within its record, and appends after what `out` holds.
+  for (double rate : {40.0, 3.0, 7.0}) {
+    SCOPED_TRACE(rate);
+    auto h = MakeHeader(100, rate);
+    auto out = TransformRecord(h, std::vector<int32_t>(100, 1));
+    ASSERT_OK(out);
+    std::vector<int64_t> times = {-1, -2};
+    AppendSampleTimes(out->start_time, out->sample_rate, 37, 20, &times);
+    ASSERT_EQ(times.size(), 22u);
+    EXPECT_EQ(times[0], -1);
+    EXPECT_EQ(times[1], -2);
+    std::vector<int64_t> whole;
+    AppendSampleTimes(out->start_time, out->sample_rate, 0, 100, &whole);
+    NanoTime start = *h.StartTime();
+    for (size_t k = 0; k < 20; ++k) {
+      EXPECT_EQ(times[2 + k], mseed::SampleTimeAt(start, rate, 37 + k)) << k;
+      EXPECT_EQ(times[2 + k], whole[37 + k]) << k;
+    }
   }
 }
 
@@ -59,17 +91,27 @@ TEST(TransformRecordTest, RejectsMismatchedCounts) {
   EXPECT_TRUE(out.status().IsCorruptData());
 }
 
+TEST(TransformRecordTest, RejectsUnreadableStartTime) {
+  auto h = MakeHeader(1);
+  h.start_time.day_of_year = 0;
+  auto out = TransformRecord(h, {1});
+  EXPECT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsCorruptData()) << out.status().ToString();
+}
+
 TEST(TransformRecordTest, RejectsZeroRate) {
   auto h = MakeHeader(1, 0.0);
   h.sample_rate_factor = 0;
   auto out = TransformRecord(h, {1});
   EXPECT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsCorruptData());
 }
 
 TEST(RemoveFileRowsTest, RemovesOnlyMatchingRows) {
   auto data = MakeDataTable();
   TransformedRecord rec;
-  rec.sample_times = {1, 2};
+  rec.start_time = 1;
+  rec.sample_rate = 1e9;  // one sample per nanosecond: times 1, 2
   rec.sample_values = {10, 20};
   ASSERT_STATUS_OK(AppendDataRows(data.get(), 1, 1, rec));
   ASSERT_STATUS_OK(AppendDataRows(data.get(), 2, 1, rec));
@@ -91,13 +133,16 @@ TEST(RemoveFileRowsTest, RemovesOnlyMatchingRows) {
 TEST(AppendDataRowsTest, BulkAppendsTypedColumns) {
   auto data = MakeDataTable();
   TransformedRecord rec;
-  rec.sample_times = {100, 200, 300};
+  rec.start_time = 100;
+  rec.sample_rate = 1e7;  // 100 ns apart: times 100, 200, 300
   rec.sample_values = {-1, 0, 1};
   ASSERT_STATUS_OK(AppendDataRows(data.get(), 7, 3, rec));
   ASSERT_EQ(data->num_rows(), 3u);
   EXPECT_EQ(data->GetValue(1, 0).int64_value(), 7);   // file_id
   EXPECT_EQ(data->GetValue(1, 1).int64_value(), 3);   // seq_no
+  EXPECT_EQ(data->GetValue(0, 2).timestamp_value(), 100);
   EXPECT_EQ(data->GetValue(1, 2).timestamp_value(), 200);
+  EXPECT_EQ(data->GetValue(2, 2).timestamp_value(), 300);
   EXPECT_EQ(data->GetValue(2, 3).int32_value(), 1);
 }
 

@@ -3,7 +3,8 @@
 // under cold caches, warm caches, tiny cache budgets, and the
 // filename-only strategy. The record-granular parity suite at the end
 // holds the lazy data path (per-record join, late projection, grouping on
-// dictionary codes, one copy per sample) to byte-identical results.
+// dictionary codes, one copy per sample) to byte-identical results, and the
+// awkward-rate test holds timestamps derived from cached records to them.
 
 #include <gtest/gtest.h>
 
@@ -489,6 +490,63 @@ TEST(RecordGapReadTest, SelectedRecordsWithGapsReadOnlyTheirBytes) {
   ASSERT_OK(warm);
   ExpectBytesEqual(eager->table, warm->table, "warm: " + sql);
   EXPECT_EQ(warm->report.bytes_read, 0u);
+}
+
+TEST(AwkwardRateParityTest, DerivedTimesMatchEagerAcrossChunkSplits) {
+  // At 3 and 7 Hz a sample period is no whole number of nanoseconds, so
+  // every derived timestamp is rounded; 37-row chunks start most pieces
+  // mid-record. Cold answers (freshly extracted records) and warm answers
+  // (every record a cache hit, its timestamps derived again from the
+  // cached start time and rate) must both be byte-identical to eager.
+  ScopedTempDir dir;
+  auto cfg = SmallRepoConfig();
+  cfg.num_days = 1;
+  cfg.seconds_per_segment = 600.0;
+  cfg.stations = {{"NL", "SLOW", "02", {"BHZ", "BHN"}, 3.0},
+                  {"NL", "ODD", "02", {"BHZ"}, 7.0},
+                  {"NL", "HGN", "02", {"BHZ"}, 40.0}};
+  MustGenerate(dir.path(), cfg);
+
+  auto open = [&](LoadStrategy strategy, size_t query_threads) {
+    WarehouseOptions options;
+    options.strategy = strategy;
+    options.query_threads = query_threads;
+    options.batch_rows = 37;
+    options.cache_budget_bytes = 64ULL << 20;
+    options.enable_result_cache = false;
+    options.extraction_threads = 4;
+    auto wh = Warehouse::Open(options);
+    EXPECT_TRUE(wh.ok()) << wh.status().ToString();
+    auto stats = (*wh)->AttachRepository(dir.path());
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return std::move(*wh);
+  };
+
+  const std::string queries[] = {
+      "SELECT F.station, F.sample_rate, R.seq_no, D.sample_time, "
+      "D.sample_value FROM mseed.dataview",
+      "SELECT F.station, F.channel, COUNT(*), MIN(D.sample_time), "
+      "MAX(D.sample_time), SUM(D.sample_value) FROM mseed.dataview "
+      "WHERE D.sample_time >= '2010-01-10T00:01:40.333' "
+      "GROUP BY F.station, F.channel ORDER BY F.station, F.channel"};
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    auto eager = open(LoadStrategy::kEager, threads);
+    auto lazy = open(LoadStrategy::kLazy, threads);
+    for (const std::string& sql : queries) {
+      auto want = eager->Query(sql);
+      ASSERT_OK(want);
+      ASSERT_GT(want->table.num_rows(), 0u);
+      auto cold = lazy->Query(sql);
+      ASSERT_OK(cold);
+      ExpectBytesEqual(want->table, cold->table, "cold: " + sql);
+      auto warm = lazy->Query(sql);
+      ASSERT_OK(warm);
+      ExpectBytesEqual(want->table, warm->table, "warm: " + sql);
+      EXPECT_EQ(warm->report.records_extracted, 0u) << sql;
+      EXPECT_GT(warm->report.cache_hits, 0u) << sql;
+    }
+  }
 }
 
 }  // namespace

@@ -14,7 +14,8 @@ namespace {
 
 CachedRecordPtr MakeRecord(size_t samples, NanoTime mtime) {
   auto rec = std::make_shared<CachedRecord>();
-  rec->sample_times.resize(samples, 1);
+  rec->start_time = 1;
+  rec->sample_rate = 40.0;
   rec->sample_values.resize(samples, 2);
   rec->file_mtime = mtime;
   rec->admitted_at = 100;
@@ -28,9 +29,22 @@ TEST(RecyclerTest, AdmitAndLookup) {
   CachedRecordPtr hit = cache.Lookup({1, 1}, 500, &stale);
   ASSERT_NE(hit, nullptr);
   EXPECT_FALSE(stale);
-  EXPECT_EQ(hit->sample_times.size(), 10u);
+  EXPECT_EQ(hit->sample_values.size(), 10u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().admissions, 1u);
+}
+
+TEST(RecyclerTest, ChargesFourBytesPerSample) {
+  // A cached record holds its decoded values and the two header fields its
+  // timestamps derive from, so it charges 4n + sizeof(CachedRecord).
+  for (size_t n : {size_t{0}, size_t{1}, size_t{100}, size_t{4000}}) {
+    CachedRecordPtr rec = MakeRecord(n, 1);
+    EXPECT_EQ(rec->Bytes(), 4 * n + sizeof(CachedRecord)) << n;
+    Recycler cache(1 << 20);
+    cache.Admit({1, 1}, rec);
+    EXPECT_EQ(cache.stats().current_bytes, 4 * n + sizeof(CachedRecord))
+        << n;
+  }
 }
 
 TEST(RecyclerTest, MissOnAbsentKey) {
@@ -55,9 +69,9 @@ TEST(RecyclerTest, StaleEntryEvictedOnMtimeChange) {
 }
 
 TEST(RecyclerTest, LruEvictionUnderBudget) {
-  // Each 100-sample record costs 100*(8+4) + sizeof(CachedRecord) bytes.
+  // Each 100-sample record costs 100 * 4 + sizeof(CachedRecord) bytes.
   CachedRecordPtr probe = MakeRecord(100, 1);
-  uint64_t per_entry = 100 * 12 + sizeof(CachedRecord);
+  uint64_t per_entry = 100 * 4 + sizeof(CachedRecord);
   Recycler cache(per_entry * 3);
   cache.Admit({1, 1}, MakeRecord(100, 1));
   cache.Admit({1, 2}, MakeRecord(100, 1));
@@ -90,7 +104,7 @@ TEST(RecyclerTest, ReplacingEntryKeepsAccounting) {
   EXPECT_GT(cache.stats().current_bytes, bytes_small);
   CachedRecordPtr hit = cache.Lookup({1, 1}, 2);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->sample_times.size(), 20u);
+  EXPECT_EQ(hit->sample_values.size(), 20u);
 }
 
 TEST(RecyclerTest, InvalidateFileDropsAllItsRecords) {
@@ -135,7 +149,7 @@ TEST(RecyclerTest, GlobalPressureEvictsInLruOrder) {
   // A finite governor bounds the cache to half the global cap even though
   // the cache's own budget has room: entries must leave strictly
   // least-recently-used first at that share boundary.
-  uint64_t per_entry = 100 * 12 + sizeof(CachedRecord);
+  uint64_t per_entry = 100 * 4 + sizeof(CachedRecord);
   common::MemoryBudget global(per_entry * 8);  // cache share: 4 entries
   Recycler cache(1 << 20, &global);
   for (int seq = 1; seq <= 4; ++seq) {
@@ -171,19 +185,19 @@ TEST(RecyclerTest, GlobalPressureEvictsInLruOrder) {
 TEST(RecyclerTest, HandleSurvivesEviction) {
   // A lookup handle must stay readable after the entry is evicted by a
   // later admission (the concurrent-query safety contract).
-  uint64_t per_entry = 100 * 12 + sizeof(CachedRecord);
+  uint64_t per_entry = 100 * 4 + sizeof(CachedRecord);
   Recycler cache(per_entry);  // room for exactly one entry
   cache.Admit({1, 1}, MakeRecord(100, 7));
   CachedRecordPtr hit = cache.Lookup({1, 1}, 7);
   ASSERT_NE(hit, nullptr);
   cache.Admit({1, 2}, MakeRecord(100, 7));  // evicts (1,1)
   EXPECT_EQ(cache.Lookup({1, 1}, 7), nullptr);
-  EXPECT_EQ(hit->sample_times.size(), 100u);  // still valid
+  EXPECT_EQ(hit->sample_values.size(), 100u);  // still valid
   EXPECT_EQ(hit->file_mtime, 7);
 }
 
 TEST(RecyclerTest, ConcurrentMixedUseKeepsCountersConsistent) {
-  uint64_t per_entry = 10 * 12 + sizeof(CachedRecord);
+  uint64_t per_entry = 10 * 4 + sizeof(CachedRecord);
   Recycler cache(per_entry * 8);
   constexpr int kThreads = 8;
   constexpr int kOps = 400;
@@ -199,7 +213,7 @@ TEST(RecyclerTest, ConcurrentMixedUseKeepsCountersConsistent) {
           CachedRecordPtr hit = cache.Lookup(key, 1, &stale);
           if (hit != nullptr) {
             // Reading through the handle must always be safe.
-            EXPECT_EQ(hit->sample_times.size(), 10u);
+            EXPECT_EQ(hit->sample_values.size(), 10u);
           }
         }
         if (i % 97 == 0) cache.InvalidateFile(2);
