@@ -1,5 +1,6 @@
 #include "core/etl.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/macros.h"
@@ -43,6 +44,30 @@ void AppendSampleTimes(NanoTime start, double rate, size_t begin,
   for (size_t i = 0; i < count; ++i) {
     dst[i] = mseed::SampleTimeAt(start, rate, begin + i);
   }
+}
+
+SampleIndexRange SampleIndexesIn(NanoTime start, double rate, size_t count,
+                                 NanoTime lo, NanoTime hi) {
+  // The first index in [0, count) whose time satisfies `pred`, which holds
+  // for every later index once it holds for one; count when none does.
+  auto first_where = [&](auto pred) {
+    size_t a = 0;
+    size_t b = count;
+    while (a < b) {
+      const size_t mid = a + (b - a) / 2;
+      if (pred(mseed::SampleTimeAt(start, rate, mid))) {
+        b = mid;
+      } else {
+        a = mid + 1;
+      }
+    }
+    return a;
+  };
+  SampleIndexRange out;
+  out.begin = first_where([lo](NanoTime t) { return t >= lo; });
+  out.end = std::max(out.begin,
+                     first_where([hi](NanoTime t) { return t > hi; }));
+  return out;
 }
 
 Status AppendFileRow(Table* files, int64_t file_id,

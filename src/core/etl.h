@@ -45,6 +45,18 @@ Result<TransformedRecord> TransformRecord(const mseed::RecordHeader& header,
 void AppendSampleTimes(NanoTime start, double rate, size_t begin,
                        size_t count, std::vector<int64_t>* out);
 
+// The samples [begin, end) of a record of `count` samples, starting at
+// `start` with `rate` samples/second, whose timestamps (as
+// AppendSampleTimes derives them) fall in the inclusive range [lo, hi];
+// begin == end when none does. Timestamps never decrease with the index,
+// so both ends are binary searches.
+struct SampleIndexRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+SampleIndexRange SampleIndexesIn(NanoTime start, double rate, size_t count,
+                                 NanoTime lo, NanoTime hi);
+
 // Appends one F-table row describing `md` (with the given id).
 Status AppendFileRow(storage::Table* files, int64_t file_id,
                      const mseed::FileMetadata& md);

@@ -143,7 +143,8 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
 
   Result<std::unique_ptr<engine::RecordStream>> StreamRecords(
       const std::vector<RecordKey>& keys,
-      const std::vector<ScanColumn>& columns, size_t batch_rows,
+      const std::vector<ScanColumn>& columns,
+      const engine::SampleTimeRange& times, size_t batch_rows,
       ExecutionReport* report) override;
 
   Result<std::unique_ptr<engine::RecordStream>> StreamAllRecords(
@@ -180,11 +181,14 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
 
   // Assembles one file's records, in order, into chunks of at most
   // `batch_rows` rows holding the projected `columns` (at least one chunk,
-  // possibly empty). Each sample is copied once: from the shared record
-  // straight into its chunk's column.
-  static Result<std::vector<Table>> AssembleChunks(
+  // possibly empty). Each record contributes the samples whose times fall
+  // in `times`, each copied once: from the shared record straight into its
+  // chunk's column. A chunk lists its record runs; file_id and seq_no
+  // become columns only when `columns` asks for them.
+  static Result<std::vector<engine::RecordChunk>> AssembleChunks(
       int64_t file_id, const std::vector<StagedRecord>& records,
-      const std::vector<ScanColumn>& columns, size_t batch_rows);
+      const std::vector<ScanColumn>& columns,
+      const engine::SampleTimeRange& times, size_t batch_rows);
 
   // Every record of the repository, hydrating record metadata as needed
   // (the §3.1 worst case).
@@ -202,7 +206,8 @@ class WarehouseRecordStream : public engine::RecordStream {
  public:
   static Result<std::unique_ptr<engine::RecordStream>> Create(
       WarehouseDataProvider* provider, const std::vector<RecordKey>& keys,
-      const std::vector<ScanColumn>& columns, size_t batch_rows,
+      const std::vector<ScanColumn>& columns,
+      const engine::SampleTimeRange& times, size_t batch_rows,
       ExecutionReport* report);
 
   // The summary lines of the run-time rewrite are flushed when the stream
@@ -212,7 +217,7 @@ class WarehouseRecordStream : public engine::RecordStream {
     ReleaseWindowBytes(outstanding_);
   }
 
-  Result<bool> Next(Table* out) override;
+  Result<bool> Next(engine::RecordChunk* out) override;
 
   size_t chunks() const override { return chunks_; }
 
@@ -227,16 +232,18 @@ class WarehouseRecordStream : public engine::RecordStream {
   // An assembled chunk waiting to be emitted, plus the window bytes it
   // holds reserved on the query budget (a file's last chunk carries the
   // file's reservation).
-  struct ReadyTable {
-    Table table;
+  struct ReadyChunk {
+    engine::RecordChunk chunk;
     uint64_t reserved = 0;
   };
 
   WarehouseRecordStream(WarehouseDataProvider* provider,
-                        std::vector<ScanColumn> columns, size_t batch_rows,
-                        ExecutionReport* report)
+                        std::vector<ScanColumn> columns,
+                        const engine::SampleTimeRange& times,
+                        size_t batch_rows, ExecutionReport* report)
       : provider_(provider),
         columns_(std::move(columns)),
+        times_(times),
         batch_rows_(batch_rows),
         report_(report) {}
 
@@ -256,13 +263,14 @@ class WarehouseRecordStream : public engine::RecordStream {
 
   WarehouseDataProvider* provider_;
   std::vector<ScanColumn> columns_;
+  engine::SampleTimeRange times_;
   size_t batch_rows_;
   ExecutionReport* report_;
 
   std::vector<FileRequest> files_;
   size_t chunks_ = 0;             // non-empty chunks the files assemble to
   size_t next_file_ = 0;          // next file not yet cache-passed
-  std::deque<ReadyTable> ready_;  // assembled chunks, fid order
+  std::deque<ReadyChunk> ready_;  // assembled chunks, fid order
   uint64_t outstanding_ = 0;      // reserved window bytes not yet released
 
   uint64_t total_hits_ = 0;
@@ -312,9 +320,10 @@ Status WarehouseDataProvider::RunExtractionJobs(std::vector<ExtractJob>* jobs) {
   return Status::OK();
 }
 
-Result<std::vector<Table>> WarehouseDataProvider::AssembleChunks(
+Result<std::vector<engine::RecordChunk>> WarehouseDataProvider::AssembleChunks(
     int64_t file_id, const std::vector<StagedRecord>& records,
-    const std::vector<ScanColumn>& columns, size_t batch_rows) {
+    const std::vector<ScanColumn>& columns,
+    const engine::SampleTimeRange& times, size_t batch_rows) {
   // Empty column list means "all columns under their stored names".
   std::vector<ScanColumn> cols = columns;
   if (cols.empty()) {
@@ -338,8 +347,14 @@ Result<std::vector<Table>> WarehouseDataProvider::AssembleChunks(
     size_t length;
   };
   auto assemble = [&](const std::vector<Piece>& pieces,
-                      size_t rows) -> Result<Table> {
-    Table out;
+                      size_t rows) -> Result<engine::RecordChunk> {
+    engine::RecordChunk out;
+    out.runs.reserve(pieces.size());
+    uint32_t first_row = 0;
+    for (const Piece& p : pieces) {
+      out.runs.push_back({file_id, p.staged->seq_no, first_row});
+      first_row += static_cast<uint32_t>(p.length);
+    }
     for (const auto& sc : cols) {
       Column col(storage::DataType::kInt64);
       if (sc.base_column == "sample_value") {
@@ -369,23 +384,30 @@ Result<std::vector<Table>> WarehouseDataProvider::AssembleChunks(
                   ? Column::FromTimestamp(std::move(values))
                   : Column::FromInt64(std::move(values));
       }
-      LAZYETL_RETURN_NOT_OK(out.AddColumn(sc.output_name, std::move(col)));
+      LAZYETL_RETURN_NOT_OK(
+          out.table.AddColumn(sc.output_name, std::move(col)));
     }
     return out;
   };
 
-  std::vector<Table> chunks;
+  std::vector<engine::RecordChunk> chunks;
   std::vector<Piece> pieces;
   size_t rows = 0;
   for (const StagedRecord& staged : records) {
-    const size_t n = staged.record->sample_values.size();
-    for (size_t begin = 0; begin < n;) {
-      const size_t length = std::min(n - begin, batch_rows - rows);
+    const CachedRecord& rec = *staged.record;
+    SampleIndexRange keep{0, rec.sample_values.size()};
+    if (times.bounded()) {
+      keep = SampleIndexesIn(rec.start_time, rec.sample_rate, keep.end,
+                             times.lo, times.hi);
+    }
+    for (size_t begin = keep.begin; begin < keep.end;) {
+      const size_t length = std::min(keep.end - begin, batch_rows - rows);
       pieces.push_back({&staged, begin, length});
       rows += length;
       begin += length;
       if (rows == batch_rows) {
-        LAZYETL_ASSIGN_OR_RETURN(Table chunk, assemble(pieces, rows));
+        LAZYETL_ASSIGN_OR_RETURN(engine::RecordChunk chunk,
+                                 assemble(pieces, rows));
         chunks.push_back(std::move(chunk));
         pieces.clear();
         rows = 0;
@@ -393,7 +415,8 @@ Result<std::vector<Table>> WarehouseDataProvider::AssembleChunks(
     }
   }
   if (rows > 0 || chunks.empty()) {
-    LAZYETL_ASSIGN_OR_RETURN(Table chunk, assemble(pieces, rows));
+    LAZYETL_ASSIGN_OR_RETURN(engine::RecordChunk chunk,
+                             assemble(pieces, rows));
     chunks.push_back(std::move(chunk));
   }
   return chunks;
@@ -401,10 +424,11 @@ Result<std::vector<Table>> WarehouseDataProvider::AssembleChunks(
 
 Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
     WarehouseDataProvider* provider, const std::vector<RecordKey>& keys,
-    const std::vector<ScanColumn>& columns, size_t batch_rows,
+    const std::vector<ScanColumn>& columns,
+    const engine::SampleTimeRange& times, size_t batch_rows,
     ExecutionReport* report) {
-  auto stream = std::unique_ptr<WarehouseRecordStream>(
-      new WarehouseRecordStream(provider, columns, batch_rows, report));
+  auto stream = std::unique_ptr<WarehouseRecordStream>(new WarehouseRecordStream(
+      provider, columns, times, batch_rows, report));
   Warehouse* warehouse = provider->warehouse_;
 
   // Group requested records by file so each file is checked and opened at
@@ -507,6 +531,7 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
       provider->deps_.push_back({fid, entry.path, entry.mtime});
       // The file's chunks, from its records' sample counts (AssembleChunks
       // cuts each file into batch_rows-row chunks; Next skips empty ones).
+      // A time range that clips records makes this an upper bound.
       uint64_t samples = 0;
       for (int64_t seq : seqs) {
         auto it = entry.seq_to_record.find(seq);
@@ -704,9 +729,9 @@ Status WarehouseRecordStream::AdvanceWindow() {
       records.push_back({seq, std::move(it->second)});
     }
     LAZYETL_ASSIGN_OR_RETURN(
-        std::vector<Table> chunks,
+        std::vector<engine::RecordChunk> chunks,
         WarehouseDataProvider::AssembleChunks(pending.request->fid, records,
-                                              columns_, batch_rows_));
+                                              columns_, times_, batch_rows_));
     for (size_t i = 0; i < chunks.size(); ++i) {
       const bool last = i + 1 == chunks.size();
       ready_.push_back({std::move(chunks[i]), last ? pending.reserved : 0});
@@ -715,14 +740,14 @@ Status WarehouseRecordStream::AdvanceWindow() {
   return Status::OK();
 }
 
-Result<bool> WarehouseRecordStream::Next(Table* out) {
+Result<bool> WarehouseRecordStream::Next(engine::RecordChunk* out) {
   while (true) {
     if (!ready_.empty()) {
-      ReadyTable chunk = std::move(ready_.front());
+      ReadyChunk ready = std::move(ready_.front());
       ready_.pop_front();
-      ReleaseWindowBytes(chunk.reserved);
-      if (chunk.table.num_rows() == 0) continue;
-      *out = std::move(chunk.table);
+      ReleaseWindowBytes(ready.reserved);
+      if (ready.chunk.runs.empty()) continue;
+      *out = std::move(ready.chunk);
       emitted_ = true;
       return true;
     }
@@ -734,9 +759,9 @@ Result<bool> WarehouseRecordStream::Next(Table* out) {
     if (!emitted_) {
       // Contract: at least one (possibly empty) chunk carries the schema.
       emitted_ = true;
-      LAZYETL_ASSIGN_OR_RETURN(
-          std::vector<Table> empty,
-          WarehouseDataProvider::AssembleChunks(0, {}, columns_, batch_rows_));
+      LAZYETL_ASSIGN_OR_RETURN(std::vector<engine::RecordChunk> empty,
+                               WarehouseDataProvider::AssembleChunks(
+                                   0, {}, columns_, times_, batch_rows_));
       *out = std::move(empty[0]);
       return true;
     }
@@ -769,9 +794,10 @@ void WarehouseRecordStream::FlushSummary() {
 Result<std::unique_ptr<engine::RecordStream>>
 WarehouseDataProvider::StreamRecords(const std::vector<RecordKey>& keys,
                                      const std::vector<ScanColumn>& columns,
+                                     const engine::SampleTimeRange& times,
                                      size_t batch_rows,
                                      ExecutionReport* report) {
-  return WarehouseRecordStream::Create(this, keys, columns, batch_rows,
+  return WarehouseRecordStream::Create(this, keys, columns, times, batch_rows,
                                        report);
 }
 
@@ -782,7 +808,7 @@ WarehouseDataProvider::StreamAllRecords(const std::vector<ScanColumn>& columns,
   LAZYETL_ASSIGN_OR_RETURN(std::vector<RecordKey> keys,
                            AllRecordKeys(report));
   report->records_requested += keys.size();
-  return WarehouseRecordStream::Create(this, keys, columns, batch_rows,
+  return WarehouseRecordStream::Create(this, keys, columns, {}, batch_rows,
                                        report);
 }
 

@@ -37,6 +37,22 @@ inline constexpr size_t kDefaultBatchRows = 4096;
 // it in advance.
 inline constexpr size_t kUnknownMorsels = SIZE_MAX;
 
+// The rows of one record within a chunk: from first_row up to the next
+// run's first row (or the chunk's end). Every sample of a record shares
+// its keys, so a chunk lists them once per run instead of once per row.
+struct RecordRun {
+  int64_t file_id = 0;
+  int64_t seq_no = 0;
+  uint32_t first_row = 0;
+};
+
+// A chunk of extracted samples: the requested columns, and the record runs
+// its rows come in (ascending first_row, none empty).
+struct RecordChunk {
+  storage::Table table;
+  std::vector<RecordRun> runs;
+};
+
 // A pull stream of record chunks produced by lazy extraction. Chunks
 // arrive file-by-file, each at most the requested batch size, so the
 // engine never holds more than a bounded window of extracted data.
@@ -47,9 +63,9 @@ class RecordStream {
   virtual ~RecordStream() = default;
 
   // Fills *out with the next chunk; returns false at end of stream.
-  virtual Result<bool> Next(storage::Table* out) = 0;
+  virtual Result<bool> Next(RecordChunk* out) = 0;
 
-  // The chunks the stream will emit, known once it is created;
+  // The chunks the stream will emit (at most), known once it is created;
   // kUnknownMorsels when it cannot tell.
   virtual size_t chunks() const { return kUnknownMorsels; }
 };
@@ -60,13 +76,14 @@ class LazyDataProvider {
   virtual ~LazyDataProvider() = default;
 
   // Streams `columns` (named by output_name) for exactly the requested
-  // records, file-by-file in chunks of at most `batch_rows` rows. Expected
+  // records, file-by-file in chunks of at most `batch_rows` rows, keeping
+  // of each record only the samples whose times fall in `times`. Expected
   // columns are a subset of the data table's schema (file_id, seq_no,
-  // sample_time, sample_value).
+  // sample_time, sample_value); none means all four.
   virtual Result<std::unique_ptr<RecordStream>> StreamRecords(
       const std::vector<RecordKey>& keys,
-      const std::vector<ScanColumn>& columns, size_t batch_rows,
-      ExecutionReport* report) = 0;
+      const std::vector<ScanColumn>& columns, const SampleTimeRange& times,
+      size_t batch_rows, ExecutionReport* report) = 0;
 
   // The §3.1 worst case: every record of the repository.
   virtual Result<std::unique_ptr<RecordStream>> StreamAllRecords(

@@ -48,19 +48,21 @@ inline bool ApplyCmp(CmpOp op, T v, V c) {
 }
 
 // data[i] `op` constant over [0, n) -> selection vector of passing rows.
-// Op dispatch happens once; each case body is one branch-free-comparison
-// loop the compiler can vectorize.
+// Op dispatch happens once; each case body is one branch-free loop: every
+// row's index is written, and the write position advances only past the
+// rows that pass.
 template <typename T, typename V>
 inline void CompareConstSelect(const T* data, size_t n, CmpOp op, V constant,
                                storage::SelectionVector* out) {
-  out->clear();
-  out->reserve(n);
+  out->resize(n);
+  uint32_t* o = out->data();
+  size_t k = 0;
   switch (op) {
 #define LAZYETL_CMP_CASE(OP, FUNCTOR)                            \
   case CmpOp::OP:                                                \
     for (size_t i = 0; i < n; ++i) {                             \
-      if (FUNCTOR()(data[i], constant))                          \
-        out->push_back(static_cast<uint32_t>(i));                \
+      o[k] = static_cast<uint32_t>(i);                           \
+      k += static_cast<size_t>(FUNCTOR()(data[i], constant));    \
     }                                                            \
     break;
     LAZYETL_CMP_CASE(kEq, std::equal_to<>)
@@ -71,6 +73,7 @@ inline void CompareConstSelect(const T* data, size_t n, CmpOp op, V constant,
     LAZYETL_CMP_CASE(kGe, std::greater_equal<>)
 #undef LAZYETL_CMP_CASE
   }
+  out->resize(k);
 }
 
 // In-place refine: keeps only rows of `sel` whose value still passes
@@ -497,8 +500,10 @@ inline void ForEachRun(const storage::SelectionVector& heads, size_t rows,
 // its runs (every row of a run has its head's gid) and only the heads are
 // hashed and probed; otherwise `run_heads` is empty and every row is. The
 // choice follows the batch's own run count, and both paths assign the
-// same ids. The scratch vectors persist across batches, so steady-state
-// builds allocate nothing.
+// same ids. A caller that already knows runs of equal keys (the record
+// runs of a lazy data scan, when every key reads metadata) passes them as
+// `known_runs`, and no row is compared to find them. The scratch vectors
+// persist across batches, so steady-state builds allocate nothing.
 struct GroupIdBuilder {
   static constexpr size_t kMinRunLength = 4;
 
@@ -512,9 +517,12 @@ struct GroupIdBuilder {
   size_t mask = 0;
 
   size_t Build(const storage::Column* const* cols, size_t ncols,
-               size_t offset, size_t rows) {
-    if (!FindRunHeads(cols, ncols, offset, rows, rows / kMinRunLength,
-                      &run_marks, &run_heads)) {
+               size_t offset, size_t rows,
+               const storage::SelectionVector* known_runs = nullptr) {
+    if (known_runs != nullptr && !known_runs->empty()) {
+      run_heads = *known_runs;
+    } else if (!FindRunHeads(cols, ncols, offset, rows, rows / kMinRunLength,
+                             &run_marks, &run_heads)) {
       run_heads.clear();
     }
     const bool runs = !run_heads.empty();

@@ -1484,7 +1484,8 @@ class AggregateOperator : public BatchOperator {
       while (true) {
         LAZYETL_ASSIGN_OR_RETURN(bool more, child()->Next(&in));
         if (!more) break;
-        LAZYETL_RETURN_NOT_OK(ConsumeBatch(in.view, first_batch));
+        LAZYETL_RETURN_NOT_OK(
+            ConsumeBatch(in.view, KnownRuns(in), first_batch));
         first_batch = false;
       }
     }
@@ -1555,8 +1556,9 @@ class AggregateOperator : public BatchOperator {
     LAZYETL_RETURN_NOT_OK(ParallelDrain(
         child(), threads, [&](size_t worker, Batch&& batch) -> Status {
           GroupedPartial partial;
-          LAZYETL_RETURN_NOT_OK(AggregateBatch(batch.view, batch.seq,
-                                               &scratches[worker], &partial));
+          LAZYETL_RETURN_NOT_OK(AggregateBatch(batch.view, KnownRuns(batch),
+                                               batch.seq, &scratches[worker],
+                                               &partial));
           return helper_.MergePartial(std::move(partial));
         }));
 
@@ -1595,8 +1597,9 @@ class AggregateOperator : public BatchOperator {
     LAZYETL_RETURN_NOT_OK(ParallelDrain(
         child(), threads, [&](size_t worker, Batch&& batch) -> Status {
           GroupedPartial partial;
-          LAZYETL_RETURN_NOT_OK(AggregateBatch(batch.view, batch.seq,
-                                               &scratches[worker], &partial));
+          LAZYETL_RETURN_NOT_OK(AggregateBatch(batch.view, KnownRuns(batch),
+                                               batch.seq, &scratches[worker],
+                                               &partial));
           std::lock_guard<std::mutex> lock(mu);
           partials.push_back(std::move(partial));
           return Status::OK();
@@ -1644,10 +1647,16 @@ class AggregateOperator : public BatchOperator {
     return Status::OK();
   }
 
+  // The batch's record runs when they are runs of equal group keys.
+  const SelectionVector* KnownRuns(const Batch& batch) const {
+    return node_->keys_constant_per_record ? &batch.record_runs : nullptr;
+  }
+
   // Pre-aggregates one batch into `partial`. Pure per-batch work — safe
   // to run concurrently on distinct batches. The hash table and key
   // buffer live in the per-worker scratch and are reused across batches.
-  Status AggregateBatch(const TableSlice& view, uint64_t seq,
+  Status AggregateBatch(const TableSlice& view,
+                        const SelectionVector* known_runs, uint64_t seq,
                         GroupScratch* scratch, GroupedPartial* partial) {
     LAZYETL_RETURN_NOT_OK(scratch->group.Resolve(node_->group_exprs, view));
     const GroupKeyColumns& group = scratch->group;
@@ -1685,8 +1694,8 @@ class AggregateOperator : public BatchOperator {
     // key only once per group and fold the whole batch through the
     // grouped accumulator kernels.
     kernels::GroupIdBuilder& b = scratch->builder;
-    const size_t ngroups =
-        b.Build(group.cols.data(), group.cols.size(), group.offset, rows);
+    const size_t ngroups = b.Build(group.cols.data(), group.cols.size(),
+                                   group.offset, rows, known_runs);
     for (size_t g = 0; g < ngroups; ++g) {
       const size_t row = b.first_row[g];
       const size_t src = group.offset + row;
@@ -1708,7 +1717,8 @@ class AggregateOperator : public BatchOperator {
     return Status::OK();
   }
 
-  Status ConsumeBatch(const TableSlice& view, bool first_batch) {
+  Status ConsumeBatch(const TableSlice& view,
+                      const SelectionVector* known_runs, bool first_batch) {
     // Resolve grouping keys and evaluate aggregate arguments per batch.
     LAZYETL_RETURN_NOT_OK(group_.Resolve(node_->group_exprs, view));
     std::vector<Column> arg_cols;
@@ -1745,8 +1755,9 @@ class AggregateOperator : public BatchOperator {
     // Columnar serial consume: batch-local group ids, then one global
     // hash lookup per LOCAL group (not per row) to translate local ids
     // to global ones, then grouped accumulator kernels over the batch.
-    const size_t ngroups = builder_.Build(
-        group_.cols.data(), group_.cols.size(), group_.offset, rows);
+    const size_t ngroups =
+        builder_.Build(group_.cols.data(), group_.cols.size(), group_.offset,
+                       rows, known_runs);
     global_gids_.resize(ngroups);
     for (size_t g = 0; g < ngroups; ++g) {
       const size_t src = group_.offset + builder_.first_row[g];
@@ -1767,8 +1778,15 @@ class AggregateOperator : public BatchOperator {
       global_gids_[g] = dst;
     }
     for (auto& acc : accs_) acc.Resize(group_count_);
-    for (size_t row = 0; row < rows; ++row) {
-      builder_.gids[row] = global_gids_[builder_.gids[row]];
+    // In runs, UpdateGrouped reads only each run head's gid.
+    if (builder_.run_heads.empty()) {
+      for (size_t row = 0; row < rows; ++row) {
+        builder_.gids[row] = global_gids_[builder_.gids[row]];
+      }
+    } else {
+      for (uint32_t head : builder_.run_heads) {
+        builder_.gids[head] = global_gids_[builder_.gids[head]];
+      }
     }
     for (size_t i = 0; i < accs_.size(); ++i) {
       accs_[i].UpdateGrouped(builder_.gids.data(), builder_.run_heads,

@@ -10,14 +10,15 @@
 // memory is the metadata side plus one file's worth of records — never
 // the whole qualifying set.
 //
-// The join works per record, not per sample. A chunk's rows come in runs
-// of one record each (equal file_id, seq_no): one row per run probes the
-// metadata hash, and the run's rows take its matches. In the dataview a
+// The join works per record, not per sample. A chunk lists the record
+// runs its rows come in, one (file_id, seq_no) per run: each run probes
+// the metadata hash once, and the run's rows take its matches. Neither key
+// is a column of the chunk unless a node above reads it. In the dataview a
 // record matches exactly one metadata row, so the chunk's data columns
-// move into the output unchanged; only metadata-side columns that nodes
-// above the scan reference (PlanNode::used_above) are gathered per
-// sample — a column used only by a metadata predicate or as a join key
-// never is.
+// move into the output unchanged and the batch carries the record runs on
+// (Batch::record_runs); only metadata-side columns that nodes above the
+// scan reference (PlanNode::used_above) are filled, once per run — a
+// column used only by a metadata predicate or as a join key never is.
 //
 // Parallelism: the record stream itself is stateful (cache admission,
 // report counters) and is pulled under a mutex in deterministic stream
@@ -37,7 +38,6 @@
 #include "common/log.h"
 #include "common/macros.h"
 #include "common/time.h"
-#include "engine/kernels.h"
 #include "engine/operators/internal.h"
 #include "engine/operators/join_build.h"
 #include "engine/operators/operator.h"
@@ -143,16 +143,16 @@ class LazyDataScanOperator : public BatchOperator {
     // Phase 3: injected operators — cache accesses and file extraction,
     // as a pull stream consumed by Next().
     LAZYETL_ASSIGN_OR_RETURN(
-        stream_, ctx_->provider->StreamRecords(keys, node_->scan_columns,
-                                               ctx_->batch_rows,
-                                               ctx_->report));
+        stream_, ctx_->provider->StreamRecords(
+                     keys, node_->scan_columns, node_->sample_times,
+                     ctx_->batch_rows, ctx_->report));
 
     // Phase 4 is streamed: hash the metadata side once; each record chunk
     // probes it on arrival (the hash is read-only from here on, so probes
     // may run concurrently).
-    if (node_->left_keys.size() != node_->right_keys.size() ||
-        node_->left_keys.empty()) {
-      return Status::InvalidArgument("join key arity mismatch");
+    if (node_->left_keys.size() != 2 || node_->right_keys.size() != 2) {
+      return Status::InvalidArgument(
+          "lazy data scan must join on exactly (file_id, seq_no)");
     }
     Stopwatch join_build_timer;
     LAZYETL_RETURN_NOT_OK(
@@ -167,7 +167,7 @@ class LazyDataScanOperator : public BatchOperator {
 
   Result<bool> NextImpl(Batch* out) override {
     while (true) {
-      Table chunk;
+      RecordChunk chunk;
       uint64_t seq = 0;
       bool more = false;
       {
@@ -190,10 +190,12 @@ class LazyDataScanOperator : public BatchOperator {
         return false;
       }
       Table rows;
+      SelectionVector record_runs;
       if (join_) {
-        LAZYETL_ASSIGN_OR_RETURN(rows, JoinRecords(std::move(chunk)));
+        LAZYETL_ASSIGN_OR_RETURN(rows,
+                                 JoinRecords(std::move(chunk), &record_runs));
       } else {
-        rows = std::move(chunk);
+        rows = std::move(chunk.table);
       }
       if (rows.num_rows() == 0) {
         // Keep one empty batch: the schema for an empty result.
@@ -209,38 +211,36 @@ class LazyDataScanOperator : public BatchOperator {
       emitted_.store(true);
       *out = Batch::Materialized(std::move(rows));
       out->seq = seq;
+      out->record_runs = std::move(record_runs);
       return true;
     }
   }
 
  private:
-  // Joins one record chunk to the metadata side. The chunk's rows come in
-  // runs of equal (file_id, seq_no), one run per record (a record split
-  // across chunks starts a new run in the next): the first row of each run
-  // probes the metadata hash, and every row of the run takes that row's
-  // matches. The emitted order is that of a per-row probe: chunk rows in
-  // order, each with its metadata rows ascending.
-  Result<Table> JoinRecords(Table chunk) {
-    const size_t nkeys = node_->right_keys.size();
-    std::vector<const Column*> keys;
-    keys.reserve(nkeys);
-    for (const auto& name : node_->right_keys) {
-      LAZYETL_ASSIGN_OR_RETURN(const Column* c, chunk.ColumnByName(name));
-      keys.push_back(c);
-    }
-    const size_t n = chunk.num_rows();
-    SelectionVector run_start;
-    std::vector<uint8_t> run_marks;
-    kernels::FindRunHeads(keys.data(), nkeys, 0, n, n, &run_marks,
-                          &run_start);
-    const size_t runs = run_start.size();
+  // Joins one record chunk to the metadata side: each record run probes
+  // the metadata hash with its (file_id, seq_no), and every row of the
+  // run takes that run's matches. The emitted order is that of a per-row
+  // probe: chunk rows in order, each with its metadata rows ascending.
+  // When every run matches exactly one metadata row the rows stay in
+  // place, and *record_runs receives the runs' first rows.
+  Result<Table> JoinRecords(RecordChunk chunk, SelectionVector* record_runs) {
+    const size_t n = chunk.table.num_rows();
+    const size_t runs = chunk.runs.size();
 
     Stopwatch probe_timer;
-    Table heads;
-    for (size_t k = 0; k < nkeys; ++k) {
-      LAZYETL_RETURN_NOT_OK(heads.AddColumn(node_->right_keys[k],
-                                            keys[k]->Gather(run_start)));
+    SelectionVector run_start(runs);
+    std::vector<int64_t> fids(runs);
+    std::vector<int64_t> seqs(runs);
+    for (size_t j = 0; j < runs; ++j) {
+      run_start[j] = chunk.runs[j].first_row;
+      fids[j] = chunk.runs[j].file_id;
+      seqs[j] = chunk.runs[j].seq_no;
     }
+    Table heads;
+    LAZYETL_RETURN_NOT_OK(heads.AddColumn(node_->right_keys[0],
+                                          Column::FromInt64(std::move(fids))));
+    LAZYETL_RETURN_NOT_OK(heads.AddColumn(node_->right_keys[1],
+                                          Column::FromInt64(std::move(seqs))));
     SelectionVector head_build;  // matched metadata rows, per head ascending
     SelectionVector head_run;    // the run of each match, ascending
     LAZYETL_RETURN_NOT_OK(build_.Probe(heads.Slice(0, runs),
@@ -295,11 +295,13 @@ class LazyDataScanOperator : public BatchOperator {
                                                            run_lengths)
                                          : meta.Gather(build_sel)));
     }
-    for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    Table& data = chunk.table;
+    for (size_t c = 0; c < data.num_columns(); ++c) {
       LAZYETL_RETURN_NOT_OK(out.AddColumn(
-          chunk.column_name(c), in_place ? std::move(chunk.column(c))
-                                         : chunk.column(c).Gather(probe_sel)));
+          data.column_name(c), in_place ? std::move(data.column(c))
+                                        : data.column(c).Gather(probe_sel)));
     }
+    if (in_place) *record_runs = std::move(run_start);
     return out;
   }
 

@@ -53,6 +53,10 @@ struct Batch {
   // operators. Serial pulls observe strictly increasing seqs; parallel
   // consumers sort on it to recover the serial order.
   uint64_t seq = 0;
+  // The rows that start an mSEED record, ascending from 0, when the batch
+  // comes in record runs (set by the lazy data scan, forwarded by 1:1
+  // operators); empty when unknown.
+  storage::SelectionVector record_runs;
 
   size_t num_rows() const { return view.num_rows(); }
 

@@ -196,7 +196,7 @@ class ScanOperator : public BatchOperator {
 
 // Filter: evaluates the predicate per batch into a selection vector and
 // gathers the qualifying rows. An all-pass batch is forwarded unchanged
-// (zero-copy); all-drop batches are skipped. Parallel safe when the child
+// (zero-copy, record runs included); all-drop batches are skipped. Parallel safe when the child
 // is: predicate evaluation and gather touch only the worker's own batch.
 // The predicate is prepared once, against the child's first batch (an
 // operator's batches share one schema, which it cannot tell before).
@@ -477,6 +477,7 @@ class ProjectOperator : public BatchOperator {
     uint64_t seq = in.seq;
     *out = Batch::Materialized(std::move(projected));
     out->seq = seq;
+    out->record_runs = std::move(in.record_runs);  // rows map 1:1
     return true;
   }
 

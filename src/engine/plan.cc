@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/time.h"
+
 namespace lazyetl::engine {
 
 const char* PlanNodeTypeToString(PlanNodeType t) {
@@ -54,6 +56,19 @@ void PrintNode(const PlanNode& node, int depth, std::ostringstream* os) {
         *os << "<entire repository>";
       } else {
         *os << node.probe_file_id_column << ", " << node.probe_seq_no_column;
+      }
+      if (node.sample_times.bounded()) {
+        auto bound = [](int64_t t, int64_t unbounded, const char* inf) {
+          return t == unbounded ? std::string(inf)
+                                : "'" + FormatTimestamp(t) + "'";
+        };
+        *os << "; sample_time in ["
+            << bound(node.sample_times.lo,
+                     std::numeric_limits<int64_t>::min(), "-inf")
+            << ", "
+            << bound(node.sample_times.hi,
+                     std::numeric_limits<int64_t>::max(), "+inf")
+            << "]";
       }
       *os << ")";
       break;

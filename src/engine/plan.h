@@ -9,6 +9,8 @@
 #ifndef LAZYETL_ENGINE_PLAN_H_
 #define LAZYETL_ENGINE_PLAN_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +43,21 @@ struct ScanColumn {
   std::string output_name;  // name in the intermediate ("F.station")
 };
 
+// The data-table column a SampleTimeRange bounds.
+inline constexpr char kSampleTimeColumn[] = "sample_time";
+
+// The inclusive range [lo, hi] of sample times a lazy data scan keeps; the
+// default keeps every sample. lo > hi keeps none.
+struct SampleTimeRange {
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+
+  bool bounded() const {
+    return lo != std::numeric_limits<int64_t>::min() ||
+           hi != std::numeric_limits<int64_t>::max();
+  }
+};
+
 struct PlanNode {
   PlanNodeType type = PlanNodeType::kScan;
   std::vector<PlanNodePtr> children;
@@ -58,6 +75,9 @@ struct PlanNode {
   // above the scan reference (sorted). The run-time join carries only
   // these metadata-side columns into its output, next to the data columns.
   std::vector<std::string> used_above;
+  // kLazyDataScan: the samples kept of each record, from the sample_time
+  // conjuncts the planner absorbed (they leave the Filter above the scan).
+  SampleTimeRange sample_times;
 
   // kFilter
   sql::BoundExprPtr predicate;
@@ -69,6 +89,9 @@ struct PlanNode {
   // kAggregate
   std::vector<sql::BoundExprPtr> group_exprs;  // named by their ToString()
   std::vector<sql::BoundAggregate> aggregates;
+  // Every group key is constant within an mSEED record (it reads only
+  // metadata-side columns), so a batch's record runs are runs of equal keys.
+  bool keys_constant_per_record = false;
 
   // kProject
   std::vector<sql::BoundExprPtr> project_exprs;

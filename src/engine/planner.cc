@@ -110,13 +110,90 @@ void CollectReferencedNames(const BoundExpr& expr,
   for (const auto& c : expr.children) CollectReferencedNames(*c, out);
 }
 
+// Narrows `range` by `conjunct` when it compares data_table.sample_time
+// with a timestamp or integer literal (compared as int64 nanoseconds, as
+// the Filter compares them); returns false, leaving `range` alone, for
+// any other conjunct.
+bool AbsorbSampleTimeBound(const BoundExpr& conjunct,
+                           const std::string& data_table,
+                           SampleTimeRange* range) {
+  ColumnComparison cmp;
+  if (!MatchColumnComparison(conjunct, &cmp) ||
+      cmp.op == kernels::CmpOp::kNe ||
+      cmp.column->base_table != data_table ||
+      cmp.column->base_column != kSampleTimeColumn ||
+      cmp.column->type != storage::DataType::kTimestamp) {
+    return false;
+  }
+  const storage::DataType lit_type = cmp.literal->type();
+  if (lit_type != storage::DataType::kTimestamp &&
+      lit_type != storage::DataType::kInt64 &&
+      lit_type != storage::DataType::kInt32) {
+    return false;
+  }
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t c = cmp.literal->AsInt64();
+  int64_t lo = kMin;
+  int64_t hi = kMax;
+  // [kMax, kMin] is empty: no int64 is below kMin or above kMax.
+  switch (cmp.op) {
+    case kernels::CmpOp::kLt:
+      if (c == kMin) {
+        std::swap(lo, hi);
+      } else {
+        hi = c - 1;
+      }
+      break;
+    case kernels::CmpOp::kLe:
+      hi = c;
+      break;
+    case kernels::CmpOp::kGt:
+      if (c == kMax) {
+        std::swap(lo, hi);
+      } else {
+        lo = c + 1;
+      }
+      break;
+    case kernels::CmpOp::kGe:
+      lo = c;
+      break;
+    default:  // kEq
+      lo = c;
+      hi = c;
+      break;
+  }
+  range->lo = std::max(range->lo, lo);
+  range->hi = std::min(range->hi, hi);
+  return true;
+}
+
 // Late projection for the run-time join: records on every LazyDataScan the
 // column names that the nodes above it reference. The scan then carries
-// only those metadata-side columns into its per-sample output; a column
-// used only below it (a metadata predicate, a join key) is never gathered.
+// only those metadata-side columns into its per-sample output, and builds
+// only those data columns; a column used only below it (a metadata
+// predicate, a join key) or absorbed into its sample-time range is never
+// built. A batch carries its row count in its columns, so a scan whose
+// rows no node above reads keeps one data column, not the derived
+// sample_time when it has another.
 void MarkLazyScanOutputs(PlanNode* node, std::set<std::string> used) {
   if (node->type == PlanNodeType::kLazyDataScan) {
     node->used_above.assign(used.begin(), used.end());
+    std::vector<ScanColumn> kept;
+    for (const ScanColumn& sc : node->scan_columns) {
+      if (used.count(sc.output_name) != 0) kept.push_back(sc);
+    }
+    if (kept.empty() && !node->scan_columns.empty()) {
+      auto it = std::find_if(
+          node->scan_columns.begin(), node->scan_columns.end(),
+          [](const ScanColumn& sc) {
+            return sc.base_column != kSampleTimeColumn;
+          });
+      kept.push_back(it != node->scan_columns.end()
+                         ? *it
+                         : node->scan_columns.front());
+    }
+    node->scan_columns = std::move(kept);
   }
   if (node->predicate) CollectReferencedNames(*node->predicate, &used);
   for (const auto& g : node->group_exprs) CollectReferencedNames(*g, &used);
@@ -132,6 +209,21 @@ void MarkLazyScanOutputs(PlanNode* node, std::set<std::string> used) {
     used.insert(node->right_keys.begin(), node->right_keys.end());
   }
   for (auto& child : node->children) MarkLazyScanOutputs(child.get(), used);
+}
+
+// Marks every grouped Aggregate whose keys read no column of the lazy
+// data table: such keys are constant within an mSEED record, so the
+// record runs a lazy data scan passes up are runs of equal keys.
+void MarkRecordGrouping(PlanNode* node, const std::string& data_table) {
+  if (node->type == PlanNodeType::kAggregate && !node->group_exprs.empty()) {
+    std::vector<std::string> tables;
+    for (const auto& g : node->group_exprs) g->CollectTables(&tables);
+    node->keys_constant_per_record =
+        std::find(tables.begin(), tables.end(), data_table) == tables.end();
+  }
+  for (auto& child : node->children) {
+    MarkRecordGrouping(child.get(), data_table);
+  }
 }
 
 // Clones a BoundAggregate (args deep-copied).
@@ -443,6 +535,7 @@ Result<PlannedQuery> Planner::PlanViewQuery(const BoundQuery& query) {
 
   PlanNodePtr node = scan_with_filter(view.root_table);
   node = apply_available_multi_preds(std::move(node));
+  std::string data_table;  // the lazy data table, once its step is planned
 
   for (size_t i = 0; i < last_needed_step; ++i) {
     const storage::ViewJoinStep& step = view.joins[i];
@@ -479,10 +572,18 @@ Result<PlannedQuery> Planner::PlanViewQuery(const BoundQuery& query) {
       lazy->probe_seq_no_column = left_keys[1];
       lazy->left_keys = left_keys;
       lazy->right_keys = right_keys;
+      // Sample-time bounds clip each record inside the scan; the other
+      // data-table predicates apply right after extraction.
+      std::vector<BoundExprPtr> preds;
+      for (auto& conjunct : table_preds[step.table]) {
+        if (!AbsorbSampleTimeBound(*conjunct, step.table,
+                                   &lazy->sample_times)) {
+          preds.push_back(std::move(conjunct));
+        }
+      }
+      data_table = step.table;
       lazy->children.push_back(std::move(node));
       node = std::move(lazy);
-      // Data-table predicates apply right after extraction.
-      auto preds = std::move(table_preds[step.table]);
       if (BoundExprPtr combined = CombineConjuncts(std::move(preds))) {
         node = MakeFilter(std::move(node), std::move(combined));
       }
@@ -516,6 +617,7 @@ Result<PlannedQuery> Planner::PlanViewQuery(const BoundQuery& query) {
 
   LAZYETL_ASSIGN_OR_RETURN(node, FinishPlan(query, std::move(node)));
   MarkLazyScanOutputs(node.get(), {});
+  if (!data_table.empty()) MarkRecordGrouping(node.get(), data_table);
 
   PlannedQuery out;
   out.naive_plan = naive->ToString();

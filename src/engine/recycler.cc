@@ -29,10 +29,9 @@ CachedRecordPtr Recycler::Lookup(const RecordKey& key,
     return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  // Bump to most-recently-used.
-  lru_.erase(it->second.lru_it);
-  lru_.push_back(key);
-  it->second.lru_it = std::prev(lru_.end());
+  // Bump to most-recently-used: relinks the node, allocating nothing, and
+  // keeps lru_it valid.
+  lru_.splice(lru_.end(), lru_, it->second.lru_it);
   return it->second.record;
 }
 

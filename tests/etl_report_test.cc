@@ -107,6 +107,53 @@ TEST(TransformRecordTest, RejectsZeroRate) {
   EXPECT_TRUE(out.status().IsCorruptData());
 }
 
+// SampleIndexesIn against a linear scan of SampleTimeAt: [begin, end) is
+// exactly the samples whose times fall in [lo, hi]. The bounds are every
+// sample's time and its neighbours (a record's first and last sample, and
+// between two samples), points before and after the record, and empty
+// ranges. At 2e9 Hz and 8e8 Hz the fractions hit exact halves, so several
+// consecutive samples share one rounded time.
+TEST(SampleIndexesInTest, EqualsLinearScanOfSampleTimes) {
+  const NanoTime start = 1263081600000000000LL;
+  for (double rate : {40.0, 3.0, 7.0, 2e9, 8e8, 0.1, 1.0 / 3.0}) {
+    for (size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{37}}) {
+      std::vector<NanoTime> times(count);
+      for (size_t i = 0; i < count; ++i) {
+        times[i] = mseed::SampleTimeAt(start, rate, i);
+      }
+      std::vector<NanoTime> points = {start - 1000, start - 1, start,
+                                      start + 1};
+      for (NanoTime t : times) {
+        points.insert(points.end(), {t - 1, t, t + 1});
+      }
+      const NanoTime after =
+          (count > 0 ? times.back() : start) + 1'000'000'000LL;
+      points.push_back(after);
+      for (NanoTime lo : points) {
+        for (NanoTime hi : points) {
+          size_t want_begin = count;
+          size_t want_end = count;
+          for (size_t i = 0; i < count; ++i) {
+            if (times[i] >= lo && times[i] <= hi) {
+              if (want_begin == count) want_begin = i;
+              want_end = i + 1;
+            }
+          }
+          const SampleIndexRange got =
+              SampleIndexesIn(start, rate, count, lo, hi);
+          ASSERT_EQ(got.end - got.begin, want_end - want_begin)
+              << "rate " << rate << " count " << count << " [" << lo << ", "
+              << hi << "]";
+          if (want_begin < want_end) {
+            EXPECT_EQ(got.begin, want_begin);
+            EXPECT_EQ(got.end, want_end);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(RemoveFileRowsTest, RemovesOnlyMatchingRows) {
   auto data = MakeDataTable();
   TransformedRecord rec;

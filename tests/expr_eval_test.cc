@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "engine/expr_eval.h"
+#include "engine/kernels.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/catalog.h"
@@ -190,6 +196,60 @@ TEST_F(ExprEvalTest, MissingColumnFails) {
   Table other;
   ASSERT_STATUS_OK(other.AddColumn("z", Column::FromInt64({1})));
   EXPECT_FALSE(EvaluateExpr(*e, other).ok());
+}
+
+// CompareConstSelect against the plain loop it replaces: for every op,
+// every row whose comparison holds, ascending, and nothing else. Runs the
+// input at each length from 0 (empty) to its full size, and over a
+// selection vector that held more rows before, so a stale tail would show.
+template <typename T, typename V>
+void ExpectSelectMatchesScalarLoop(const std::vector<T>& data,
+                                   const std::vector<V>& constants) {
+  using kernels::CmpOp;
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
+                   CmpOp::kGt, CmpOp::kGe}) {
+    for (const V& c : constants) {
+      for (size_t n = 0; n <= data.size(); ++n) {
+        storage::SelectionVector want;
+        for (size_t i = 0; i < n; ++i) {
+          if (kernels::ApplyCmp(op, data[i], c)) {
+            want.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        storage::SelectionVector got(data.size() + 3, 99);
+        kernels::CompareConstSelect(data.data(), n, op, c, &got);
+        EXPECT_EQ(got, want) << "op " << static_cast<int>(op) << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(CompareConstSelectTest, MatchesScalarLoopForEveryOpAndType) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectSelectMatchesScalarLoop<uint8_t, int64_t>({0, 1, 1, 0, 1},
+                                                  {-1, 0, 1, 2});
+  ExpectSelectMatchesScalarLoop<int32_t, int64_t>(
+      {5, -3, 8, 5, std::numeric_limits<int32_t>::min(),
+       std::numeric_limits<int32_t>::max(), 0},
+      {5, 0, -4, std::numeric_limits<int64_t>::max(),
+       std::numeric_limits<int64_t>::min()});
+  ExpectSelectMatchesScalarLoop<int32_t, double>({5, -3, 8, 0}, {4.5, 5.0,
+                                                                 nan});
+  ExpectSelectMatchesScalarLoop<int64_t, int64_t>(
+      {1263254400000000000LL, 1263254400000000001LL, -7, 0,
+       std::numeric_limits<int64_t>::min(),
+       std::numeric_limits<int64_t>::max()},
+      {1263254400000000000LL, 0, -7, std::numeric_limits<int64_t>::max()});
+  ExpectSelectMatchesScalarLoop<double, double>(
+      {0.5, nan, -0.0, 0.0, -2.5, inf, -inf, nan, 1e300},
+      {0.0, -0.0, nan, 0.5, inf, -inf});
+  ExpectSelectMatchesScalarLoop<double, int64_t>({0.5, nan, -0.0, 3.0},
+                                                 {0, 3});
+  ExpectSelectMatchesScalarLoop<std::string, std::string>(
+      {"a", "b", "", "a", "ab", "c"}, {"a", "", "b", "zz"});
+  ExpectSelectMatchesScalarLoop<uint32_t, uint32_t>({0, 3, 3, 7, 1},
+                                                    {0, 3, 8});
 }
 
 }  // namespace

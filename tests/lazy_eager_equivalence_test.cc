@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include <cstdlib>
 #include <cstring>
@@ -547,6 +548,164 @@ TEST(AwkwardRateParityTest, DerivedTimesMatchEagerAcrossChunkSplits) {
       EXPECT_GT(warm->report.cache_hits, 0u) << sql;
     }
   }
+}
+
+// The lazy scan clips each record to the samples a sample_time bound
+// keeps, where eager filters the materialised rows: the answers must be
+// byte-identical, cold and warm, at 1 and 4 threads and at 37- and
+// 4096-row batches. Every absorbed operator is tried against a record's
+// first and last sample, a point between two samples, points before and
+// after all data, and an equality that hits no sample.
+class ClipParityTest : public ::testing::Test {
+ protected:
+  static std::unique_ptr<Warehouse> Open(const std::string& root,
+                                         LoadStrategy strategy,
+                                         size_t query_threads,
+                                         size_t batch_rows) {
+    WarehouseOptions options;
+    options.strategy = strategy;
+    options.query_threads = query_threads;
+    options.batch_rows = batch_rows;
+    options.cache_budget_bytes = 64ULL << 20;
+    options.enable_result_cache = false;
+    options.extraction_threads = 4;
+    auto wh = Warehouse::Open(options);
+    EXPECT_TRUE(wh.ok()) << wh.status().ToString();
+    auto stats = (*wh)->AttachRepository(root);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return std::move(*wh);
+  }
+
+  // Sample times that bound `station`'s record `seq` of its first file:
+  // its first and last sample, and one nanosecond past the first.
+  static std::vector<NanoTime> RecordBounds(Warehouse* eager,
+                                            const std::string& station,
+                                            int seq) {
+    auto r = eager->Query(
+        "SELECT R.start_time, R.end_time FROM mseed.dataview WHERE "
+        "F.station = '" + station + "' AND R.seq_no = " +
+        std::to_string(seq) + " ORDER BY F.start_time LIMIT 1");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok() || r->table.num_rows() == 0) return {};
+    const NanoTime first = r->table.GetValue(0, 0).timestamp_value();
+    const NanoTime last = r->table.GetValue(0, 1).timestamp_value();
+    return {first, last, first + 1};
+  }
+
+  // Checks every clip query over the repository at `root`; `stations`
+  // name the stations whose records supply the bounds.
+  static void ExpectClipParity(const std::string& root,
+                               const std::vector<std::string>& stations) {
+    auto probe = Open(root, LoadStrategy::kEager, 1, 4096);
+    std::vector<NanoTime> bounds;
+    for (const std::string& station : stations) {
+      for (NanoTime t : RecordBounds(probe.get(), station, 2)) {
+        bounds.push_back(t);
+      }
+    }
+    ASSERT_FALSE(bounds.empty());
+    auto extent = probe->Query(
+        "SELECT MIN(start_time), MAX(end_time) FROM mseed.files");
+    ASSERT_OK(extent);
+    const NanoTime data_start = extent->table.GetValue(0, 0).timestamp_value();
+    const NanoTime data_end = extent->table.GetValue(0, 1).timestamp_value();
+    bounds.push_back(data_start - 1'000'000'000LL);  // before all data
+    bounds.push_back(data_end + 1'000'000'000LL);    // after all data
+
+    const std::string grouped =
+        "SELECT F.station, F.channel, COUNT(*), MIN(D.sample_time), "
+        "MAX(D.sample_time), SUM(D.sample_value) FROM mseed.dataview WHERE ";
+    const std::string group_by =
+        " GROUP BY F.station, F.channel ORDER BY F.station, F.channel";
+    std::vector<std::string> queries;
+    for (NanoTime b : bounds) {
+      const std::string ts = "'" + FormatTimestamp(b) + "'";
+      for (const char* op : {"<", "<=", ">", ">=", "="}) {
+        queries.push_back(grouped + "D.sample_time " + op + " " + ts +
+                          group_by);
+      }
+      // An integer literal, the literal on the left, and the raw rows.
+      queries.push_back(grouped + std::to_string(b) + " <= D.sample_time" +
+                        group_by);
+    }
+    for (size_t i = 0; i + 1 < bounds.size(); i += 3) {
+      queries.push_back(
+          "SELECT F.station, R.seq_no, D.sample_time, D.sample_value FROM "
+          "mseed.dataview WHERE D.sample_time >= '" +
+          FormatTimestamp(bounds[i]) + "' AND D.sample_time <= '" +
+          FormatTimestamp(bounds[i + 1]) + "'");
+    }
+    queries.push_back(
+        "SELECT COUNT(*) FROM mseed.dataview WHERE D.sample_time > " +
+        std::to_string(bounds[0]) + " AND D.sample_value > 0");
+    // A group key that reads the data table changes within a record.
+    queries.push_back(
+        "SELECT F.station, TIME_BUCKET(1, D.sample_time) AS w, COUNT(*), "
+        "SUM(D.sample_value) FROM mseed.dataview WHERE D.sample_time >= " +
+        std::to_string(bounds[0]) +
+        " GROUP BY F.station, TIME_BUCKET(1, D.sample_time) "
+        "ORDER BY F.station, w");
+
+    // The bounds cut records: the kept sample counts take many values.
+    std::set<int64_t> kept_samples;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (size_t batch_rows : {size_t{37}, size_t{4096}}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " batch_rows " +
+                     std::to_string(batch_rows));
+        auto eager = Open(root, LoadStrategy::kEager, threads, batch_rows);
+        auto lazy = Open(root, LoadStrategy::kLazy, threads, batch_rows);
+        for (const std::string& sql : queries) {
+          auto want = eager->Query(sql);
+          ASSERT_OK(want);
+          if (sql.rfind(grouped, 0) == 0) {
+            int64_t samples = 0;
+            for (size_t r = 0; r < want->table.num_rows(); ++r) {
+              samples += want->table.GetValue(r, 2).int64_value();
+            }
+            kept_samples.insert(samples);
+          }
+          lazy->ClearCaches();
+          auto cold = lazy->Query(sql);
+          ASSERT_OK(cold);
+          ExpectBytesEqual(want->table, cold->table, "cold: " + sql);
+          auto warm = lazy->Query(sql);
+          ASSERT_OK(warm);
+          ExpectBytesEqual(want->table, warm->table, "warm: " + sql);
+          EXPECT_EQ(warm->report.records_extracted, 0u) << sql;
+        }
+      }
+    }
+    EXPECT_GE(kept_samples.size(), bounds.size());
+  }
+};
+
+TEST_F(ClipParityTest, AwkwardRates) {
+  ScopedTempDir dir;
+  auto cfg = SmallRepoConfig();
+  cfg.num_days = 1;
+  cfg.segments_per_day = 2;
+  cfg.seconds_per_segment = 300.0;
+  cfg.stations = {{"NL", "SLOW", "02", {"BHZ"}, 3.0},
+                  {"NL", "ODD", "02", {"BHZ"}, 7.0},
+                  {"NL", "HGN", "02", {"BHZ", "BHN"}, 40.0}};
+  MustGenerate(dir.path(), cfg);
+  ExpectClipParity(dir.path(), {"SLOW", "ODD", "HGN"});
+}
+
+TEST_F(ClipParityTest, ExactHalfRates) {
+  // At 2e9 and 8e8 Hz a sample period is half or one and a quarter
+  // nanoseconds: rounded times repeat, and a bound on one of them must
+  // keep every sample that shares it. Blockette 100 carries the rates.
+  ScopedTempDir dir;
+  auto cfg = SmallRepoConfig();
+  cfg.num_days = 1;
+  cfg.segments_per_day = 1;
+  cfg.seconds_per_segment = 1e-6;
+  cfg.writer.write_blockette100 = true;
+  cfg.stations = {{"NL", "HALF", "02", {"BHZ"}, 2e9},
+                  {"NL", "QUART", "02", {"BHZ"}, 8e8}};
+  MustGenerate(dir.path(), cfg);
+  ExpectClipParity(dir.path(), {"HALF", "QUART"});
 }
 
 }  // namespace

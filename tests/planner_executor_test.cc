@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/schema.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
@@ -249,6 +252,129 @@ TEST_F(PlannerExecutorTest, LazyScanWithoutProviderFails) {
   auto result = executor.Execute(*planned->plan, &report);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsExecutionError());
+}
+
+// Plans `sql` with the data table lazy (planning only: no provider runs).
+Result<PlannedQuery> PlanLazy(Catalog* catalog, const std::string& sql) {
+  auto stmt = sql::Parse(sql);
+  if (!stmt.ok()) return stmt.status();
+  sql::Binder binder(catalog);
+  auto bound = binder.Bind(*stmt);
+  if (!bound.ok()) return bound.status();
+  Planner planner(catalog, {core::kDataTable});
+  return planner.Plan(*bound);
+}
+
+const PlanNode* FindNode(const PlanNode& node, PlanNodeType type) {
+  if (node.type == type) return &node;
+  for (const auto& child : node.children) {
+    if (const PlanNode* found = FindNode(*child, type)) return found;
+  }
+  return nullptr;
+}
+
+TEST_F(PlannerExecutorTest, SampleTimeBoundsMoveIntoTheLazyScan) {
+  // 2010-01-12T00:00:00.000 = 1263254400000000000 ns.
+  struct Case {
+    const char* where;
+    int64_t lo;
+    int64_t hi;
+  };
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t c = 1263254400000000000LL;
+  const Case cases[] = {
+      {"D.sample_time < '2010-01-12T00:00:00.000'", kMin, c - 1},
+      {"D.sample_time <= '2010-01-12T00:00:00.000'", kMin, c},
+      {"D.sample_time > '2010-01-12T00:00:00.000'", c + 1, kMax},
+      {"D.sample_time >= '2010-01-12T00:00:00.000'", c, kMax},
+      {"D.sample_time = '2010-01-12T00:00:00.000'", c, c},
+      {"'2010-01-12T00:00:00.000' > D.sample_time", kMin, c - 1},
+      {"D.sample_time >= 1000 AND D.sample_time < 1020 AND "
+       "D.sample_time > 1005",
+       1006, 1019},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.where);
+    auto planned = PlanLazy(
+        &catalog_, std::string("SELECT COUNT(*) FROM mseed.dataview WHERE ") +
+                       k.where);
+    ASSERT_OK(planned);
+    const std::string plan = planned->plan->ToString();
+    EXPECT_EQ(plan.find("Filter((D.sample_time"), std::string::npos) << plan;
+    const PlanNode* scan =
+        FindNode(*planned->plan, PlanNodeType::kLazyDataScan);
+    ASSERT_NE(scan, nullptr);
+    EXPECT_EQ(scan->sample_times.lo, k.lo);
+    EXPECT_EQ(scan->sample_times.hi, k.hi);
+    EXPECT_NE(plan.find("sample_time in ["), std::string::npos) << plan;
+    // No node above reads a data column: the scan builds one, and not the
+    // absorbed sample_time.
+    ASSERT_EQ(scan->scan_columns.size(), 1u);
+    EXPECT_NE(scan->scan_columns[0].base_column, "sample_time");
+  }
+
+  auto planned = PlanLazy(&catalog_,
+                          "SELECT COUNT(*) FROM mseed.dataview WHERE "
+                          "D.sample_time < '2010-01-12T00:00:00.000'");
+  ASSERT_OK(planned);
+  EXPECT_NE(planned->plan->ToString().find(
+                "sample_time in [-inf, '2010-01-11T23:59:59.999999999']"),
+            std::string::npos)
+      << planned->plan->ToString();
+}
+
+TEST_F(PlannerExecutorTest, OtherSampleTimePredicatesStayInTheFilter) {
+  for (const char* where :
+       {"D.sample_time <> '2010-01-12T00:00:00.000'",
+        "(D.sample_time < 1005 OR D.sample_time > 1015)",
+        "D.sample_time > R.start_time", "D.sample_value > 0"}) {
+    SCOPED_TRACE(where);
+    auto planned = PlanLazy(
+        &catalog_,
+        std::string("SELECT COUNT(*) FROM mseed.dataview WHERE ") + where);
+    ASSERT_OK(planned);
+    const std::string plan = planned->plan->ToString();
+    EXPECT_NE(plan.find("Filter("), std::string::npos) << plan;
+    const PlanNode* scan =
+        FindNode(*planned->plan, PlanNodeType::kLazyDataScan);
+    ASSERT_NE(scan, nullptr);
+    EXPECT_FALSE(scan->sample_times.bounded());
+    EXPECT_EQ(plan.find("sample_time in"), std::string::npos) << plan;
+  }
+  // An absorbed bound and a kept predicate: only the kept one filters.
+  auto planned = PlanLazy(&catalog_,
+                          "SELECT COUNT(*) FROM mseed.dataview WHERE "
+                          "D.sample_time >= 1000 AND D.sample_value > 0");
+  ASSERT_OK(planned);
+  const std::string plan = planned->plan->ToString();
+  EXPECT_NE(plan.find("Filter((D.sample_value > 0))"), std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("Filter((D.sample_time"), std::string::npos) << plan;
+}
+
+TEST_F(PlannerExecutorTest, LazyScanBuildsOnlyDataColumnsUsedAbove) {
+  auto planned = PlanLazy(&catalog_,
+                          "SELECT F.station, SUM(D.sample_value) FROM "
+                          "mseed.dataview WHERE D.sample_time > 1000 "
+                          "GROUP BY F.station");
+  ASSERT_OK(planned);
+  const PlanNode* scan = FindNode(*planned->plan, PlanNodeType::kLazyDataScan);
+  ASSERT_NE(scan, nullptr);
+  ASSERT_EQ(scan->scan_columns.size(), 1u);
+  EXPECT_EQ(scan->scan_columns[0].output_name, "D.sample_value");
+  const PlanNode* agg = FindNode(*planned->plan, PlanNodeType::kAggregate);
+  ASSERT_NE(agg, nullptr);
+  EXPECT_TRUE(agg->keys_constant_per_record);
+
+  // A data column among the keys is not constant within a record.
+  planned = PlanLazy(&catalog_,
+                     "SELECT F.station, D.sample_value, COUNT(*) FROM "
+                     "mseed.dataview GROUP BY F.station, D.sample_value");
+  ASSERT_OK(planned);
+  agg = FindNode(*planned->plan, PlanNodeType::kAggregate);
+  ASSERT_NE(agg, nullptr);
+  EXPECT_FALSE(agg->keys_constant_per_record);
 }
 
 TEST(HashJoinTablesTest, JoinsOnCompositeKeys) {

@@ -145,6 +145,50 @@ TEST(RecyclerTest, KeysInLruOrder) {
   EXPECT_EQ(keys.back().seq_no, 1);   // MRU
 }
 
+TEST(RecyclerTest, HitEntryIsEvictedLast) {
+  // Admitted 1..3, then (1,1) and (1,2) are hit in that order: eviction
+  // order becomes 3, 1, 2, and a hit entry outlives every entry not hit
+  // since. Each admission past the budget evicts exactly one entry.
+  uint64_t per_entry = 100 * 4 + sizeof(CachedRecord);
+  Recycler cache(per_entry * 3);
+  for (int seq = 1; seq <= 3; ++seq) {
+    cache.Admit({1, seq}, MakeRecord(100, 1));
+  }
+  ASSERT_NE(cache.Lookup({1, 1}, 1), nullptr);
+  ASSERT_NE(cache.Lookup({1, 2}, 1), nullptr);
+  auto keys = cache.Keys();
+  ASSERT_EQ(keys.size(), 3u);
+  EXPECT_EQ(keys[0].seq_no, 3);
+  EXPECT_EQ(keys[1].seq_no, 1);
+  EXPECT_EQ(keys[2].seq_no, 2);
+
+  cache.Admit({1, 4}, MakeRecord(100, 1));  // evicts (1,3)
+  cache.Admit({1, 5}, MakeRecord(100, 1));  // evicts (1,1)
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  keys = cache.Keys();
+  ASSERT_EQ(keys.size(), 3u);
+  EXPECT_EQ(keys[0].seq_no, 2);  // the last hit entry: next to go
+  EXPECT_EQ(keys[1].seq_no, 4);
+  EXPECT_EQ(keys[2].seq_no, 5);
+
+  // A hit on the LRU entry moves it to the back, repeatedly, without
+  // losing or duplicating any entry.
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_NE(cache.Lookup({1, cache.Keys().front().seq_no}, 1), nullptr);
+  }
+  keys = cache.Keys();
+  ASSERT_EQ(keys.size(), 3u);
+  EXPECT_EQ(keys[0].seq_no, 2);
+  EXPECT_EQ(keys[1].seq_no, 4);
+  EXPECT_EQ(keys[2].seq_no, 5);
+  cache.Admit({1, 6}, MakeRecord(100, 1));  // evicts (1,2)
+  EXPECT_EQ(cache.Lookup({1, 2}, 1), nullptr);
+  EXPECT_NE(cache.Lookup({1, 4}, 1), nullptr);
+  EXPECT_NE(cache.Lookup({1, 5}, 1), nullptr);
+  EXPECT_NE(cache.Lookup({1, 6}, 1), nullptr);
+  EXPECT_EQ(cache.stats().entries, 3u);
+}
+
 TEST(RecyclerTest, GlobalPressureEvictsInLruOrder) {
   // A finite governor bounds the cache to half the global cap even though
   // the cache's own budget has room: entries must leave strictly
