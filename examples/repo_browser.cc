@@ -104,22 +104,25 @@ int main(int argc, char** argv) {
         auto s = (*wh)->Stats();
         std::printf(
             "  strategy %s | files %zu (hydrated %zu) | repo %llu B | "
-            "catalog %llu B\n  cache: %llu/%llu B, %llu entries, hits %llu "
-            "misses %llu stale %llu evictions %llu\n  result cache: %llu "
-            "entries, %llu hits\n",
+            "catalog %llu B\n",
             lazyetl::core::LoadStrategyToString(s.strategy), s.num_files,
             s.num_hydrated_files,
             static_cast<unsigned long long>(s.repository_bytes),
-            static_cast<unsigned long long>(s.catalog_bytes),
-            static_cast<unsigned long long>(s.cache.current_bytes),
-            static_cast<unsigned long long>(s.cache.budget_bytes),
-            static_cast<unsigned long long>(s.cache.entries),
-            static_cast<unsigned long long>(s.cache.hits),
-            static_cast<unsigned long long>(s.cache.misses),
-            static_cast<unsigned long long>(s.cache.stale),
-            static_cast<unsigned long long>(s.cache.evictions),
-            static_cast<unsigned long long>(s.result_cache_entries),
-            static_cast<unsigned long long>(s.result_cache_hits));
+            static_cast<unsigned long long>(s.catalog_bytes));
+        auto tier = [](const char* name, const lazyetl::engine::CacheStats& c) {
+          std::printf(
+              "  %s: %llu/%llu B, %llu entries, hits %llu misses %llu "
+              "stale %llu evictions %llu\n",
+              name, static_cast<unsigned long long>(c.current_bytes),
+              static_cast<unsigned long long>(c.budget_bytes),
+              static_cast<unsigned long long>(c.entries),
+              static_cast<unsigned long long>(c.hits),
+              static_cast<unsigned long long>(c.misses),
+              static_cast<unsigned long long>(c.stale),
+              static_cast<unsigned long long>(c.evictions));
+        };
+        tier("record cache", s.cache);
+        tier("result cache", s.result_cache);
       } else if (cmd == "\\log") {
         for (const auto& e : lazyetl::OperationLog::Global().Entries()) {
           std::printf("  [%5lld] %-14s %s\n",

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -497,7 +498,8 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
         LogOp(LogCategory::kRefresh,
               "lazy refresh: " + entry.path +
                   " was modified; re-loading its metadata");
-        warehouse->recycler_->InvalidateFile(fid);
+        warehouse->record_cache_->EraseIf(
+            [fid](const RecordKey& k) { return k.file_id == fid; });
         LAZYETL_ASSIGN_OR_RETURN(Table * records,
                                  writer.Mutable(kRecordsTable));
         LAZYETL_ASSIGN_OR_RETURN(size_t removed,
@@ -528,7 +530,7 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
             "source file disappeared during query: file_id " +
             std::to_string(fid));
       }
-      provider->deps_.push_back({fid, entry.path, entry.mtime});
+      provider->deps_.push_back({fid, entry.mtime});
       // The file's chunks, from its records' sample counts (AssembleChunks
       // cuts each file into batch_rows-row chunks; Next skips empty ones).
       // A time range that clips records makes this an upper bound.
@@ -626,8 +628,10 @@ Status WarehouseRecordStream::AdvanceWindow() {
       std::vector<int64_t> to_extract;
       for (int64_t seq : fr.seqs) {
         bool stale = false;
-        engine::CachedRecordPtr hit =
-            warehouse->recycler_->Lookup({fr.fid, seq}, fr.mtime, &stale);
+        engine::CachedRecordPtr hit = warehouse->record_cache_->Lookup(
+            {fr.fid, seq},
+            [&fr](const CachedRecord& r) { return r.file_mtime == fr.mtime; },
+            &stale);
         if (hit != nullptr) {
           ++report_->cache_hits;
           ++total_hits_;
@@ -699,7 +703,6 @@ Status WarehouseRecordStream::AdvanceWindow() {
       LogOp(LogCategory::kExtract,
             "extracted " + std::to_string(job.record_indexes.size()) +
                 " records from " + job.path);
-      const NanoTime now = NowNanos();
       for (size_t i = 0; i < job.record_indexes.size(); ++i) {
         const mseed::RecordInfo& info =
             job.metadata->records[job.record_indexes[i]];
@@ -710,8 +713,8 @@ Status WarehouseRecordStream::AdvanceWindow() {
 
         // Lazy loading (§3.3): admit the extracted+transformed record —
         // the same object this stream assembles from.
-        record->admitted_at = now;
-        warehouse->recycler_->Admit({job.file_id, job.seq_nos[i]}, record);
+        warehouse->record_cache_->Admit({job.file_id, job.seq_nos[i]}, record,
+                                        record->Bytes());
         pending.staged[job.seq_nos[i]] = std::move(record);
       }
       extracted_desc_.push_back(job.path + " (" +
@@ -784,7 +787,7 @@ void WarehouseRecordStream::FlushSummary() {
   if (extracted_desc_.size() > 6) rewrite << ", ...";
   rewrite << "]\n";
   report_->plan_runtime += rewrite.str();
-  engine::RecyclerStats cache_stats = warehouse->recycler_->stats();
+  engine::CacheStats cache_stats = warehouse->record_cache_->stats();
   LogOp(LogCategory::kCache,
         "cache after fetch: " + std::to_string(cache_stats.entries) +
             " entries, " + std::to_string(cache_stats.current_bytes) +
@@ -866,12 +869,15 @@ Result<std::unique_ptr<Warehouse>> Warehouse::Open(WarehouseOptions options) {
   LAZYETL_RETURN_NOT_OK(
       RegisterSchema(wh->catalog_.get(), wh->IsLazyStrategy()));
 
-  // The record cache charges its resident bytes to the process-global
+  // Both cache tiers charge their resident bytes to the process-global
   // budget, so cache residency, extraction windows and breaker state
-  // compete for one cap.
-  wh->recycler_ = std::make_unique<engine::Recycler>(
+  // compete for one cap. Whole results get 1/32 of the record budget and
+  // 1/32 of its share of a finite global cap.
+  wh->record_cache_ = std::make_unique<engine::RecordCache>(
       wh->options_.cache_budget_bytes, &common::MemoryBudget::Process());
-  wh->result_recycler_ = std::make_unique<engine::ResultRecycler>();
+  wh->result_cache_ = std::make_unique<engine::ResultCache>(
+      wh->options_.cache_budget_bytes / 32, &common::MemoryBudget::Process(),
+      /*share_divisor=*/64);
 
   // Admission control: resolve the concurrency bound and the per-query
   // budget (options, else environment) once; the scheduler carves each
@@ -985,7 +991,7 @@ Status Warehouse::HydrateFileLocked(FileEntry* entry, CatalogWriter* writer,
     files->column(c_mtime).int64_data()[row] = entry->metadata->mtime;
     break;
   }
-  result_recycler_->Clear();
+  result_cache_->Clear();
   return Status::OK();
 }
 
@@ -1203,7 +1209,7 @@ Result<LoadStats> Warehouse::AttachRepository(const std::string& root) {
     }
     writer.Publish();
   }
-  result_recycler_->Clear();
+  result_cache_->Clear();
 
   if (options_.strategy == LoadStrategy::kEager &&
       !options_.persist_dir.empty()) {
@@ -1322,7 +1328,8 @@ Result<std::vector<int64_t>> Warehouse::CandidateFileIds(
 Status Warehouse::ReloadModifiedFileLocked(FileEntry* entry,
                                            CatalogWriter* writer,
                                            uint64_t* bytes_read) {
-  recycler_->InvalidateFile(entry->file_id);
+  record_cache_->EraseIf(
+      [entry](const RecordKey& k) { return k.file_id == entry->file_id; });
   LAZYETL_ASSIGN_OR_RETURN(Table * files, writer->Mutable(kFilesTable));
   LAZYETL_ASSIGN_OR_RETURN(Table * records, writer->Mutable(kRecordsTable));
   LAZYETL_RETURN_NOT_OK(RemoveFileRows(files, entry->file_id).status());
@@ -1350,7 +1357,7 @@ Status Warehouse::ReloadModifiedFileLocked(FileEntry* entry,
       LAZYETL_RETURN_NOT_OK(LoadFileFromFilenameLocked(entry, writer));
       break;
   }
-  result_recycler_->Clear();
+  result_cache_->Clear();
   return Status::OK();
 }
 
@@ -1482,7 +1489,7 @@ Result<LoadStats> Warehouse::AttachPersisted(const std::string& persist_dir) {
     if (!line.empty()) roots_.push_back(line);
   }
 
-  result_recycler_->Clear();
+  result_cache_->Clear();
   stats.seconds = timer.ElapsedSeconds();
   LogOp(LogCategory::kEagerLoad,
         "persisted warehouse reopened: " + std::to_string(stats.files) +
@@ -1559,17 +1566,17 @@ uint64_t Warehouse::EstimateColdExtractionBytes(
 }
 
 // ---------------------------------------------------------------------------
-// The query lifecycle. Compile (parse, bind, plan) is shared by Explain,
+// The query lifecycle. Compile (parse, bind) and Plan are shared by Explain,
 // Query and OpenCursor. Prepare adds everything that touches shared state —
-// admission, lazy refresh/hydration, the result-cache probe, opening the
-// execution — and hands back a QueryCursor. OpenCursor streams
-// that cursor; Query drains it with an unbounded window. Completion (final
-// report, whole-result admission, release) is one step for both.
+// admission, lazy refresh/hydration, the result-cache probe and, on a
+// miss, opening the execution — and hands back a QueryCursor. OpenCursor
+// streams that cursor; Query drains it with an unbounded window.
+// Completion (final report, whole-result admission, release) is one step
+// for both.
 // ---------------------------------------------------------------------------
 
 struct Warehouse::CompiledQuery {
   sql::BoundQuery bound;
-  engine::PlannedQuery planned;
   // Files the lazy refresh statted: the one candidate set of this query,
   // shared by refresh, hydration and the cold-footprint estimate.
   std::vector<int64_t> candidates;
@@ -1592,9 +1599,9 @@ Result<Warehouse::CompiledQuery> Warehouse::Compile(const std::string& sql,
   if (refresh && IsLazyStrategy()) {
     // Lazy refreshment (§3.3): before executing, verify the candidate
     // files' mtimes and re-load metadata of any that changed, so the
-    // metadata phase of the plan sees the current repository state. The
-    // candidates are pruned on identity columns only, which a reload
-    // cannot change.
+    // result-cache probe and the metadata phase of the plan see the
+    // current repository state. The candidates are pruned on identity
+    // columns only, which a reload cannot change.
     LAZYETL_ASSIGN_OR_RETURN(compiled.candidates,
                              CandidateFileIds(compiled.bound));
     LAZYETL_RETURN_NOT_OK(
@@ -1604,19 +1611,51 @@ Result<Warehouse::CompiledQuery> Warehouse::Compile(const std::string& sql,
           HydrateForQuery(compiled.bound, compiled.candidates, report));
     }
   }
+  return compiled;
+}
 
-  phase.Restart();
+Result<engine::PlannedQuery> Warehouse::Plan(const sql::BoundQuery& bound,
+                                             ExecutionReport* report) {
+  Stopwatch phase;
   std::set<std::string> lazy_tables;
   if (IsLazyStrategy()) lazy_tables.insert(kDataTable);
   engine::Planner planner(catalog_.get(), lazy_tables,
                           options_.enable_metadata_pruning);
-  LAZYETL_ASSIGN_OR_RETURN(compiled.planned, planner.Plan(compiled.bound));
-  report->plan_before = compiled.planned.naive_plan;
-  report->plan_after = compiled.planned.plan->ToString();
+  LAZYETL_ASSIGN_OR_RETURN(engine::PlannedQuery planned, planner.Plan(bound));
+  report->plan_before = planned.naive_plan;
+  report->plan_after = planned.plan->ToString();
   report->plan_seconds = phase.ElapsedSeconds();
   LogOp(LogCategory::kPlan,
         "compile-time reorganisation done (metadata predicates first)");
-  return compiled;
+  return planned;
+}
+
+engine::CachedResultPtr Warehouse::ProbeResultCache(const std::string& sql,
+                                                    ExecutionReport* report) {
+  // Each dependency is checked against the change journal; only a file it
+  // does not vouch for is statted, under its path in the registry.
+  std::optional<ChangeJournal::Batch> batch;
+  auto fresh = [&](const engine::CachedResult& cached) {
+    for (const engine::ResultDependency& dep : cached.deps) {
+      if (!batch.has_value()) batch.emplace(journal_.BeginBatch());
+      mseed::FileStatInfo st;
+      if (!batch->Vouched(dep.file_id, &st)) {
+        std::string path;
+        {
+          std::shared_lock lock(meta_mu_);
+          const FileEntry& entry = files_[dep.file_id - 1];  // never shrinks
+          if (entry.file_id == 0) return false;  // deleted since
+          path = entry.path;
+        }
+        auto current = batch->Stat(dep.file_id, path, &report->files_statted);
+        if (!current.ok()) return false;
+        st = *current;
+      }
+      if (st.mtime != dep.mtime) return false;
+    }
+    return true;
+  };
+  return result_cache_->Lookup(sql, fresh);
 }
 
 struct QueryCursor::Impl {
@@ -1643,11 +1682,11 @@ struct QueryCursor::Impl {
   // Whole-result admission at completion, one rule for Query() and
   // cursors: a result is admitted when it spans at most `admit_limit`
   // batches (cursor_window_batches) and the cache was not cleared since
-  // `generation` was read, before planning (see ResultRecycler). Null
+  // `generation` was read, before parsing (see engine::LruCache). Null
   // `result_cache`: the tier is off or already answered the query.
-  // Query() retains every batch (`keep_all`) to return it; a cursor
-  // retains only while the result may still be admitted.
-  engine::ResultRecycler* result_cache = nullptr;
+  // Query() retains every batch (`keep_all`) to return it — served ones
+  // too; a cursor retains only while the result may still be admitted.
+  engine::ResultCache* result_cache = nullptr;
   uint64_t generation = 0;
   size_t admit_limit = 0;
   bool keep_all = false;
@@ -1705,11 +1744,11 @@ struct QueryCursor::Impl {
   bool Complete() {
     if (result_cache != nullptr && retaining &&
         retained_batches <= admit_limit) {
-      engine::CachedResult entry;
-      entry.table = retained;
-      entry.deps = provider->deps();
-      entry.admitted_at = NowNanos();
-      result_cache->Admit(report.sql, std::move(entry), generation);
+      auto entry = std::make_shared<engine::CachedResult>();
+      entry->encoded = engine::CachedResult::Encode(retained);
+      entry->deps = provider->deps();
+      const uint64_t bytes = entry->Bytes(report.sql);
+      result_cache->Admit(report.sql, std::move(entry), bytes, generation);
     }
     Release();
     LogOp(LogCategory::kQuery,
@@ -1830,21 +1869,33 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
   if (!options_.footprint_aware_admission) LAZYETL_RETURN_NOT_OK(admit());
 
   // The result may be admitted only under the metadata version it is
-  // planned from: read the cache generation before the refresh and plan.
-  im.generation = result_recycler_->generation();
+  // computed from: read the cache generation before the refresh.
+  im.generation = result_cache_->generation();
   LAZYETL_ASSIGN_OR_RETURN(CompiledQuery compiled,
                            Compile(sql, /*refresh=*/true, &report));
-  im.planned = std::move(compiled.planned);
 
-  // Each result-cache probe validates its dependencies as one batch of
-  // freshness checks against the change journal.
-  auto dep_mtime_fn = [this, &report] {
-    return [batch = journal_.BeginBatch(),
-            &report](const engine::ResultDependency& dep) -> NanoTime {
-      auto st = batch.Stat(dep.file_id, dep.path, &report.files_statted);
-      return st.ok() ? st->mtime : -1;
-    };
-  };
+  // Whole-result recycling, probed once: after the refresh, whose reloads
+  // clear the cache (a result lists only the files it read), and before
+  // planning. A hit needs no execution resources: the ticket (under
+  // footprint-aware admission, taken with estimate 0) is released as this
+  // returns.
+  im.admit_limit = options_.cursor_window_batches;
+  im.keep_all = window_batches == 0;  // Query() always keeps its result
+  im.retaining = im.keep_all;
+  if (options_.enable_result_cache) {
+    if (engine::CachedResultPtr cached = ProbeResultCache(sql, &report)) {
+      report.result_cache_hit = true;
+      LAZYETL_ASSIGN_OR_RETURN(Table table, cached->Decode());
+      im.served = std::make_shared<const Table>(std::move(table));
+      if (options_.footprint_aware_admission) LAZYETL_RETURN_NOT_OK(admit());
+      LogOp(LogCategory::kCache, "query answered from result cache");
+      return cursor;
+    }
+    im.result_cache = result_cache_.get();
+    im.retaining = true;  // a cursor retains what it may admit
+  }
+
+  LAZYETL_ASSIGN_OR_RETURN(im.planned, Plan(compiled.bound, &report));
 
   // Footprint-aware admission: estimate from the just-built plan, then
   // take the ticket.
@@ -1854,33 +1905,7 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
                          : 0;
     request.estimated_bytes =
         engine::EstimatePlanFootprint(*im.planned.plan, *catalog_, lazy_bytes);
-    // A still-valid cached whole result needs no execution memory: drop
-    // the estimate so the hit is never footprint-gated behind headroom it
-    // will not use (the authoritative probe below runs post-admission, at
-    // the same point as on the FIFO path).
-    if (options_.enable_result_cache &&
-        result_recycler_->ValidateAndGet(sql, dep_mtime_fn()) != nullptr) {
-      request.estimated_bytes = 0;
-    }
     LAZYETL_RETURN_NOT_OK(admit());
-  }
-
-  // Whole-result recycling. Serving from cache needs no execution
-  // resources: the ticket is released as this returns.
-  im.admit_limit = options_.cursor_window_batches;
-  im.keep_all = window_batches == 0;  // Query() always keeps its result
-  im.retaining = im.keep_all;
-  if (options_.enable_result_cache) {
-    if (engine::CachedResultPtr cached =
-            result_recycler_->ValidateAndGet(sql, dep_mtime_fn())) {
-      result_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      report.result_cache_hit = true;
-      im.served = std::shared_ptr<const Table>(cached, &cached->table);
-      LogOp(LogCategory::kCache, "query answered from result cache");
-      return cursor;
-    }
-    im.result_cache = result_recycler_.get();
-    im.retaining = true;  // a cursor retains what it may admit
   }
 
   // Per-query execution state: the context adopts the admission ticket
@@ -1922,7 +1947,9 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
 
 Result<engine::ExecutionReport> Warehouse::Explain(const std::string& sql) {
   ExecutionReport report;
-  LAZYETL_RETURN_NOT_OK(Compile(sql, /*refresh=*/false, &report).status());
+  LAZYETL_ASSIGN_OR_RETURN(CompiledQuery compiled,
+                           Compile(sql, /*refresh=*/false, &report));
+  LAZYETL_RETURN_NOT_OK(Plan(compiled.bound, &report).status());
   report.total_seconds =
       report.parse_seconds + report.bind_seconds + report.plan_seconds;
   return report;
@@ -2004,7 +2031,8 @@ Result<RefreshStats> Warehouse::Refresh() {
       // exists is never tombstoned.
       if (mseed::StatFile(entry.path).ok()) continue;
       ++stats.deleted_files;
-      recycler_->InvalidateFile(entry.file_id);
+      record_cache_->EraseIf(
+          [fid](const RecordKey& k) { return k.file_id == fid; });
       LAZYETL_ASSIGN_OR_RETURN(Table * files, writer.Mutable(kFilesTable));
       LAZYETL_ASSIGN_OR_RETURN(Table * records,
                                writer.Mutable(kRecordsTable));
@@ -2028,7 +2056,7 @@ Result<RefreshStats> Warehouse::Refresh() {
   // explicit rescan also covers changes no event reports (see
   // ChangeJournal).
   journal_.Rearm();
-  result_recycler_->Clear();
+  result_cache_->Clear();
   stats.seconds = timer.ElapsedSeconds();
   LogOp(LogCategory::kRefresh,
         "refresh done: " + std::to_string(stats.new_files) + " new, " +
@@ -2038,12 +2066,15 @@ Result<RefreshStats> Warehouse::Refresh() {
 }
 
 void Warehouse::ClearCaches() {
-  recycler_->Clear();
-  recycler_->ResetCounters();
-  result_recycler_->Clear();
+  record_cache_->Clear();
+  result_cache_->Clear();
+  ResetCacheCounters();
 }
 
-void Warehouse::ResetCacheCounters() { recycler_->ResetCounters(); }
+void Warehouse::ResetCacheCounters() {
+  record_cache_->ResetCounters();
+  result_cache_->ResetCounters();
+}
 
 WarehouseStats Warehouse::Stats() const {
   WarehouseStats stats;
@@ -2058,9 +2089,9 @@ WarehouseStats Warehouse::Stats() const {
     }
   }
   stats.catalog_bytes = catalog_->MemoryBytes();
-  stats.cache = recycler_->stats();
-  stats.result_cache_hits = result_cache_hits_.load(std::memory_order_relaxed);
-  stats.result_cache_entries = result_recycler_->entries();
+  stats.cache = record_cache_->stats();
+  stats.result_cache = result_cache_->stats();
+  stats.result_cache_hits = stats.result_cache.hits;
   stats.serial_drives = serial_drives_.load(std::memory_order_relaxed);
   stats.parallel_drives = parallel_drives_.load(std::memory_order_relaxed);
   stats.queries_admitted = scheduler_->total_admitted();

@@ -20,7 +20,7 @@
 // per-client fair share, queue timeouts and footprint-aware admission via
 // QueryOptions), each admitted query gets a MemoryBudget
 // carved from the process-global cap, and all shared mutable state — the
-// record/result recyclers, the catalog tables, the file registry with its
+// record and result caches, the catalog tables, the file registry with its
 // hydration/lazy-refresh machinery — is synchronized internally:
 // catalog tables are copy-on-write published (executing queries scan
 // immutable snapshots), the registry sits behind a reader/writer lock, and
@@ -55,6 +55,7 @@
 #include "common/time.h"
 #include "core/change_journal.h"
 #include "engine/executor.h"
+#include "engine/planner.h"
 #include "engine/recycler.h"
 #include "engine/report.h"
 #include "mseed/reader.h"
@@ -208,15 +209,15 @@ struct QueryOptions {
 // serial seq order and their concatenation is byte-identical to
 // Query(sql).table; the first batch always carries the result schema
 // (possibly with zero rows). A still-valid cached whole result is
-// streamed in batch-sized chunks. Both cache tiers are warmed as by
-// Query(): extracted records are admitted as they are read, and a result
-// that runs to the end is admitted to the whole-result cache when it
-// spanned at most cursor_window_batches batches — the cursor retains no
-// more than its backpressure window, so wider results stream without
-// being admitted, and Query() admits by the same rule (returning wider
-// results in full all the same). A result is also never admitted when a
-// metadata reload or hydration cleared the cache after the query read
-// its generation, before planning.
+// streamed in batch-sized chunks, without planning. Both cache tiers are
+// warmed as by Query(): extracted records are admitted as they are read,
+// and a result that runs to the end is admitted to the whole-result cache
+// when it spanned at most cursor_window_batches batches — the cursor
+// retains no more than its backpressure window, so wider results stream
+// without being admitted, and Query() admits by the same rule (returning
+// wider results in full all the same). A result is also never admitted
+// when a metadata reload or hydration cleared the cache after the query
+// read its generation, before parsing.
 class QueryCursor {
  public:
   ~QueryCursor();
@@ -259,9 +260,11 @@ struct WarehouseStats {
   size_t num_hydrated_files = 0;
   uint64_t catalog_bytes = 0;         // in-memory table footprint
   uint64_t repository_bytes = 0;      // summed source file sizes
-  engine::RecyclerStats cache;
+  // Record and whole-result cache tiers (engine/recycler.h).
+  engine::CacheStats cache;
+  engine::CacheStats result_cache;
+  // Same as result_cache.hits; perfbench reads this flat field.
   uint64_t result_cache_hits = 0;
-  uint64_t result_cache_entries = 0;
   // Drive loops of finished queries: serial (one worker) and parallel.
   uint64_t serial_drives = 0;
   uint64_t parallel_drives = 0;
@@ -311,7 +314,8 @@ class Warehouse {
 
   // Streaming form of Query(), sharing its whole lifecycle: admission
   // (a queue timeout fails here with Status::DeadlineExceeded before any
-  // state is touched), lazy refresh, planning and cache probes, then a
+  // state is touched), lazy refresh, the result-cache probe and, on a
+  // miss, planning, then a
   // cursor that yields the result batch-by-batch. See QueryCursor for
   // lifecycle, backpressure and cache admission;
   // WarehouseOptions::cursor_window_batches bounds what a slow consumer
@@ -413,19 +417,29 @@ class Warehouse {
   uint64_t EstimateColdExtractionBytes(
       const std::vector<int64_t>& candidates) const;
 
-  // Parse, bind and plan, timing each phase into `report`. With
-  // `refresh`, the lazy strategies first compute the query's candidate
-  // files, re-load the stale ones and hydrate filename-only metadata, so
-  // the plan sees the current repository; Explain passes false and touches
-  // no data.
+  // Parse and bind, timing each phase into `report`. With `refresh`, the
+  // lazy strategies then compute the query's candidate files, re-load the
+  // stale ones and hydrate filename-only metadata, so the result-cache
+  // probe and the plan see the current repository; Explain passes false
+  // and touches no data.
   struct CompiledQuery;
   Result<CompiledQuery> Compile(const std::string& sql, bool refresh,
                                 engine::ExecutionReport* report);
 
+  // Plans a bound query, timing the phase into `report`.
+  Result<engine::PlannedQuery> Plan(const sql::BoundQuery& bound,
+                                    engine::ExecutionReport* report);
+
+  // The cached result of `sql` while every file it was computed from is
+  // unchanged, else null. Statted files are counted in `report`.
+  engine::CachedResultPtr ProbeResultCache(const std::string& sql,
+                                           engine::ExecutionReport* report);
+
   // The one front half of Query() and OpenCursor(): admission, Compile,
-  // the result-cache probe, and — unless a cached result answers — the opened execution.
-  // `window_batches` bounds both the backpressure window and the batches
-  // retained for result-cache admission (0 = unbounded).
+  // the result-cache probe, and — unless a cached result answers — Plan
+  // and the opened execution. `window_batches` bounds both the
+  // backpressure window and the batches retained for result-cache
+  // admission (0 = unbounded).
   Result<std::unique_ptr<QueryCursor>> Prepare(
       const std::string& sql, const QueryOptions& query_options,
       size_t window_batches);
@@ -460,8 +474,8 @@ class Warehouse {
 
   WarehouseOptions options_;
   std::unique_ptr<storage::Catalog> catalog_;
-  std::unique_ptr<engine::Recycler> recycler_;
-  std::unique_ptr<engine::ResultRecycler> result_recycler_;
+  std::unique_ptr<engine::RecordCache> record_cache_;
+  std::unique_ptr<engine::ResultCache> result_cache_;
   std::unique_ptr<common::QueryScheduler> scheduler_;
 
   // Reader/writer lock over the file registry and every catalog-table
@@ -480,7 +494,6 @@ class Warehouse {
   // Every query-time freshness check goes through the journal; the lazy
   // strategies track each attached file in it.
   ChangeJournal journal_;
-  std::atomic<uint64_t> result_cache_hits_{0};
   // Drive loops of finished queries, by mode (see ExecutionReport).
   std::atomic<uint64_t> serial_drives_{0};
   std::atomic<uint64_t> parallel_drives_{0};

@@ -101,36 +101,6 @@ inline void CompareConstRefine(const T* data, CmpOp op, V constant,
   sel->resize(kept);
 }
 
-// data[i] `op` constant over [0, n) -> byte mask (1 = pass). Used when a
-// comparison feeds a logical expression rather than a selection directly.
-template <typename T, typename V>
-inline void CompareConstMask(const T* data, size_t n, CmpOp op, V constant,
-                             std::vector<uint8_t>* mask) {
-  mask->resize(n);
-  uint8_t* m = mask->data();
-  switch (op) {
-#define LAZYETL_CMP_CASE(OP, FUNCTOR)                                  \
-  case CmpOp::OP:                                                      \
-    for (size_t i = 0; i < n; ++i) m[i] = FUNCTOR()(data[i], constant); \
-    break;
-    LAZYETL_CMP_CASE(kEq, std::equal_to<>)
-    LAZYETL_CMP_CASE(kNe, std::not_equal_to<>)
-    LAZYETL_CMP_CASE(kLt, std::less<>)
-    LAZYETL_CMP_CASE(kLe, std::less_equal<>)
-    LAZYETL_CMP_CASE(kGt, std::greater<>)
-    LAZYETL_CMP_CASE(kGe, std::greater_equal<>)
-#undef LAZYETL_CMP_CASE
-  }
-}
-
-// Element-wise AND of two equal-length byte masks, into `a`.
-inline void AndMask(std::vector<uint8_t>* a, const std::vector<uint8_t>& b) {
-  uint8_t* pa = a->data();
-  const uint8_t* pb = b.data();
-  size_t n = a->size();
-  for (size_t i = 0; i < n; ++i) pa[i] = pa[i] & pb[i];
-}
-
 // The one order on doubles, shared by MIN/MAX and ORDER BY: NaN is greater
 // than every number and equal to itself, as PostgreSQL orders it, and -0.0
 // equals 0.0. It is a strict weak order (plain < is not once NaN appears),

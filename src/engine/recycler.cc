@@ -1,49 +1,25 @@
 #include "engine/recycler.h"
 
+#include <cstring>
+
+#include "common/macros.h"
+#include "storage/spill_format.h"
+
 namespace lazyetl::engine {
 
-Recycler::Recycler(uint64_t budget_bytes, common::MemoryBudget* governor)
-    : budget_bytes_(budget_bytes), governor_(governor) {}
-
-Recycler::~Recycler() {
-  // Return the resident bytes to the global budget.
-  if (governor_ != nullptr) {
-    governor_->Release(current_bytes_.load(std::memory_order_relaxed));
-  }
-}
-
-CachedRecordPtr Recycler::Lookup(const RecordKey& key,
-                                 NanoTime current_file_mtime, bool* stale) {
-  if (stale != nullptr) *stale = false;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  if (it->second.record->file_mtime != current_file_mtime) {
-    // Outdated: the source file changed after this entry was admitted.
-    stale_.fetch_add(1, std::memory_order_relaxed);
-    if (stale != nullptr) *stale = true;
-    EraseLocked(key);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  // Bump to most-recently-used: relinks the node, allocating nothing, and
-  // keeps lru_it valid.
-  lru_.splice(lru_.end(), lru_, it->second.lru_it);
-  return it->second.record;
-}
-
-void Recycler::Admit(const RecordKey& key, CachedRecordPtr record) {
-  const uint64_t bytes = record->Bytes();
-  if (bytes > budget_bytes_) {
-    return;  // larger than the whole cache; not admissible
-  }
+template <typename Key, typename Value, typename Hash>
+bool LruCache<Key, Value, Hash>::Admit(const Key& key, Ptr value,
+                                       uint64_t bytes,
+                                       std::optional<uint64_t> generation) {
+  if (bytes > budget_bytes_) return false;  // larger than the whole cache
 
   std::lock_guard<std::mutex> lock(mu_);
+  if (generation.has_value() &&
+      *generation != generation_.load(std::memory_order_relaxed)) {
+    return false;
+  }
   auto it = map_.find(key);
-  if (it != map_.end()) EraseLocked(key);
+  if (it != map_.end()) EraseLocked(it);
 
   while (current_bytes_.load(std::memory_order_relaxed) + bytes >
              budget_bytes_ &&
@@ -53,19 +29,19 @@ void Recycler::Admit(const RecordKey& key, CachedRecordPtr record) {
 
   // Global pressure: the cache yields its least-recently-used entries to
   // queries rather than push the process over the global cap; once empty,
-  // the record simply is not cached (a future query re-extracts it).
+  // the value simply is not cached (a future query recomputes it).
   if (governor_ != nullptr) {
-    // The cache's resident bytes are capped at half of a finite global
+    // The cache's resident bytes are capped at a share of a finite global
     // budget. Evictions only happen at admission time, so without this
     // share bound a fully warmed cache could pin the whole global cap
     // with no path for queries to reclaim it — every breaker and window
-    // reservation would fail forever while reclaimable records sit idle.
+    // reservation would fail forever while reclaimable entries sit idle.
     uint64_t global_limit = governor_->limit();
     if (global_limit != 0) {
-      uint64_t share = global_limit / 2;
+      uint64_t share = global_limit / share_divisor_;
       if (bytes > share) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return false;
       }
       while (current_bytes_.load(std::memory_order_relaxed) + bytes >
                  share &&
@@ -81,66 +57,44 @@ void Recycler::Admit(const RecordKey& key, CachedRecordPtr record) {
     while (!governor_->TryReserve(bytes)) {
       if (lru_.empty() || evicted >= max_evict) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return false;
       }
       evicted += EvictOneLocked();
     }
   }
 
-  lru_.push_back(key);
-  Node node;
-  node.lru_it = std::prev(lru_.end());
+  it = map_.emplace(key, Node{std::move(value), bytes, {}}).first;
+  it->second.lru_it = lru_.insert(lru_.end(), &it->first);
   current_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  node.record = std::move(record);
-  map_.emplace(key, std::move(node));
   admissions_.fetch_add(1, std::memory_order_relaxed);
   entries_.store(map_.size(), std::memory_order_relaxed);
+  return true;
 }
 
-uint64_t Recycler::EvictOneLocked() {
-  const RecordKey& victim = lru_.front();
-  auto it = map_.find(victim);
-  uint64_t bytes = it->second.record->Bytes();
-  current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  if (governor_ != nullptr) governor_->Release(bytes);
-  map_.erase(it);
-  lru_.pop_front();
+template <typename Key, typename Value, typename Hash>
+uint64_t LruCache<Key, Value, Hash>::EvictOneLocked() {
+  auto it = map_.find(*lru_.front());
+  const uint64_t bytes = it->second.bytes;
+  EraseLocked(it);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  entries_.store(map_.size(), std::memory_order_relaxed);
   return bytes;
 }
 
-void Recycler::EraseLocked(const RecordKey& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return;
-  uint64_t bytes = it->second.record->Bytes();
-  current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  if (governor_ != nullptr) governor_->Release(bytes);
+template <typename Key, typename Value, typename Hash>
+void LruCache<Key, Value, Hash>::EraseLocked(typename Map::iterator it) {
+  current_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
+  if (governor_ != nullptr) governor_->Release(it->second.bytes);
   lru_.erase(it->second.lru_it);
   map_.erase(it);
   entries_.store(map_.size(), std::memory_order_relaxed);
 }
 
-void Recycler::InvalidateFile(int64_t file_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.file_id == file_id) {
-      uint64_t bytes = it->second.record->Bytes();
-      current_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-      if (governor_ != nullptr) governor_->Release(bytes);
-      lru_.erase(it->second.lru_it);
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  entries_.store(map_.size(), std::memory_order_relaxed);
-}
-
-void Recycler::Clear() {
+template <typename Key, typename Value, typename Hash>
+void LruCache<Key, Value, Hash>::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
   lru_.clear();
+  generation_.fetch_add(1, std::memory_order_release);
   if (governor_ != nullptr) {
     governor_->Release(current_bytes_.load(std::memory_order_relaxed));
   }
@@ -148,8 +102,9 @@ void Recycler::Clear() {
   entries_.store(0, std::memory_order_relaxed);
 }
 
-RecyclerStats Recycler::stats() const {
-  RecyclerStats s;
+template <typename Key, typename Value, typename Hash>
+CacheStats LruCache<Key, Value, Hash>::stats() const {
+  CacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.stale = stale_.load(std::memory_order_relaxed);
@@ -162,7 +117,8 @@ RecyclerStats Recycler::stats() const {
   return s;
 }
 
-void Recycler::ResetCounters() {
+template <typename Key, typename Value, typename Hash>
+void LruCache<Key, Value, Hash>::ResetCounters() {
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   stale_.store(0, std::memory_order_relaxed);
@@ -171,22 +127,54 @@ void Recycler::ResetCounters() {
   rejected_.store(0, std::memory_order_relaxed);
 }
 
-std::vector<RecordKey> Recycler::Keys() const {
+template <typename Key, typename Value, typename Hash>
+std::vector<Key> LruCache<Key, Value, Hash>::Keys() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {lru_.begin(), lru_.end()};
+  std::vector<Key> keys;
+  keys.reserve(lru_.size());
+  for (const Key* key : lru_) keys.push_back(*key);
+  return keys;
 }
 
-bool ResultRecycler::Admit(const std::string& sql, CachedResult result,
-                           uint64_t generation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (generation != generation_) return false;
-  if (map_.size() >= max_entries_ && !map_.count(sql)) {
-    // Simple bound: drop an arbitrary entry (result cache is a small,
-    // best-effort layer; record-level recycling does the heavy lifting).
-    map_.erase(map_.begin());
+std::string CachedResult::Encode(const storage::Table& table) {
+  std::string out;
+  auto append_u32 = [&out](uint32_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  append_u32(static_cast<uint32_t>(table.num_columns()));
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    out.push_back(static_cast<char>(table.column(c).type()));
+    append_u32(static_cast<uint32_t>(table.column_name(c).size()));
+    out.append(table.column_name(c));
   }
-  map_[sql] = std::make_shared<const CachedResult>(std::move(result));
-  return true;
+  storage::SerializeSlice(table.Slice(0, table.num_rows()), &out);
+  out.shrink_to_fit();
+  return out;
 }
+
+Result<storage::Table> CachedResult::Decode() const {
+  auto read_u32 = [this](size_t* offset) {
+    uint32_t v = 0;
+    std::memcpy(&v, encoded.data() + *offset, sizeof(v));
+    *offset += sizeof(v);
+    return v;
+  };
+  size_t offset = 0;
+  std::vector<storage::DataType> types(read_u32(&offset));
+  std::vector<std::string> names(types.size());
+  for (size_t c = 0; c < types.size(); ++c) {
+    types[c] = static_cast<storage::DataType>(encoded[offset++]);
+    const uint32_t len = read_u32(&offset);
+    names[c] = encoded.substr(offset, len);
+    offset += len;
+  }
+  storage::Table table;
+  LAZYETL_RETURN_NOT_OK(storage::DeserializeBatch(
+      encoded.data(), encoded.size(), &offset, types, names, &table));
+  return table;
+}
+
+template class LruCache<RecordKey, CachedRecord, RecordKeyHash>;
+template class LruCache<std::string, CachedResult>;
 
 }  // namespace lazyetl::engine

@@ -1,49 +1,59 @@
-// Recycler: the intermediate-result cache implementing the paper's lazy
-// loading (§3.3).
+// Recycler: the warehouse's two caches (§3.3), one class.
 //
 // "Materialization of the extracted and transformed data is simply caching
-// the result of a view definition" — here at record granularity: the unit
-// of caching is one decoded, transformed mSEED record (its sample values
-// plus the start time and sample rate its timestamps derive from). An LRU
-// policy bounds the cache to a byte budget. Each entry remembers the
-// source file's modification time at admission; lazy refresh compares it
-// against the file's current mtime and re-extracts when outdated.
+// the result of a view definition", and "usually the end result of a view
+// is saved in the cache". Both tiers are an LruCache: a byte-bounded LRU
+// of shared, immutable values.
 //
-// Concurrency: both caches are shared by every in-flight query of a
-// Warehouse. The structures are mutex-guarded and lookups hand out
-// shared_ptr handles, so a hit stays valid even if the entry is evicted by
-// a concurrent admission. Hit/miss/eviction counters are atomics —
-// observable (Warehouse::Stats) without taking the cache lock and race-free
-// under any interleaving.
+//   RecordCache  one decoded, transformed mSEED record per (file, seq_no):
+//                its sample values plus the start time and sample rate its
+//                timestamps derive from, within cache_budget_bytes. An
+//                entry remembers its file's mtime at admission; a lookup
+//                under another mtime erases it.
+//   ResultCache  one whole query result of at most cursor_window_batches
+//                batches per SQL text, within cache_budget_bytes / 32. It
+//                keeps the (file, mtime) of every file the execution read;
+//                a probe re-checks them. An entry counts its SQL, table and
+//                dependencies: about 0.5 KB for a one-row answer.
 //
-// Memory governance: a Recycler can additionally charge its resident bytes
+// Concurrency: a cache is shared by every in-flight query of a Warehouse.
+// The structure is mutex-guarded and lookups hand out shared_ptr handles,
+// so a hit stays valid even if the entry is evicted by a concurrent
+// admission. A lookup's freshness check runs outside the lock, so slow
+// filesystem stats never serialise concurrent queries here. Counters are
+// atomics — observable (Warehouse::Stats) without taking the cache lock.
+//
+// Memory governance: a cache can additionally charge its resident bytes
 // to a `governor` budget (normally the process-global one), so cached
-// records and in-flight query state compete for one cap. Resident cache
-// bytes are bounded to half of a finite global cap —
-// evictions only run at admission time, so a larger share could pin bytes
-// queries have no way to reclaim — and under pressure admission evicts LRU
-// entries (cache contents only ever affect timings, never results),
-// bounded per admission so a transient spike cannot wipe the working set;
-// what cannot be admitted is counted in `rejected`.
+// values and in-flight query state compete for one cap. Resident cache
+// bytes are bounded to a share of a finite global cap (half for the record
+// tier, 1/64 for the result tier) — evictions only run at admission time,
+// so a larger share could pin bytes queries have no way to reclaim — and
+// under pressure admission evicts LRU entries (cache contents only ever
+// affect timings, never results), bounded per admission so a transient
+// spike cannot wipe the working set; what cannot be admitted is counted in
+// `rejected`.
 //
-// A second, optional layer (ResultRecycler) caches whole query results —
-// "usually the end result of a view is saved in the cache" — with
-// conservative invalidation: a cached result lists the (file, mtime) pairs
-// it depends on and is only served while all of them are unchanged.
+// Admission fence: every Clear() starts a new generation. A value computed
+// from state that a Clear() replaced is refused when its admission names
+// the generation read before computing it (see Admit).
 
 #ifndef LAZYETL_ENGINE_RECYCLER_H_
 #define LAZYETL_ENGINE_RECYCLER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/memory_budget.h"
+#include "common/result.h"
 #include "common/time.h"
 #include "storage/table.h"
 
@@ -79,7 +89,6 @@ struct CachedRecord {
   double sample_rate = 0.0;            // samples per second
   std::vector<int32_t> sample_values;  // raw counts
   NanoTime file_mtime = 0;             // source file mtime at admission
-  NanoTime admitted_at = 0;
 
   // Bytes accounted against the cache budget.
   uint64_t Bytes() const {
@@ -90,11 +99,38 @@ struct CachedRecord {
 // Eviction-safe handle to a cache entry.
 using CachedRecordPtr = std::shared_ptr<const CachedRecord>;
 
-// Value snapshot of the cache counters (the live counters are atomics).
-struct RecyclerStats {
+// A file a cached result was computed from, at the mtime it was read
+// under. The path is not kept: the registry has it.
+struct ResultDependency {
+  int64_t file_id = 0;
+  NanoTime mtime = 0;
+};
+
+// A whole query result. This tier holds mostly small results, where an
+// in-memory Table costs about 190 B per column before its values, so the
+// result is kept encoded: the column names and types, then its rows as one
+// spill frame (storage/spill_format.h).
+struct CachedResult {
+  std::string encoded;
+  std::vector<ResultDependency> deps;
+
+  static std::string Encode(const storage::Table& table);
+  Result<storage::Table> Decode() const;
+
+  // Bytes accounted against the cache budget, counting the `sql` key.
+  uint64_t Bytes(const std::string& sql) const {
+    return sizeof(CachedResult) + sql.size() + encoded.capacity() +
+           deps.capacity() * sizeof(ResultDependency);
+  }
+};
+
+using CachedResultPtr = std::shared_ptr<const CachedResult>;
+
+// Value snapshot of one cache's counters (the live counters are atomics).
+struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t stale = 0;
+  uint64_t stale = 0;        // lookups that found an outdated entry
   uint64_t admissions = 0;
   uint64_t evictions = 0;
   uint64_t rejected = 0;     // admissions refused under global pressure
@@ -103,61 +139,117 @@ struct RecyclerStats {
   uint64_t entries = 0;
 };
 
-class Recycler {
+template <typename Key, typename Value, typename Hash = std::hash<Key>>
+class LruCache {
  public:
-  // `budget_bytes` caps the summed CachedRecord::bytes; admission evicts
+  using Ptr = std::shared_ptr<const Value>;
+
+  // `budget_bytes` caps the summed bytes of the entries; admission evicts
   // LRU entries until the new entry fits. Entries larger than the whole
   // budget are not admitted. `governor` (may be null) is additionally
-  // charged for every resident byte — under global pressure admission
-  // evicts, and gives up rather than exceed the cap. The governor must
-  // outlive the recycler.
-  explicit Recycler(uint64_t budget_bytes,
-                    common::MemoryBudget* governor = nullptr);
-  ~Recycler();
+  // charged for every resident byte and must outlive the cache; under a
+  // finite governor limit the cache holds at most limit / share_divisor.
+  explicit LruCache(uint64_t budget_bytes,
+                    common::MemoryBudget* governor = nullptr,
+                    uint64_t share_divisor = 2)
+      : budget_bytes_(budget_bytes),
+        governor_(governor),
+        share_divisor_(share_divisor) {}
+  // Returns the resident bytes to the governor.
+  ~LruCache() {
+    if (governor_ != nullptr) governor_->Release(current_bytes_.load());
+  }
 
-  Recycler(const Recycler&) = delete;
-  Recycler& operator=(const Recycler&) = delete;
+  LruCache(const LruCache&) = delete;
+  LruCache& operator=(const LruCache&) = delete;
 
-  // Returns the entry (bumped to most-recently-used) or null. The handle
-  // stays valid after eviction. `current_file_mtime` triggers the
-  // staleness check: an entry whose admission mtime differs is erased and
-  // counted as stale. When `stale` is non-null it is set to whether the
-  // miss was due to staleness. Thread-safe.
-  CachedRecordPtr Lookup(const RecordKey& key, NanoTime current_file_mtime,
-                         bool* stale = nullptr);
+  // Returns the entry (bumped to most-recently-used) when `fresh(value)`
+  // holds, else null. `fresh` runs outside the cache lock; an entry it
+  // rejects is erased (unless a concurrent admission already replaced it)
+  // and counted as stale. When `stale` is non-null it is set to whether
+  // the miss was due to staleness. Thread-safe.
+  template <typename FreshFn>
+  Ptr Lookup(const Key& key, FreshFn&& fresh, bool* stale = nullptr) {
+    if (stale != nullptr) *stale = false;
+    Ptr value;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = map_.find(key);
+      if (it == map_.end()) {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        return nullptr;
+      }
+      // Bump to most-recently-used: relinks the node, allocating nothing.
+      lru_.splice(lru_.end(), lru_, it->second.lru_it);
+      value = it->second.value;
+    }
+    if (!fresh(*value)) {
+      stale_.fetch_add(1, std::memory_order_relaxed);
+      if (stale != nullptr) *stale = true;
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = map_.find(key);
+      if (it != map_.end() && it->second.value == value) EraseLocked(it);
+      return nullptr;
+    }
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return value;
+  }
 
-  // Inserts or replaces, sharing `record` (never copied). Thread-safe.
-  void Admit(const RecordKey& key, CachedRecordPtr record);
+  // The current generation; every Clear() starts a new one.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 
-  // Drops all entries of a file (used when a file disappears).
-  void InvalidateFile(int64_t file_id);
+  // Inserts or replaces `key`, sharing `value` (never copied) and charging
+  // `bytes`. With a `generation`, refuses a value computed before the
+  // last Clear(). Returns whether the value is now cached. Thread-safe.
+  bool Admit(const Key& key, Ptr value, uint64_t bytes,
+             std::optional<uint64_t> generation = std::nullopt);
 
+  // Drops every entry whose key satisfies `pred`.
+  template <typename Pred>
+  void EraseIf(Pred&& pred) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = map_.begin(); it != map_.end();) {
+      auto next = std::next(it);
+      if (pred(it->first)) EraseLocked(it);
+      it = next;
+    }
+  }
+
+  // Drops every entry and starts a new generation.
   void Clear();
 
   // Race-free counter snapshot (no cache lock taken for the counters).
-  RecyclerStats stats() const;
+  CacheStats stats() const;
   void ResetCounters();
 
   // Snapshot of cached keys in LRU order (least recent first) — lets the
   // repo browser show "the contents of the cache" (demo point 7).
-  std::vector<RecordKey> Keys() const;
+  std::vector<Key> Keys() const;
 
  private:
   struct Node {
-    CachedRecordPtr record;
-    std::list<RecordKey>::iterator lru_it;
+    Ptr value;
+    uint64_t bytes = 0;
+    typename std::list<const Key*>::iterator lru_it;
   };
+  using Map = std::unordered_map<Key, Node, Hash>;
 
   // Both require mu_ held. EvictOneLocked returns the victim's bytes.
   uint64_t EvictOneLocked();
-  void EraseLocked(const RecordKey& key);
+  void EraseLocked(typename Map::iterator it);
 
   const uint64_t budget_bytes_;
   common::MemoryBudget* const governor_;
+  const uint64_t share_divisor_;
 
-  mutable std::mutex mu_;  // guards map_, lru_
-  std::unordered_map<RecordKey, Node, RecordKeyHash> map_;
-  std::list<RecordKey> lru_;  // front = least recently used
+  mutable std::mutex mu_;  // guards map_, lru_; Clear() bumps generation_
+  Map map_;
+  // Front = least recently used. Points at the keys stored in map_ (node
+  // addresses are stable), so each key is held once.
+  std::list<const Key*> lru_;
+  std::atomic<uint64_t> generation_{0};
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
@@ -169,98 +261,11 @@ class Recycler {
   std::atomic<uint64_t> entries_{0};
 };
 
-// Dependencies of a cached query result.
-struct ResultDependency {
-  int64_t file_id = 0;
-  std::string path;
-  NanoTime mtime = 0;
-};
+using RecordCache = LruCache<RecordKey, CachedRecord, RecordKeyHash>;
+using ResultCache = LruCache<std::string, CachedResult>;
 
-struct CachedResult {
-  storage::Table table;
-  std::vector<ResultDependency> deps;
-  NanoTime admitted_at = 0;
-};
-
-using CachedResultPtr = std::shared_ptr<const CachedResult>;
-
-// Whole-query result cache keyed by SQL text. Validation is the caller's
-// job (it knows how to stat files); ValidateAndGet takes a callback that
-// returns the current mtime for a dependency or a negative value when the
-// file is gone. Thread-safe; the dependency stats run outside the cache
-// lock so slow filesystems never serialise concurrent queries here.
-class ResultRecycler {
- public:
-  explicit ResultRecycler(size_t max_entries = 64) : max_entries_(max_entries) {}
-
-  ResultRecycler(const ResultRecycler&) = delete;
-  ResultRecycler& operator=(const ResultRecycler&) = delete;
-
-  template <typename MtimeFn>
-  CachedResultPtr ValidateAndGet(const std::string& sql, MtimeFn mtime_fn) {
-    CachedResultPtr entry;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = map_.find(sql);
-      if (it != map_.end()) entry = it->second;
-    }
-    if (entry == nullptr) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    for (const auto& dep : entry->deps) {
-      NanoTime current = mtime_fn(dep);
-      if (current != dep.mtime) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(sql);
-        // Only drop the entry we validated; a concurrent re-admission
-        // under the same SQL may already be fresher.
-        if (it != map_.end() && it->second == entry) map_.erase(it);
-        invalidations_.fetch_add(1, std::memory_order_relaxed);
-        return nullptr;
-      }
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return entry;
-  }
-
-  // Admission fence: every Clear() — each metadata reload or hydration
-  // calls it — starts a new generation. A query records generation()
-  // before it plans and hands it to Admit, which refuses the result when
-  // the cache was cleared in between: a result planned from metadata that
-  // has since changed is never admitted under the new file mtimes.
-  uint64_t generation() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return generation_;
-  }
-
-  // Inserts `result` unless `generation` is stale; returns whether it did.
-  bool Admit(const std::string& sql, CachedResult result, uint64_t generation);
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    ++generation_;
-  }
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t invalidations() const {
-    return invalidations_.load(std::memory_order_relaxed);
-  }
-  size_t entries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-  }
-
- private:
-  const size_t max_entries_;
-  mutable std::mutex mu_;  // guards map_, generation_
-  std::unordered_map<std::string, CachedResultPtr> map_;
-  uint64_t generation_ = 0;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> invalidations_{0};
-};
+extern template class LruCache<RecordKey, CachedRecord, RecordKeyHash>;
+extern template class LruCache<std::string, CachedResult>;
 
 }  // namespace lazyetl::engine
 

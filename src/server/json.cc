@@ -90,18 +90,4 @@ std::vector<std::string> JsonRows(const Table& t) {
   return rows;
 }
 
-std::string JsonSchema(const Table& t) {
-  std::string out = "[";
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    if (c > 0) out.push_back(',');
-    out.append("{\"name\":");
-    AppendJsonString(t.column_name(c), &out);
-    out.append(",\"type\":");
-    AppendJsonString(storage::DataTypeToString(t.schema()[c].type), &out);
-    out.push_back('}');
-  }
-  out.push_back(']');
-  return out;
-}
-
 }  // namespace lazyetl::server

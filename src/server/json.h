@@ -31,9 +31,6 @@ void AppendJsonRow(const storage::Table& t, size_t row, std::string* out);
 // All rows of `t`, one "[v,v,...]" string each, in order.
 std::vector<std::string> JsonRows(const storage::Table& t);
 
-// The schema as a JSON array: [{"name":"F.station","type":"string"},...].
-std::string JsonSchema(const storage::Table& t);
-
 }  // namespace lazyetl::server
 
 #endif  // LAZYETL_SERVER_JSON_H_

@@ -386,10 +386,16 @@ bool QueryServer::HandleStats(HttpResponseWriter* writer) {
       {"rows_streamed", sc.rows_streamed},
       {"record_cache_hits", ws.cache.hits},
       {"record_cache_misses", ws.cache.misses},
+      {"record_cache_stale", ws.cache.stale},
       {"record_cache_evictions", ws.cache.evictions},
       {"record_cache_resident_bytes", ws.cache.current_bytes},
-      {"result_cache_hits", ws.result_cache_hits},
-      {"result_cache_entries", ws.result_cache_entries},
+      {"record_cache_entries", ws.cache.entries},
+      {"result_cache_hits", ws.result_cache.hits},
+      {"result_cache_misses", ws.result_cache.misses},
+      {"result_cache_stale", ws.result_cache.stale},
+      {"result_cache_evictions", ws.result_cache.evictions},
+      {"result_cache_resident_bytes", ws.result_cache.current_bytes},
+      {"result_cache_entries", ws.result_cache.entries},
       {"serial_drives", ws.serial_drives},
       {"parallel_drives", ws.parallel_drives},
       {"journal_files_tracked", ws.journal.files_tracked},

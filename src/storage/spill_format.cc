@@ -49,7 +49,7 @@ Status ReadExact(const char* data, size_t size, size_t* offset, void* dst,
     return Status::CorruptData(std::string("spill frame truncated in ") +
                                what);
   }
-  std::memcpy(dst, data + *offset, bytes);
+  if (bytes > 0) std::memcpy(dst, data + *offset, bytes);  // dst may be null
   *offset += bytes;
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -330,6 +331,69 @@ TEST_F(RefreshTest, AppendToFileExtendsSeries) {
   ASSERT_OK(after);
   EXPECT_EQ(after->table.GetValue(0, 0).int64_value(),
             before->table.GetValue(0, 0).int64_value() + 400);
+}
+
+// A cached result lists only the files its execution read. Its repeat is
+// answered after the lazy refresh of the query's candidates, whose reload
+// clears the cache: so a change to a candidate that contributed no rows,
+// or to a file under a metadata-only answer, still reaches the repeat.
+
+TEST(RefreshResultCacheTest, AppendToCandidateThatContributedNoRowsIsSeen) {
+  ScopedTempDir dir;
+  auto cfg = SmallRepoConfig();
+  cfg.num_days = 1;
+  cfg.segments_per_day = 2;  // segment 0 covers [0, 30 s), 1 [30 s, 60 s)
+  const mseed::GeneratedRepository repo = MustGenerate(dir.path(), cfg);
+  std::vector<mseed::GeneratedFile> segments;
+  for (const auto& f : repo.files) {
+    if (f.station == "ISK" && f.channel == "BHE") segments.push_back(f);
+  }
+  ASSERT_EQ(segments.size(), 2u);
+  std::sort(segments.begin(), segments.end(),
+            [](const auto& a, const auto& b) {
+              return a.start_time < b.start_time;
+            });
+  const NanoTime lo = segments[0].start_time + 10 * kNanosPerSecond;
+  const std::string sql =
+      "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' "
+      "AND F.channel = 'BHE' AND D.sample_time >= '" +
+      FormatTimestamp(lo) + "' AND D.sample_time < '" +
+      FormatTimestamp(lo + 2 * kNanosPerSecond) + "'";
+
+  auto wh = MustOpen(LoadStrategy::kLazy, dir.path());
+  const int64_t before = CountOf(wh.get(), sql);
+  EXPECT_EQ(before, 80);  // 2 s at 40 Hz, all from segment 0
+  auto hit = wh->Query(sql);
+  ASSERT_OK(hit);
+  EXPECT_TRUE(hit->report.result_cache_hit);
+
+  // In-window samples land in segment 1, out of order.
+  AppendSamples(segments[1].path, lo + kNanosPerSecond / 2, 20);
+  auto fresh = MustOpen(LoadStrategy::kLazy, dir.path());
+  const int64_t expected = CountOf(fresh.get(), sql);
+  EXPECT_EQ(expected, before + 20);
+  EXPECT_EQ(CountOf(wh.get(), sql), expected);
+}
+
+TEST_F(RefreshTest, BrowseAnswerFollowsAGrowingFile) {
+  const auto& gf = repo_.files[1];
+  const std::string sql =
+      "SELECT SUM(file_size) FROM mseed.files WHERE station = '" +
+      gf.station + "'";
+  auto wh = MustOpen(LoadStrategy::kLazy, dir_.path());
+  const int64_t before = CountOf(wh.get(), sql);
+  auto hit = wh->Query(sql);
+  ASSERT_OK(hit);
+  EXPECT_TRUE(hit->report.result_cache_hit);
+
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+  AppendSamples(gf.path, md->end_time + kNanosPerSecond / 40, 400);
+  const int64_t grown =
+      static_cast<int64_t>(fs::file_size(gf.path)) -
+      static_cast<int64_t>(md->file_size);
+  ASSERT_GT(grown, 0);
+  EXPECT_EQ(CountOf(wh.get(), sql), before + grown);
 }
 
 // The lazy refresh stats only files whose cached metadata can match the

@@ -221,17 +221,17 @@ TEST_F(ServeStreamTest, PeakBufferedBytesStayFarBelowMaterialized) {
       rows += batch.num_rows();
     }
     const uint64_t peak = (*cursor)->peak_buffered_bytes();
-    EXPECT_EQ(wh->Stats().result_cache_entries, 0u);
+    EXPECT_EQ(wh->Stats().result_cache.entries, 0u);
 
     auto expected = wh->Query(sql);
     ASSERT_OK(expected);
     EXPECT_FALSE(expected->report.result_cache_hit);
-    EXPECT_EQ(wh->Stats().result_cache_entries, 0u);
+    EXPECT_EQ(wh->Stats().result_cache.entries, 0u);
     auto repeat = wh->Query(sql);
     ASSERT_OK(repeat);
     EXPECT_FALSE(repeat->report.result_cache_hit);
     EXPECT_EQ(repeat->table.num_rows(), expected->table.num_rows());
-    EXPECT_EQ(wh->Stats().result_cache_entries, 0u);
+    EXPECT_EQ(wh->Stats().result_cache.entries, 0u);
     const uint64_t materialized = expected->table.MemoryBytes();
     ASSERT_GT(expected->table.num_rows(), 20u * kTestBatchRows);
     ASSERT_GT(expected->table.num_rows(),
@@ -431,18 +431,25 @@ TEST_F(ServeStreamTest, QueueTimeoutIs503AndCounted) {
   EXPECT_NE(stats->find("\"journal_queue_overflows\":0}"), std::string::npos)
       << *stats;
 
-  // Cache and drive counters agree with the warehouse's own.
+  // Cache and drive counters agree with the warehouse's own; both cache
+  // tiers report the same fields.
   const WarehouseStats ws = wh->Stats();
-  EXPECT_EQ(StatField(*stats, "record_cache_hits"), ws.cache.hits);
-  EXPECT_EQ(StatField(*stats, "record_cache_misses"), ws.cache.misses);
-  EXPECT_GT(ws.cache.misses, 0u);
-  EXPECT_EQ(StatField(*stats, "record_cache_evictions"), ws.cache.evictions);
-  EXPECT_EQ(StatField(*stats, "record_cache_resident_bytes"),
-            ws.cache.current_bytes);
-  EXPECT_GT(ws.cache.current_bytes, 0u);
-  EXPECT_EQ(StatField(*stats, "result_cache_hits"), ws.result_cache_hits);
+  const std::pair<std::string, engine::CacheStats> tiers[] = {
+      {"record_cache", ws.cache}, {"result_cache", ws.result_cache}};
+  for (const auto& [tier, c] : tiers) {
+    SCOPED_TRACE(tier);
+    EXPECT_EQ(StatField(*stats, tier + "_hits"), c.hits);
+    EXPECT_EQ(StatField(*stats, tier + "_misses"), c.misses);
+    EXPECT_EQ(StatField(*stats, tier + "_stale"), c.stale);
+    EXPECT_EQ(StatField(*stats, tier + "_evictions"), c.evictions);
+    EXPECT_EQ(StatField(*stats, tier + "_resident_bytes"), c.current_bytes);
+    EXPECT_EQ(StatField(*stats, tier + "_entries"), c.entries);
+    EXPECT_GT(c.misses, 0u);
+    EXPECT_GT(c.current_bytes, 0u);
+  }
+  EXPECT_EQ(ws.result_cache_hits, ws.result_cache.hits);
   // The completed one-row query was admitted; the abandoned one was not.
-  EXPECT_EQ(StatField(*stats, "result_cache_entries"), 1u);
+  EXPECT_EQ(ws.result_cache.entries, 1u);
   EXPECT_EQ(StatField(*stats, "serial_drives"), ws.serial_drives);
   EXPECT_EQ(StatField(*stats, "parallel_drives"), ws.parallel_drives);
   EXPECT_GT(ws.serial_drives, 0u);

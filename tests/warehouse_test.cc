@@ -144,6 +144,86 @@ TEST_F(WarehouseTest, ResultCacheShortCircuits) {
   }
 }
 
+// A whole-result hit returns every row of a multi-batch result, up to a
+// result of exactly cursor_window_batches batches — the widest admitted.
+// One batch more and the result is returned in full but not cached.
+TEST_F(WarehouseTest, ResultCacheHitReturnsEveryRow) {
+  WarehouseOptions options;
+  options.strategy = LoadStrategy::kLazy;
+  options.batch_rows = 37;
+  options.cursor_window_batches = 4;
+  options.query_threads = 1;
+  auto opened = Warehouse::Open(options);
+  ASSERT_OK(opened);
+  std::unique_ptr<Warehouse> wh = std::move(*opened);
+  ASSERT_OK(wh->AttachRepository(dir_.path()));
+
+  const NanoTime lo = repo_.files[0].start_time + 5 * kNanosPerSecond;
+  const double rate = repo_.files[0].sample_rate;
+  for (size_t samples : {size_t{100}, size_t{4 * 37}, size_t{4 * 37 + 1}}) {
+    SCOPED_TRACE(samples);
+    const NanoTime hi =
+        lo + static_cast<NanoTime>(samples * 1e9 / rate) - kNanosPerSecond / 100;
+    const std::string sql =
+        "SELECT D.sample_time, D.sample_value FROM mseed.dataview "
+        "WHERE F.file_id = 1 AND D.sample_time >= '" +
+        FormatTimestamp(lo) + "' AND D.sample_time <= '" +
+        FormatTimestamp(hi) + "'";
+    auto first = wh->Query(sql);
+    ASSERT_OK(first);
+    ASSERT_EQ(first->table.num_rows(), samples);
+    EXPECT_FALSE(first->report.result_cache_hit);
+    auto second = wh->Query(sql);
+    ASSERT_OK(second);
+    EXPECT_EQ(second->report.result_cache_hit, samples <= 4 * 37);
+    EXPECT_EQ(second->report.result_rows, samples);
+    ASSERT_EQ(second->table.num_rows(), samples);
+    ASSERT_EQ(second->table.num_columns(), first->table.num_columns());
+    for (size_t r = 0; r < samples; ++r) {
+      for (size_t c = 0; c < first->table.num_columns(); ++c) {
+        ASSERT_TRUE(
+            second->table.GetValue(r, c).Equals(first->table.GetValue(r, c)))
+            << "row " << r;
+      }
+    }
+  }
+}
+
+// A hit is answered before planning, and under footprint-aware admission
+// every query probes the result cache exactly once: a hit is admitted with
+// a zero estimate.
+TEST_F(WarehouseTest, FootprintAdmissionProbesResultCacheOnce) {
+  WarehouseOptions options;
+  options.strategy = LoadStrategy::kLazy;
+  options.footprint_aware_admission = true;
+  options.max_concurrent_queries = 2;
+  auto opened = Warehouse::Open(options);
+  ASSERT_OK(opened);
+  std::unique_ptr<Warehouse> wh = std::move(*opened);
+  ASSERT_OK(wh->AttachRepository(dir_.path()));
+
+  auto miss = wh->Query(lazyetl::testing::kPaperQ1);
+  ASSERT_OK(miss);
+  EXPECT_FALSE(miss->report.result_cache_hit);
+  EXPECT_GT(miss->report.estimated_footprint_bytes, 0u);
+  EXPECT_FALSE(miss->report.plan_after.empty());
+  for (int i = 0; i < 2; ++i) {
+    auto hit = wh->Query(lazyetl::testing::kPaperQ1);
+    ASSERT_OK(hit);
+    EXPECT_TRUE(hit->report.result_cache_hit);
+    EXPECT_NE(hit->report.ticket_id, 0u);
+    EXPECT_EQ(hit->report.estimated_footprint_bytes, 0u);
+    EXPECT_TRUE(hit->report.plan_after.empty());
+    ASSERT_EQ(hit->table.num_rows(), 1u);
+    EXPECT_TRUE(hit->table.GetValue(0, 0).Equals(miss->table.GetValue(0, 0)));
+  }
+  const engine::CacheStats probes = wh->Stats().result_cache;
+  EXPECT_EQ(probes.misses, 1u);
+  EXPECT_EQ(probes.hits, 2u);
+  EXPECT_EQ(probes.stale, 0u);
+  EXPECT_EQ(wh->Stats().queries_admitted, 3u);
+}
+
 TEST_F(WarehouseTest, FilenameOnlyHydratesCandidatesOnly) {
   auto wh = MustOpen(LoadStrategy::kLazyFilenameOnly, dir_.path());
   auto result = wh->Query(lazyetl::testing::kPaperQ1);
@@ -286,9 +366,8 @@ TEST_F(WarehouseTest, StatsReflectState) {
   EXPECT_GT(stats.cache.entries, 0u);
 }
 
-// ClearCaches drops both caches, zeroes the record cache's counters and
-// hands its resident bytes back to the process-global budget they were
-// charged to.
+// ClearCaches drops both caches, zeroes their counters and hands their
+// resident bytes back to the process-global budget they were charged to.
 TEST_F(WarehouseTest, ClearCachesResets) {
   common::MemoryBudget& global = common::MemoryBudget::Process();
   const uint64_t before = global.used();
@@ -296,14 +375,18 @@ TEST_F(WarehouseTest, ClearCachesResets) {
   ASSERT_OK(wh->Query(lazyetl::testing::kPaperQ1));
   auto warm = wh->Stats();
   EXPECT_GT(warm.cache.entries, 0u);
-  EXPECT_EQ(warm.result_cache_entries, 1u);
-  EXPECT_EQ(global.used(), before + warm.cache.current_bytes);
+  EXPECT_EQ(warm.result_cache.entries, 1u);
+  EXPECT_GT(warm.result_cache.current_bytes, 0u);
+  EXPECT_EQ(global.used(), before + warm.cache.current_bytes +
+                               warm.result_cache.current_bytes);
   wh->ClearCaches();
   auto cleared = wh->Stats();
   EXPECT_EQ(cleared.cache.entries, 0u);
   EXPECT_EQ(cleared.cache.current_bytes, 0u);
   EXPECT_EQ(cleared.cache.hits, 0u);
-  EXPECT_EQ(cleared.result_cache_entries, 0u);
+  EXPECT_EQ(cleared.result_cache.entries, 0u);
+  EXPECT_EQ(cleared.result_cache.current_bytes, 0u);
+  EXPECT_EQ(cleared.result_cache.misses, 0u);
   EXPECT_EQ(global.used(), before);
 }
 
@@ -426,6 +509,8 @@ TEST_F(WarehouseTest, QueryAndCursorReportTheSameLifecycle) {
     auto queried_hit = wh->Query(sql, qopts);
     ASSERT_OK(queried_hit);
     EXPECT_TRUE(streamed_hit->report.result_cache_hit);
+    EXPECT_TRUE(queried_hit->report.result_cache_hit);
+    EXPECT_TRUE(queried_hit->report.plan_after.empty());  // never planned
     ExpectSameReport(*queried_hit, *streamed_hit);
   }
 }
