@@ -131,13 +131,36 @@ int main(int argc, char** argv) {
                       e.message.c_str());
         }
       } else if (cmd == "\\cache") {
-        // Cache contents are exposed through stats; a record-level listing
-        // would be large, so show the summary plus the warehouse view.
+        // Both tiers, least recently used first: record keys as file and
+        // seq_no (a run of one file's records on one line), results as SQL.
         auto s = (*wh)->Stats();
-        std::printf("  %llu cached records, %llu bytes (budget %llu)\n",
-                    static_cast<unsigned long long>(s.cache.entries),
+        const lazyetl::core::CacheContents contents = (*wh)->CachedKeys();
+        std::printf("  record cache: %zu records, %llu/%llu B\n",
+                    contents.records.size(),
                     static_cast<unsigned long long>(s.cache.current_bytes),
                     static_cast<unsigned long long>(s.cache.budget_bytes));
+        for (size_t i = 0; i < contents.records.size(); ++i) {
+          const auto& key = contents.records[i];
+          const bool same_file =
+              i > 0 && contents.records[i - 1].file_id == key.file_id;
+          if (same_file) {
+            std::printf(", %lld", static_cast<long long>(key.seq_no));
+          } else {
+            std::printf("%s    file %lld: seq_no %lld", i > 0 ? "\n" : "",
+                        static_cast<long long>(key.file_id),
+                        static_cast<long long>(key.seq_no));
+          }
+        }
+        if (!contents.records.empty()) std::printf("\n");
+        std::printf("  result cache: %zu results, %llu/%llu B\n",
+                    contents.results.size(),
+                    static_cast<unsigned long long>(
+                        s.result_cache.current_bytes),
+                    static_cast<unsigned long long>(
+                        s.result_cache.budget_bytes));
+        for (const std::string& sql : contents.results) {
+          std::printf("    %s\n", sql.c_str());
+        }
       } else if (cmd == "\\refresh") {
         auto r = (*wh)->Refresh();
         if (!r.ok()) {

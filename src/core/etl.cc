@@ -70,9 +70,9 @@ SampleIndexRange SampleIndexesIn(NanoTime start, double rate, size_t count,
   return out;
 }
 
-Status AppendFileRow(Table* files, int64_t file_id,
-                     const mseed::FileMetadata& md) {
-  return files->AppendRow({
+Status PutFileRow(Table* files, int64_t file_id,
+                  const mseed::FileMetadata& md) {
+  const std::vector<Value> row = {
       Value::Int64(file_id),
       Value::String(md.path),
       Value::String(std::string(1, md.quality)),
@@ -86,7 +86,12 @@ Status AppendFileRow(Table* files, int64_t file_id,
       Value::Double(md.sample_rate),
       Value::Int64(static_cast<int64_t>(md.file_size)),
       Value::Timestamp(md.mtime),
-  });
+  };
+  LAZYETL_ASSIGN_OR_RETURN(size_t fid_idx, files->ColumnIndex("file_id"));
+  const auto& fids = files->column(fid_idx).int64_data();
+  const auto it = std::find(fids.begin(), fids.end(), file_id);
+  if (it == fids.end()) return files->AppendRow(row);
+  return files->SetRow(static_cast<size_t>(it - fids.begin()), row);
 }
 
 Status AppendRecordRows(Table* records, int64_t file_id,

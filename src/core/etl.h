@@ -57,9 +57,10 @@ struct SampleIndexRange {
 SampleIndexRange SampleIndexesIn(NanoTime start, double rate, size_t count,
                                  NanoTime lo, NanoTime hi);
 
-// Appends one F-table row describing `md` (with the given id).
-Status AppendFileRow(storage::Table* files, int64_t file_id,
-                     const mseed::FileMetadata& md);
+// Puts the F-table row describing `md` (with the given id): replaces the
+// file's row in place when it has one, else appends it.
+Status PutFileRow(storage::Table* files, int64_t file_id,
+                  const mseed::FileMetadata& md);
 
 // Appends one R-table row per record of `md`.
 Status AppendRecordRows(storage::Table* records, int64_t file_id,

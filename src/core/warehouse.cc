@@ -72,13 +72,11 @@ class Warehouse::CatalogWriter {
   explicit CatalogWriter(storage::Catalog* catalog) : catalog_(catalog) {}
 
   // A session that errors out mid-way still publishes what it staged:
-  // registry entries (FileEntry.hydrated, metadata, tombstones) are
-  // mutated in place as each file is processed, so discarding the staged
-  // rows would desynchronize registry and catalog permanently — e.g. a
-  // file marked hydrated whose R rows were thrown away. Per-file failures
-  // happen before that file's table mutations (the I/O comes first), so
-  // the published state matches exactly what the pre-COW in-place code
-  // left behind on the same error.
+  // registry entries (their records, tombstones) are mutated as each file
+  // is published, so discarding the staged rows would desynchronize
+  // registry and catalog permanently — e.g. a file with record metadata
+  // whose R rows were thrown away. Per-file failures happen before that
+  // file's table mutations (the read and the transform come first).
   ~CatalogWriter() { Publish(); }
 
   // Clone-on-first-use mutable copy of table `name`; one clone per session
@@ -119,17 +117,6 @@ class Warehouse::CatalogWriter {
 // ---------------------------------------------------------------------------
 
 class WarehouseRecordStream;
-
-namespace {
-
-// A failed freshness stat of a file the query reads: a vanished file fails
-// NotFound, any other error (ENOTDIR, EIO, ...) as the stat reported it.
-Status StatFailure(const Status& status, const std::string& path) {
-  if (!status.IsNotFound()) return status;
-  return Status::NotFound("source file disappeared during query: " + path);
-}
-
-}  // namespace
 
 class WarehouseDataProvider : public engine::LazyDataProvider {
  public:
@@ -191,10 +178,6 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
       const std::vector<ScanColumn>& columns,
       const engine::SampleTimeRange& times, size_t batch_rows);
 
-  // Every record of the repository, hydrating record metadata as needed
-  // (the §3.1 worst case).
-  Result<std::vector<RecordKey>> AllRecordKeys(ExecutionReport* report);
-
   Warehouse* warehouse_;
   engine::QueryContext* qctx_;
   std::vector<engine::ResultDependency> deps_;
@@ -205,8 +188,11 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
 // order the materialising fetch produced.
 class WarehouseRecordStream : public engine::RecordStream {
  public:
+  // Streams the records `by_file` lists per file id; an empty list asks
+  // for every record of that file.
   static Result<std::unique_ptr<engine::RecordStream>> Create(
-      WarehouseDataProvider* provider, const std::vector<RecordKey>& keys,
+      WarehouseDataProvider* provider,
+      std::map<int64_t, std::vector<int64_t>> by_file,
       const std::vector<ScanColumn>& columns,
       const engine::SampleTimeRange& times, size_t batch_rows,
       ExecutionReport* report);
@@ -223,11 +209,13 @@ class WarehouseRecordStream : public engine::RecordStream {
   size_t chunks() const override { return chunks_; }
 
  private:
-  // One requested file, validated and refreshed at stream creation.
+  // One requested file, reconciled at stream creation: the stream reads
+  // this version of it throughout.
   struct FileRequest {
     int64_t fid = 0;
     NanoTime mtime = 0;
     std::vector<int64_t> seqs;  // requested records, in request order
+    std::shared_ptr<const Warehouse::FileRecords> records;
   };
 
   // An assembled chunk waiting to be emitted, plus the window bytes it
@@ -424,130 +412,54 @@ Result<std::vector<engine::RecordChunk>> WarehouseDataProvider::AssembleChunks(
 }
 
 Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
-    WarehouseDataProvider* provider, const std::vector<RecordKey>& keys,
+    WarehouseDataProvider* provider,
+    std::map<int64_t, std::vector<int64_t>> by_file,
     const std::vector<ScanColumn>& columns,
     const engine::SampleTimeRange& times, size_t batch_rows,
     ExecutionReport* report) {
   auto stream = std::unique_ptr<WarehouseRecordStream>(new WarehouseRecordStream(
       provider, columns, times, batch_rows, report));
-  Warehouse* warehouse = provider->warehouse_;
 
-  // Group requested records by file so each file is checked and opened at
-  // most once, and validate/refresh every requested file up front: the
-  // freshness check, staleness re-load and hydration are metadata-only
-  // work, and recording all dependencies before any chunk is consumed keeps
-  // the result cache sound even when a consumer (LIMIT) stops early. The
-  // expensive part — cache lookups and sample extraction — stays deferred.
-  std::map<int64_t, std::vector<int64_t>> by_file;
-  for (const auto& k : keys) by_file[k.file_id].push_back(k.seq_no);
-
-  // Pass 1 (shared lock): settle each hydrated file the change journal
-  // vouches for in memory; snapshot the others for a stat. A file never
-  // hydrated needs the fix-up pass, which stats it, anyway.
-  ChangeJournal::Batch batch = warehouse->journal_.BeginBatch();
-  struct Checked {
-    int64_t fid = 0;
-    std::string path;
-    NanoTime entry_mtime = 0;
-  };
-  std::vector<Checked> checks;
-  std::vector<int64_t> fix;
-  {
-    std::shared_lock lock(warehouse->meta_mu_);
-    for (const auto& [fid, seqs] : by_file) {
-      if (fid < 1 || static_cast<size_t>(fid) > warehouse->files_.size() ||
-          warehouse->files_[fid - 1].file_id == 0) {
-        return Status::ExecutionError("unknown file_id " +
-                                      std::to_string(fid));
+  // Reconcile every requested file up front: the freshness checks, reloads
+  // and hydration are metadata-only work, and recording all dependencies
+  // before any chunk is consumed keeps the result cache sound even when a
+  // consumer (LIMIT) stops early. The expensive part — cache lookups and
+  // sample extraction — stays deferred, on the versions reconciled here.
+  std::vector<int64_t> fids;
+  fids.reserve(by_file.size());
+  for (const auto& [fid, seqs] : by_file) fids.push_back(fid);
+  std::vector<Warehouse::FileSnapshot> files;
+  LAZYETL_RETURN_NOT_OK(provider->warehouse_->Reconcile(
+      fids, /*need_records=*/true, report, &files));
+  auto file = files.begin();
+  for (auto& [fid, seqs] : by_file) {
+    Warehouse::FileSnapshot& snapshot = *file++;
+    if (snapshot.file_id == 0) {
+      return Status::NotFound(
+          "source file disappeared during query: file_id " +
+          std::to_string(fid));
+    }
+    const Warehouse::FileRecords& records = *snapshot.records;
+    if (seqs.empty()) {
+      for (const auto& rec : records.metadata.records) {
+        seqs.push_back(rec.header.sequence_number);
       }
-      const Warehouse::FileEntry& entry = warehouse->files_[fid - 1];
-      mseed::FileStatInfo st;
-      if (!entry.hydrated) {
-        fix.push_back(fid);
-      } else if (batch.Vouched(fid, &st)) {
-        if (st.mtime != entry.mtime) fix.push_back(fid);
-      } else {
-        checks.push_back({fid, entry.path, entry.mtime});
+      report->records_requested += seqs.size();
+    }
+    provider->deps_.push_back({fid, snapshot.mtime});
+    // The file's chunks, from its records' sample counts (AssembleChunks
+    // cuts each file into batch_rows-row chunks; Next skips empty ones).
+    // A time range that clips records makes this an upper bound.
+    uint64_t samples = 0;
+    for (int64_t seq : seqs) {
+      auto it = records.seq_to_record.find(seq);
+      if (it != records.seq_to_record.end()) {
+        samples += records.metadata.records[it->second].header.num_samples;
       }
     }
-  }
-
-  // Pass 2 (no lock): stat the files the journal did not vouch for.
-  for (const Checked& c : checks) {
-    auto st = batch.Stat(c.fid, c.path, &report->files_statted);
-    if (!st.ok()) return StatFailure(st.status(), c.path);
-    if (st->mtime != c.entry_mtime) fix.push_back(c.fid);
-  }
-
-  // Pass 3 (exclusive lock, only when needed): lazy refresh (§3.3) — a
-  // requested file changed since its metadata was loaded, or was never
-  // hydrated (filename-only loading). Re-checked under the lock: another
-  // query may have fixed it meanwhile.
-  if (!fix.empty()) {
-    std::unique_lock lock(warehouse->meta_mu_);
-    Warehouse::CatalogWriter writer(warehouse->catalog_.get());
-    for (int64_t fid : fix) {
-      Warehouse::FileEntry& entry = warehouse->files_[fid - 1];
-      if (entry.file_id == 0) {
-        return Status::NotFound("source file disappeared during query: " +
-                                entry.path);
-      }
-      auto st = mseed::StatFile(entry.path);
-      if (!st.ok()) return StatFailure(st.status(), entry.path);
-      if (st->mtime != entry.mtime && entry.hydrated) {
-        LogOp(LogCategory::kRefresh,
-              "lazy refresh: " + entry.path +
-                  " was modified; re-loading its metadata");
-        warehouse->record_cache_->EraseIf(
-            [fid](const RecordKey& k) { return k.file_id == fid; });
-        LAZYETL_ASSIGN_OR_RETURN(Table * records,
-                                 writer.Mutable(kRecordsTable));
-        LAZYETL_ASSIGN_OR_RETURN(size_t removed,
-                                 RemoveFileRows(records, fid));
-        (void)removed;
-        entry.hydrated = false;
-      }
-      if (!entry.hydrated) {
-        uint64_t bytes = 0;
-        LAZYETL_RETURN_NOT_OK(
-            warehouse->HydrateFileLocked(&entry, &writer, &bytes));
-        report->bytes_read += bytes;
-      }
-    }
-    writer.Publish();
-  }
-
-  // Pass 4 (shared lock): record dependencies and build the per-file
-  // requests against the (now current) registry state. A file tombstoned
-  // by a concurrent Refresh since pass 1 fails here the same way it would
-  // have failed in any earlier pass — never a silent zero-row result.
-  {
-    std::shared_lock lock(warehouse->meta_mu_);
-    for (auto& [fid, seqs] : by_file) {
-      const Warehouse::FileEntry& entry = warehouse->files_[fid - 1];
-      if (entry.file_id == 0) {
-        return Status::NotFound(
-            "source file disappeared during query: file_id " +
-            std::to_string(fid));
-      }
-      provider->deps_.push_back({fid, entry.mtime});
-      // The file's chunks, from its records' sample counts (AssembleChunks
-      // cuts each file into batch_rows-row chunks; Next skips empty ones).
-      // A time range that clips records makes this an upper bound.
-      uint64_t samples = 0;
-      for (int64_t seq : seqs) {
-        auto it = entry.seq_to_record.find(seq);
-        if (entry.metadata != nullptr && it != entry.seq_to_record.end()) {
-          samples += entry.metadata->records[it->second].header.num_samples;
-        }
-      }
-      if (samples > 0) stream->chunks_ += (samples - 1) / batch_rows + 1;
-      FileRequest fr;
-      fr.fid = fid;
-      fr.mtime = entry.mtime;
-      fr.seqs = std::move(seqs);
-      stream->files_.push_back(std::move(fr));
-    }
+    if (samples > 0) stream->chunks_ += (samples - 1) / batch_rows + 1;
+    stream->files_.push_back(
+        {fid, snapshot.mtime, std::move(seqs), std::move(snapshot.records)});
   }
   return std::unique_ptr<engine::RecordStream>(std::move(stream));
 }
@@ -566,9 +478,9 @@ Status WarehouseRecordStream::AdvanceWindow() {
   // window instead of the whole qualifying set. The window's estimated
   // decoded bytes are additionally charged to the query's memory budget:
   // under pressure the window shrinks (down to a one-file floor), so lazy
-  // ETL honours the same cap as pipeline-breaker state. Registry state is
-  // only read under the shared lock; the extraction I/O below runs on
-  // immutable metadata snapshots outside it.
+  // ETL honours the same cap as pipeline-breaker state. The shared lock
+  // only guards the tombstone checks; the extraction I/O below runs on the
+  // immutable metadata versions reconciled at stream creation.
   struct PendingFile {
     const FileRequest* request = nullptr;
     // Cache hits and fresh extractions by seq_no: the shared records.
@@ -584,8 +496,7 @@ Status WarehouseRecordStream::AdvanceWindow() {
     while (next_file_ < files_.size() && jobs.size() < threads &&
            window.size() < static_cast<size_t>(threads) * 4) {
       FileRequest& fr = files_[next_file_];
-      const Warehouse::FileEntry& entry = warehouse->files_[fr.fid - 1];
-      if (entry.file_id == 0) {
+      if (warehouse->files_[fr.fid - 1].file_id == 0) {
         // Tombstoned by a concurrent Refresh since stream creation: fail
         // like every earlier validation pass — never a silent partial
         // result.
@@ -597,15 +508,14 @@ Status WarehouseRecordStream::AdvanceWindow() {
       // Estimated footprint of this file's assembled chunks (8-byte time +
       // 4-byte value per sample, plus per-record slack). The decoded
       // records they are assembled from hold only the 4-byte values.
+      const Warehouse::FileRecords& records = *fr.records;
       uint64_t est = 0;
-      if (entry.metadata != nullptr) {
-        for (int64_t seq : fr.seqs) {
-          auto it = entry.seq_to_record.find(seq);
-          if (it == entry.seq_to_record.end()) continue;
-          est += entry.metadata->records[it->second].header.num_samples *
-                     12ULL +
-                 64;
-        }
+      for (int64_t seq : fr.seqs) {
+        auto it = records.seq_to_record.find(seq);
+        if (it == records.seq_to_record.end()) continue;
+        est += records.metadata.records[it->second].header.num_samples *
+                   12ULL +
+               64;
       }
       uint64_t reserved = 0;
       if (budget != nullptr && est > 0) {
@@ -646,42 +556,35 @@ Status WarehouseRecordStream::AdvanceWindow() {
         }
       }
 
-      ExtractJob job;
-      job.metadata = entry.metadata;
-      job.path = entry.path;
-      job.file_id = fr.fid;
-      job.mtime = fr.mtime;
+      std::vector<std::pair<size_t, int64_t>> picks;  // (index, seq_no)
       for (int64_t seq : to_extract) {
-        auto it = entry.seq_to_record.find(seq);
-        if (it == entry.seq_to_record.end()) {
-          // The record vanished in a concurrent file modification; treat
-          // as zero rows for this record rather than failing the query.
+        auto it = records.seq_to_record.find(seq);
+        if (it == records.seq_to_record.end()) {
+          // The record is gone from the reconciled version of the file;
+          // treat as zero rows for this record rather than failing the
+          // query.
           LogOp(LogCategory::kExtract,
                 "record " + std::to_string(seq) + " no longer present in " +
-                    entry.path);
+                    records.metadata.path);
           continue;
         }
-        job.record_indexes.push_back(it->second);
-        job.seq_nos.push_back(seq);
+        picks.emplace_back(it->second, seq);
       }
-      if (!job.record_indexes.empty()) {
+      if (!picks.empty()) {
         // Sequential file I/O: visit records in offset order.
-        std::vector<size_t> order(job.record_indexes.size());
-        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          return job.record_indexes[a] < job.record_indexes[b];
-        });
-        ExtractJob sorted;
-        sorted.metadata = job.metadata;
-        sorted.path = job.path;
-        sorted.file_id = job.file_id;
-        sorted.mtime = job.mtime;
-        for (size_t i : order) {
-          sorted.record_indexes.push_back(job.record_indexes[i]);
-          sorted.seq_nos.push_back(job.seq_nos[i]);
+        std::sort(picks.begin(), picks.end());
+        ExtractJob job;
+        job.metadata = std::shared_ptr<const mseed::FileMetadata>(
+            fr.records, &records.metadata);
+        job.path = records.metadata.path;
+        job.file_id = fr.fid;
+        job.mtime = fr.mtime;
+        for (const auto& [index, seq] : picks) {
+          job.record_indexes.push_back(index);
+          job.seq_nos.push_back(seq);
         }
         pending.job_index = static_cast<int>(jobs.size());
-        jobs.push_back(std::move(sorted));
+        jobs.push_back(std::move(job));
       }
       window.push_back(std::move(pending));
     }
@@ -800,58 +703,27 @@ WarehouseDataProvider::StreamRecords(const std::vector<RecordKey>& keys,
                                      const engine::SampleTimeRange& times,
                                      size_t batch_rows,
                                      ExecutionReport* report) {
-  return WarehouseRecordStream::Create(this, keys, columns, times, batch_rows,
-                                       report);
+  // Grouped by file, so each file is checked and opened at most once.
+  std::map<int64_t, std::vector<int64_t>> by_file;
+  for (const auto& k : keys) by_file[k.file_id].push_back(k.seq_no);
+  return WarehouseRecordStream::Create(this, std::move(by_file), columns,
+                                       times, batch_rows, report);
 }
 
 Result<std::unique_ptr<engine::RecordStream>>
 WarehouseDataProvider::StreamAllRecords(const std::vector<ScanColumn>& columns,
                                         size_t batch_rows,
                                         ExecutionReport* report) {
-  LAZYETL_ASSIGN_OR_RETURN(std::vector<RecordKey> keys,
-                           AllRecordKeys(report));
-  report->records_requested += keys.size();
-  return WarehouseRecordStream::Create(this, keys, columns, {}, batch_rows,
-                                       report);
-}
-
-Result<std::vector<RecordKey>> WarehouseDataProvider::AllRecordKeys(
-    ExecutionReport* report) {
-  // Hydration pass (exclusive, only when files lack record metadata),
-  // then a read-only pass building the keys.
-  std::vector<int64_t> unhydrated;
+  // Every record of every file (the §3.1 worst case).
+  std::map<int64_t, std::vector<int64_t>> by_file;
   {
     std::shared_lock lock(warehouse_->meta_mu_);
     for (const auto& entry : warehouse_->files_) {
-      if (entry.file_id == 0) continue;  // tombstone
-      if (!entry.hydrated) unhydrated.push_back(entry.file_id);
+      if (entry.file_id != 0) by_file[entry.file_id];
     }
   }
-  if (!unhydrated.empty()) {
-    std::unique_lock lock(warehouse_->meta_mu_);
-    Warehouse::CatalogWriter writer(warehouse_->catalog_.get());
-    for (int64_t fid : unhydrated) {
-      Warehouse::FileEntry& entry = warehouse_->files_[fid - 1];
-      if (entry.file_id == 0 || entry.hydrated) continue;
-      uint64_t bytes = 0;
-      LAZYETL_RETURN_NOT_OK(
-          warehouse_->HydrateFileLocked(&entry, &writer, &bytes));
-      report->bytes_read += bytes;
-      ++report->files_hydrated;
-    }
-    writer.Publish();
-  }
-  std::vector<RecordKey> keys;
-  {
-    std::shared_lock lock(warehouse_->meta_mu_);
-    for (const auto& entry : warehouse_->files_) {
-      if (entry.file_id == 0 || entry.metadata == nullptr) continue;
-      for (const auto& rec : entry.metadata->records) {
-        keys.push_back({entry.file_id, rec.header.sequence_number});
-      }
-    }
-  }
-  return keys;
+  return WarehouseRecordStream::Create(this, std::move(by_file), columns, {},
+                                       batch_rows, report);
 }
 
 // ---------------------------------------------------------------------------
@@ -936,149 +808,36 @@ Result<std::unique_ptr<Warehouse>> Warehouse::Open(WarehouseOptions options) {
   return wh;
 }
 
-Result<TablePtr> Warehouse::FilesTable() const {
-  return catalog_->GetTable(kFilesTable);
-}
-Result<TablePtr> Warehouse::RecordsTable() const {
-  return catalog_->GetTable(kRecordsTable);
-}
-Result<TablePtr> Warehouse::DataTable() const {
-  return catalog_->GetTable(kDataTable);
-}
-
 std::vector<std::string> Warehouse::repositories() const {
   std::shared_lock lock(meta_mu_);
   return roots_;
 }
 
-Status Warehouse::HydrateFileLocked(FileEntry* entry, CatalogWriter* writer,
-                                    uint64_t* bytes_read) {
-  LAZYETL_ASSIGN_OR_RETURN(mseed::FileMetadata md,
-                           mseed::ScanMetadata(entry->path));
-  *bytes_read += md.bytes_read;
-
-  LAZYETL_ASSIGN_OR_RETURN(Table * records, writer->Mutable(kRecordsTable));
-  LAZYETL_RETURN_NOT_OK(AppendRecordRows(records, entry->file_id, md));
-
-  entry->mtime = md.mtime;
-  entry->size = md.file_size;
-  entry->plain = md.plain;
-  entry->seq_to_record.clear();
-  for (size_t i = 0; i < md.records.size(); ++i) {
-    entry->seq_to_record[md.records[i].header.sequence_number] = i;
+Result<mseed::FullFile> Warehouse::Stage(const std::string& path,
+                                         bool hydrate) const {
+  if (options_.strategy == LoadStrategy::kEager) return mseed::ReadFull(path);
+  mseed::FullFile file;
+  if (hydrate) {
+    LAZYETL_ASSIGN_OR_RETURN(file.metadata, mseed::ScanMetadata(path));
+    return file;
   }
-  entry->metadata =
-      std::make_shared<const mseed::FileMetadata>(std::move(md));
-  entry->hydrated = true;
-
-  // Correct the approximate F-row with header-derived values.
-  LAZYETL_ASSIGN_OR_RETURN(Table * files, writer->Mutable(kFilesTable));
-  LAZYETL_ASSIGN_OR_RETURN(size_t fid_idx, files->ColumnIndex("file_id"));
-  const auto& fids = files->column(fid_idx).int64_data();
-  for (size_t row = 0; row < fids.size(); ++row) {
-    if (fids[row] != entry->file_id) continue;
-    LAZYETL_ASSIGN_OR_RETURN(size_t c_start, files->ColumnIndex("start_time"));
-    LAZYETL_ASSIGN_OR_RETURN(size_t c_end, files->ColumnIndex("end_time"));
-    LAZYETL_ASSIGN_OR_RETURN(size_t c_nrec, files->ColumnIndex("num_records"));
-    LAZYETL_ASSIGN_OR_RETURN(size_t c_rate, files->ColumnIndex("sample_rate"));
-    LAZYETL_ASSIGN_OR_RETURN(size_t c_mtime,
-                             files->ColumnIndex("last_modified"));
-    files->column(c_start).int64_data()[row] = entry->metadata->start_time;
-    files->column(c_end).int64_data()[row] = entry->metadata->end_time;
-    files->column(c_nrec).int64_data()[row] =
-        static_cast<int64_t>(entry->metadata->records.size());
-    files->column(c_rate).double_data()[row] = entry->metadata->sample_rate;
-    files->column(c_mtime).int64_data()[row] = entry->metadata->mtime;
-    break;
-  }
-  result_cache_->Clear();
-  return Status::OK();
-}
-
-Status Warehouse::LoadFileEagerLocked(FileEntry* entry, CatalogWriter* writer,
-                                      LoadStats* stats) {
-  LAZYETL_ASSIGN_OR_RETURN(mseed::FullFile full,
-                           mseed::ReadFull(entry->path));
-  stats->bytes_read += full.metadata.bytes_read;
-  stats->records += full.metadata.records.size();
-
-  LAZYETL_ASSIGN_OR_RETURN(Table * files, writer->Mutable(kFilesTable));
-  LAZYETL_ASSIGN_OR_RETURN(Table * records, writer->Mutable(kRecordsTable));
-  LAZYETL_ASSIGN_OR_RETURN(Table * data, writer->Mutable(kDataTable));
-  LAZYETL_RETURN_NOT_OK(AppendFileRow(files, entry->file_id, full.metadata));
-  LAZYETL_RETURN_NOT_OK(
-      AppendRecordRows(records, entry->file_id, full.metadata));
-  for (size_t i = 0; i < full.metadata.records.size(); ++i) {
-    const mseed::RecordInfo& info = full.metadata.records[i];
-    LAZYETL_ASSIGN_OR_RETURN(
-        TransformedRecord transformed,
-        TransformRecord(info.header, std::move(full.record_samples[i])));
-    stats->samples_loaded += transformed.sample_values.size();
-    LAZYETL_RETURN_NOT_OK(AppendDataRows(data, entry->file_id,
-                                         info.header.sequence_number,
-                                         transformed));
-  }
-
-  entry->mtime = full.metadata.mtime;
-  entry->size = full.metadata.file_size;
-  entry->plain = full.metadata.plain;
-  entry->seq_to_record.clear();
-  for (size_t i = 0; i < full.metadata.records.size(); ++i) {
-    entry->seq_to_record[full.metadata.records[i].header.sequence_number] = i;
-  }
-  entry->metadata =
-      std::make_shared<const mseed::FileMetadata>(std::move(full.metadata));
-  entry->hydrated = true;
-  return Status::OK();
-}
-
-Status Warehouse::LoadFileMetadataLocked(FileEntry* entry,
-                                         CatalogWriter* writer,
-                                         LoadStats* stats) {
-  LAZYETL_ASSIGN_OR_RETURN(mseed::FileMetadata md,
-                           mseed::ScanMetadata(entry->path));
-  stats->bytes_read += md.bytes_read;
-  stats->records += md.records.size();
-
-  LAZYETL_ASSIGN_OR_RETURN(Table * files, writer->Mutable(kFilesTable));
-  LAZYETL_ASSIGN_OR_RETURN(Table * records, writer->Mutable(kRecordsTable));
-  LAZYETL_RETURN_NOT_OK(AppendFileRow(files, entry->file_id, md));
-  LAZYETL_RETURN_NOT_OK(AppendRecordRows(records, entry->file_id, md));
-
-  entry->mtime = md.mtime;
-  entry->size = md.file_size;
-  entry->plain = md.plain;
-  entry->seq_to_record.clear();
-  for (size_t i = 0; i < md.records.size(); ++i) {
-    entry->seq_to_record[md.records[i].header.sequence_number] = i;
-  }
-  entry->metadata =
-      std::make_shared<const mseed::FileMetadata>(std::move(md));
-  entry->hydrated = true;
-  return Status::OK();
-}
-
-Status Warehouse::LoadFileFromFilenameLocked(FileEntry* entry,
-                                             CatalogWriter* writer) {
-  std::string basename = fs::path(entry->path).filename().string();
-  LAZYETL_ASSIGN_OR_RETURN(mseed::FilenameMetadata fn,
-                           mseed::ParseSdsFilename(basename));
-  LAZYETL_ASSIGN_OR_RETURN(mseed::FileStatInfo st,
-                           mseed::StatFile(entry->path));
-
+  // Approximate extent: the file covers (a slice of) the day its SDS name
+  // gives. Record metadata is hydrated on demand when a query needs it.
+  LAZYETL_ASSIGN_OR_RETURN(
+      mseed::FilenameMetadata fn,
+      mseed::ParseSdsFilename(fs::path(path).filename().string()));
+  LAZYETL_ASSIGN_OR_RETURN(mseed::FileStatInfo st, mseed::StatFile(path));
   CivilTime day_start;
   day_start.year = fn.year;
   LAZYETL_RETURN_NOT_OK(MonthDayFromDayOfYear(fn.year, fn.day_of_year,
                                               &day_start.month,
                                               &day_start.day));
   LAZYETL_ASSIGN_OR_RETURN(NanoTime start, CivilToNano(day_start));
-
-  // Approximate extent: the file covers (a slice of) its day. Record
-  // metadata is hydrated on demand when a query needs it.
-  mseed::FileMetadata md;
-  md.path = entry->path;
+  mseed::FileMetadata& md = file.metadata;
+  md.path = path;
   md.file_size = st.size;
   md.mtime = st.mtime;
+  md.plain = st.plain;
   md.network = fn.network;
   md.station = fn.station;
   md.location = fn.location;
@@ -1087,14 +846,73 @@ Status Warehouse::LoadFileFromFilenameLocked(FileEntry* entry,
   md.start_time = start;
   md.end_time = start + kNanosPerDay;
   md.sample_rate = 0.0;  // unknown until hydration
+  return file;
+}
+
+Status Warehouse::PublishLocked(FileEntry* entry, mseed::FullFile file,
+                                bool hydrated, CatalogWriter* writer,
+                                LoadStats* stats) {
+  mseed::FileMetadata& md = file.metadata;
+  const bool eager = options_.strategy == LoadStrategy::kEager;
+  // Transform first, so a record that fails leaves the tables untouched.
+  std::vector<TransformedRecord> transformed;
+  transformed.reserve(file.record_samples.size());
+  for (size_t i = 0; i < file.record_samples.size(); ++i) {
+    LAZYETL_ASSIGN_OR_RETURN(
+        TransformedRecord rec,
+        TransformRecord(md.records[i].header,
+                        std::move(file.record_samples[i])));
+    stats->samples_loaded += rec.sample_values.size();
+    transformed.push_back(std::move(rec));
+  }
 
   LAZYETL_ASSIGN_OR_RETURN(Table * files, writer->Mutable(kFilesTable));
-  LAZYETL_RETURN_NOT_OK(AppendFileRow(files, entry->file_id, md));
+  LAZYETL_ASSIGN_OR_RETURN(Table * records, writer->Mutable(kRecordsTable));
+  Table* data = nullptr;
+  if (eager) {
+    LAZYETL_ASSIGN_OR_RETURN(data, writer->Mutable(kDataTable));
+  }
+  // A registered file is a reload: its R rows (which a reopened eager
+  // warehouse holds without record metadata), D rows and cached records
+  // belong to the version being replaced.
+  if (path_to_file_id_.count(entry->path) != 0) {
+    if (entry->records != nullptr || eager) {
+      LAZYETL_RETURN_NOT_OK(RemoveFileRows(records, entry->file_id).status());
+    }
+    if (eager) {
+      LAZYETL_RETURN_NOT_OK(RemoveFileRows(data, entry->file_id).status());
+    }
+    if (entry->records != nullptr) {
+      const int64_t fid = entry->file_id;
+      record_cache_->EraseIf(
+          [fid](const RecordKey& k) { return k.file_id == fid; });
+    }
+  }
+  LAZYETL_RETURN_NOT_OK(PutFileRow(files, entry->file_id, md));
+  if (hydrated) {
+    LAZYETL_RETURN_NOT_OK(AppendRecordRows(records, entry->file_id, md));
+  }
+  for (size_t i = 0; i < transformed.size(); ++i) {
+    LAZYETL_RETURN_NOT_OK(AppendDataRows(data, entry->file_id,
+                                         md.records[i].header.sequence_number,
+                                         transformed[i]));
+  }
+  stats->bytes_read += md.bytes_read;
+  stats->records += md.records.size();
 
-  entry->mtime = st.mtime;
-  entry->size = st.size;
-  entry->plain = st.plain;
-  entry->hydrated = false;
+  result_cache_->Clear();
+  entry->mtime = md.mtime;
+  entry->size = md.file_size;
+  entry->plain = md.plain;
+  entry->records.reset();
+  if (hydrated) {
+    auto published = std::make_shared<FileRecords>();
+    for (size_t i = 0; i < md.records.size(); ++i) {
+      published->seq_to_record[md.records[i].header.sequence_number] = i;
+    }
+    published->metadata = std::move(md);
+    entry->records = std::move(published);
+  }
   return Status::OK();
 }
 
@@ -1143,6 +961,7 @@ Status Warehouse::LoadDatalessInventoryLocked(const std::string& path,
 
 Status Warehouse::AttachFileLocked(const std::string& path,
                                    const std::string& root,
+                                   std::optional<mseed::FullFile> staged,
                                    CatalogWriter* writer, LoadStats* stats) {
   // Dataless SEED volumes hold inventory control headers, not waveforms.
   if (mseed::IsDatalessFilename(fs::path(path).filename().string())) {
@@ -1151,21 +970,24 @@ Status Warehouse::AttachFileLocked(const std::string& path,
   FileEntry entry;
   entry.file_id = static_cast<int64_t>(files_.size()) + 1;
   entry.path = path;
-  // Watched before the load's stat, so the journal can keep that stat.
+  // Watched before the stat the journal keeps: the re-stat that confirms a
+  // staged read, else the read's own.
   ChangeJournal::Ticket ticket;
   if (IsLazyStrategy()) ticket = journal_.Watch(entry.file_id, path, root);
-
-  Status load_status;
-  switch (options_.strategy) {
-    case LoadStrategy::kEager:
-      load_status = LoadFileEagerLocked(&entry, writer, stats);
-      break;
-    case LoadStrategy::kLazy:
-      load_status = LoadFileMetadataLocked(&entry, writer, stats);
-      break;
-    case LoadStrategy::kLazyFilenameOnly:
-      load_status = LoadFileFromFilenameLocked(&entry, writer);
-      break;
+  if (staged.has_value()) {
+    auto st = mseed::StatFile(path);
+    if (!st.ok() || st->mtime != staged->metadata.mtime ||
+        st->size != staged->metadata.file_size) {
+      staged.reset();
+    }
+  }
+  const bool hydrate = options_.strategy != LoadStrategy::kLazyFilenameOnly;
+  Result<mseed::FullFile> file =
+      staged.has_value() ? std::move(*staged) : Stage(path, hydrate);
+  Status load_status = file.status();
+  if (load_status.ok()) {
+    load_status = PublishLocked(&entry, std::move(file).MoveValueUnsafe(),
+                                hydrate, writer, stats);
   }
   if (!load_status.ok()) {
     journal_.Forget(entry.file_id);
@@ -1202,7 +1024,8 @@ Result<LoadStats> Warehouse::AttachRepository(const std::string& root) {
     CatalogWriter writer(catalog_.get());
     for (const auto& f : scanned) {
       if (path_to_file_id_.count(f.path)) continue;  // already attached
-      LAZYETL_RETURN_NOT_OK(AttachFileLocked(f.path, root, &writer, &stats));
+      LAZYETL_RETURN_NOT_OK(
+          AttachFileLocked(f.path, root, std::nullopt, &writer, &stats));
     }
     if (std::find(roots_.begin(), roots_.end(), root) == roots_.end()) {
       roots_.push_back(root);
@@ -1213,15 +1036,13 @@ Result<LoadStats> Warehouse::AttachRepository(const std::string& root) {
 
   if (options_.strategy == LoadStrategy::kEager &&
       !options_.persist_dir.empty()) {
-    LAZYETL_ASSIGN_OR_RETURN(TablePtr files, FilesTable());
-    LAZYETL_ASSIGN_OR_RETURN(TablePtr records, RecordsTable());
-    LAZYETL_ASSIGN_OR_RETURN(TablePtr data, DataTable());
-    LAZYETL_RETURN_NOT_OK(storage::WriteTable(
-        (fs::path(options_.persist_dir) / "files").string(), *files));
-    LAZYETL_RETURN_NOT_OK(storage::WriteTable(
-        (fs::path(options_.persist_dir) / "records").string(), *records));
-    LAZYETL_RETURN_NOT_OK(storage::WriteTable(
-        (fs::path(options_.persist_dir) / "data").string(), *data));
+    for (const auto& [file, table] : {std::pair{"files", kFilesTable},
+                                      {"records", kRecordsTable},
+                                      {"data", kDataTable}}) {
+      LAZYETL_ASSIGN_OR_RETURN(TablePtr t, catalog_->GetTable(table));
+      LAZYETL_RETURN_NOT_OK(storage::WriteTable(
+          (fs::path(options_.persist_dir) / file).string(), *t));
+    }
     // Remember the attached roots so a reopened warehouse can Refresh().
     std::ofstream roots_file(fs::path(options_.persist_dir) / "roots",
                              std::ios::trunc);
@@ -1296,7 +1117,7 @@ void CollectColumnRefs(const sql::BoundExpr& e,
 
 Result<std::vector<int64_t>> Warehouse::CandidateFileIds(
     const sql::BoundQuery& query) {
-  LAZYETL_ASSIGN_OR_RETURN(TablePtr files, FilesTable());
+  LAZYETL_ASSIGN_OR_RETURN(TablePtr files, catalog_->GetTable(kFilesTable));
   LAZYETL_ASSIGN_OR_RETURN(size_t fid_idx, files->ColumnIndex("file_id"));
   const auto& fids = files->column(fid_idx).int64_data();
 
@@ -1325,102 +1146,128 @@ Result<std::vector<int64_t>> Warehouse::CandidateFileIds(
   return out;
 }
 
-Status Warehouse::ReloadModifiedFileLocked(FileEntry* entry,
-                                           CatalogWriter* writer,
-                                           uint64_t* bytes_read) {
-  record_cache_->EraseIf(
-      [entry](const RecordKey& k) { return k.file_id == entry->file_id; });
-  LAZYETL_ASSIGN_OR_RETURN(Table * files, writer->Mutable(kFilesTable));
-  LAZYETL_ASSIGN_OR_RETURN(Table * records, writer->Mutable(kRecordsTable));
-  LAZYETL_RETURN_NOT_OK(RemoveFileRows(files, entry->file_id).status());
-  LAZYETL_RETURN_NOT_OK(RemoveFileRows(records, entry->file_id).status());
-  entry->hydrated = false;
-  entry->metadata.reset();
-  entry->seq_to_record.clear();
-
-  switch (options_.strategy) {
-    case LoadStrategy::kEager: {
-      LAZYETL_ASSIGN_OR_RETURN(Table * data, writer->Mutable(kDataTable));
-      LAZYETL_RETURN_NOT_OK(RemoveFileRows(data, entry->file_id).status());
-      LoadStats ls;
-      LAZYETL_RETURN_NOT_OK(LoadFileEagerLocked(entry, writer, &ls));
-      *bytes_read += ls.bytes_read;
-      break;
-    }
-    case LoadStrategy::kLazy: {
-      LoadStats ls;
-      LAZYETL_RETURN_NOT_OK(LoadFileMetadataLocked(entry, writer, &ls));
-      *bytes_read += ls.bytes_read;
-      break;
-    }
-    case LoadStrategy::kLazyFilenameOnly:
-      LAZYETL_RETURN_NOT_OK(LoadFileFromFilenameLocked(entry, writer));
-      break;
-  }
-  result_cache_->Clear();
-  return Status::OK();
-}
-
-Status Warehouse::RefreshStaleCandidates(
-    const std::vector<int64_t>& candidates, ExecutionReport* report) {
-  // Pass 1 (shared): a candidate the change journal vouches for is settled
-  // in memory, by file_id; the others are snapshotted for a stat.
-  ChangeJournal::Batch batch = journal_.BeginBatch();
-  struct Checked {
-    int64_t fid = 0;
-    std::string path;
-    NanoTime mtime = 0;
-    uint64_t size = 0;
+Status Warehouse::Reconcile(const std::vector<int64_t>& fids,
+                            bool need_records, ExecutionReport* report,
+                            std::vector<FileSnapshot>* snapshots) {
+  // Whether a load must read record metadata, and whether a file loaded at
+  // (mtime, size), hydrated or not, is current at stat `st`.
+  const bool hydrate =
+      options_.strategy != LoadStrategy::kLazyFilenameOnly || need_records;
+  auto current = [hydrate](NanoTime mtime, uint64_t size, bool hydrated,
+                           const mseed::FileStatInfo& st) {
+    return st.mtime == mtime && st.size == size && (hydrated || !hydrate);
   };
-  std::vector<Checked> checks;
-  std::vector<int64_t> changed;
+  // A file not settled in step 1; its snapshot is written back at the end.
+  struct Pending {
+    size_t index = 0;
+    std::string path;
+    bool stale = false;  // known stale without a stat
+    bool stage = false;
+    std::optional<mseed::FullFile> staged;
+    FileSnapshot snapshot;
+  };
+  std::vector<Pending> pending;
+  if (snapshots != nullptr) snapshots->assign(fids.size(), FileSnapshot());
+
+  // 1. Classify (shared lock). A vanished file keeps an empty snapshot.
+  ChangeJournal::Batch batch = journal_.BeginBatch();
   {
     std::shared_lock lock(meta_mu_);
-    for (int64_t fid : candidates) {
+    for (size_t i = 0; i < fids.size(); ++i) {
+      const int64_t fid = fids[i];
       if (fid < 1 || static_cast<size_t>(fid) > files_.size()) continue;
       const FileEntry& entry = files_[fid - 1];
       if (entry.file_id == 0) continue;
-      ++report->files_stat_checked;
       mseed::FileStatInfo st;
-      if (!batch.Vouched(fid, &st)) {
-        checks.push_back({fid, entry.path, entry.mtime, entry.size});
-      } else if (st.mtime != entry.mtime || st.size != entry.size) {
-        changed.push_back(fid);
+      const bool vouched = batch.Vouched(fid, &st);
+      if (vouched &&
+          current(entry.mtime, entry.size, entry.records != nullptr, st)) {
+        if (snapshots != nullptr) {
+          (*snapshots)[i] = {fid, entry.mtime, entry.size, entry.records,
+                             false};
+        }
+        continue;
+      }
+      pending.push_back({i, entry.path, vouched, false, std::nullopt,
+                         {fid, entry.mtime, entry.size, entry.records, false}});
+    }
+  }
+
+  // 2. Stage (no lock).
+  bool any_staged = false;
+  for (Pending& p : pending) {
+    FileSnapshot& snapshot = p.snapshot;
+    if (!p.stale) {
+      auto st = batch.Stat(snapshot.file_id, p.path, &report->files_statted);
+      if (!st.ok()) {
+        if (!st.status().IsNotFound()) return st.status();
+        snapshot = FileSnapshot();
+        continue;
+      }
+      if (current(snapshot.mtime, snapshot.size, snapshot.records != nullptr,
+                  *st)) {
+        continue;
       }
     }
+    p.stage = any_staged = true;
+    if (options_.strategy == LoadStrategy::kEager) continue;
+    auto file = Stage(p.path, hydrate);
+    if (file.ok()) p.staged = std::move(file).MoveValueUnsafe();
   }
 
-  // Pass 2 (no lock): stat the candidates the journal did not vouch for.
-  for (const Checked& c : checks) {
-    auto st = batch.Stat(c.fid, c.path, &report->files_statted);
-    if (!st.ok()) {
-      // A vanished file fails in extraction, which reports NotFound.
-      if (st.status().IsNotFound()) continue;
-      return st.status();
+  // 3. Publish (exclusive lock, one COW session), only when something was
+  // staged. Re-checked against the registry too: another caller may have
+  // published the file meanwhile.
+  if (any_staged) {
+    std::unique_lock lock(meta_mu_);
+    CatalogWriter writer(catalog_.get());
+    LoadStats loaded;
+    size_t hydrated = 0;
+    for (Pending& p : pending) {
+      if (!p.stage) continue;
+      FileSnapshot& snapshot = p.snapshot;
+      FileEntry& entry = files_[snapshot.file_id - 1];
+      if (entry.file_id == 0) {  // tombstoned by a concurrent Refresh()
+        snapshot = FileSnapshot();
+        continue;
+      }
+      auto st = mseed::StatFile(entry.path);
+      if (!st.ok()) {
+        if (!st.status().IsNotFound()) return st.status();
+        snapshot = FileSnapshot();
+        continue;
+      }
+      if (!current(entry.mtime, entry.size, entry.records != nullptr, *st)) {
+        if (!p.staged.has_value() || p.staged->metadata.mtime != st->mtime ||
+            p.staged->metadata.file_size != st->size) {
+          LAZYETL_ASSIGN_OR_RETURN(p.staged, Stage(entry.path, hydrate));
+        }
+        if (st->mtime != entry.mtime || st->size != entry.size) {
+          LogOp(LogCategory::kRefresh,
+                "metadata refresh: " + entry.path +
+                    " changed; re-loading its metadata");
+        }
+        if (hydrate && entry.records == nullptr) ++hydrated;
+        LAZYETL_RETURN_NOT_OK(PublishLocked(&entry, std::move(*p.staged),
+                                            hydrate, &writer, &loaded));
+        snapshot.reloaded = true;
+      }
+      snapshot.mtime = entry.mtime;
+      snapshot.size = entry.size;
+      snapshot.records = entry.records;
     }
-    if (st->mtime == c.mtime && st->size == c.size) continue;
-    changed.push_back(c.fid);
-  }
-  if (changed.empty()) return Status::OK();
-
-  // Pass 3 (exclusive): re-check and re-load, one COW session.
-  std::unique_lock lock(meta_mu_);
-  CatalogWriter writer(catalog_.get());
-  for (int64_t fid : changed) {
-    FileEntry& entry = files_[fid - 1];
-    if (entry.file_id == 0) continue;
-    auto st = mseed::StatFile(entry.path);
-    if (!st.ok()) continue;
-    if (st->mtime == entry.mtime && st->size == entry.size) {
-      continue;  // another query already re-loaded it
+    writer.Publish();
+    report->bytes_read += loaded.bytes_read;
+    report->files_hydrated += hydrated;
+    if (hydrated > 0) {
+      LogOp(LogCategory::kMetadataLoad,
+            "deferred metadata: hydrated " + std::to_string(hydrated) +
+                " files for this query");
     }
-    LogOp(LogCategory::kRefresh,
-          "lazy refresh at query time: " + entry.path +
-              " changed; re-loading its metadata");
-    LAZYETL_RETURN_NOT_OK(
-        ReloadModifiedFileLocked(&entry, &writer, &report->bytes_read));
   }
-  writer.Publish();
+  if (snapshots != nullptr) {
+    for (Pending& p : pending) (*snapshots)[p.index] = std::move(p.snapshot);
+  }
   return Status::OK();
 }
 
@@ -1464,7 +1311,6 @@ Result<LoadStats> Warehouse::AttachPersisted(const std::string& persist_dir) {
     entry.size =
         static_cast<uint64_t>(files.column(size_idx).int64_data()[row]);
     entry.mtime = files.column(mtime_idx).int64_data()[row];
-    entry.hydrated = false;  // record metadata reloads on demand (Refresh)
     path_to_file_id_[entry.path] = entry.file_id;
   }
 
@@ -1495,51 +1341,6 @@ Result<LoadStats> Warehouse::AttachPersisted(const std::string& persist_dir) {
         "persisted warehouse reopened: " + std::to_string(stats.files) +
             " files, " + std::to_string(stats.samples_loaded) + " samples");
   return stats;
-}
-
-Status Warehouse::HydrateForQuery(const sql::BoundQuery& query,
-                                  const std::vector<int64_t>& candidates,
-                                  ExecutionReport* report) {
-  // Only dataview queries and direct queries on R/D need record metadata.
-  bool needs_records = false;
-  if (query.view != nullptr) {
-    needs_records = true;
-  } else if (query.base_table == kRecordsTable ||
-             query.base_table == kDataTable) {
-    needs_records = true;
-  }
-  if (!needs_records) return Status::OK();
-
-  std::vector<int64_t> todo;
-  {
-    std::shared_lock lock(meta_mu_);
-    for (int64_t fid : candidates) {
-      if (fid < 1 || static_cast<size_t>(fid) > files_.size()) continue;
-      const FileEntry& entry = files_[fid - 1];
-      if (entry.file_id == 0 || entry.hydrated) continue;
-      todo.push_back(fid);
-    }
-  }
-  if (!todo.empty()) {
-    std::unique_lock lock(meta_mu_);
-    CatalogWriter writer(catalog_.get());
-    for (int64_t fid : todo) {
-      FileEntry& entry = files_[fid - 1];
-      if (entry.file_id == 0 || entry.hydrated) continue;
-      uint64_t bytes = 0;
-      LAZYETL_RETURN_NOT_OK(HydrateFileLocked(&entry, &writer, &bytes));
-      report->bytes_read += bytes;
-      ++report->files_hydrated;
-    }
-    writer.Publish();
-  }
-  if (report->files_hydrated > 0) {
-    LogOp(LogCategory::kMetadataLoad,
-          "deferred metadata: hydrated " +
-              std::to_string(report->files_hydrated) +
-              " candidate files for this query");
-  }
-  return Status::OK();
 }
 
 Result<QueryResult> Warehouse::Query(const std::string& sql) {
@@ -1597,19 +1398,20 @@ Result<Warehouse::CompiledQuery> Warehouse::Compile(const std::string& sql,
   report->bind_seconds = phase.ElapsedSeconds();
 
   if (refresh && IsLazyStrategy()) {
-    // Lazy refreshment (§3.3): before executing, verify the candidate
-    // files' mtimes and re-load metadata of any that changed, so the
-    // result-cache probe and the metadata phase of the plan see the
-    // current repository state. The candidates are pruned on identity
-    // columns only, which a reload cannot change.
+    // Lazy refreshment (§3.3): before executing, reconcile the candidate
+    // files — re-load the metadata of any that changed and, when the query
+    // reads records, hydrate filename-only metadata — so the result-cache
+    // probe and the metadata phase of the plan see the current repository
+    // state. The candidates are pruned on identity columns only, which a
+    // reload cannot change; a vanished one fails in extraction.
     LAZYETL_ASSIGN_OR_RETURN(compiled.candidates,
                              CandidateFileIds(compiled.bound));
+    report->files_stat_checked += compiled.candidates.size();
+    const bool needs_records = compiled.bound.view != nullptr ||
+                               compiled.bound.base_table == kRecordsTable ||
+                               compiled.bound.base_table == kDataTable;
     LAZYETL_RETURN_NOT_OK(
-        RefreshStaleCandidates(compiled.candidates, report));
-    if (options_.strategy == LoadStrategy::kLazyFilenameOnly) {
-      LAZYETL_RETURN_NOT_OK(
-          HydrateForQuery(compiled.bound, compiled.candidates, report));
-    }
+        Reconcile(compiled.candidates, needs_records, report, nullptr));
   }
   return compiled;
 }
@@ -1960,6 +1762,12 @@ Result<RefreshStats> Warehouse::Refresh() {
   RefreshStats stats;
   LogOp(LogCategory::kRefresh, "refresh: re-scanning repositories");
 
+  // Re-add the watches the journal lost and forget what it vouched for
+  // before anything is checked: the explicit rescan also covers changes no
+  // event reports (see ChangeJournal), which a vouched stat would hide from
+  // the reconcile below.
+  journal_.Rearm();
+
   // Pass 1 (no lock): walk the repositories. The directory scan is the
   // bulk of a no-op refresh; keeping it off the registry lock means
   // polling refreshes never stall concurrent queries.
@@ -1976,13 +1784,15 @@ Result<RefreshStats> Warehouse::Refresh() {
     }
   }
 
-  // Pass 2 (shared lock): classify against the registry.
+  // Pass 2 (shared lock): classify against the registry — paths never
+  // attached, and attached files whose scanned (mtime, size) moved or that
+  // the scan no longer found.
   std::vector<const mseed::ScannedFile*> new_files;
-  std::vector<const mseed::ScannedFile*> modified;
-  std::vector<int64_t> deleted;
+  std::vector<int64_t> changed;
   {
     std::shared_lock lock(meta_mu_);
     for (const auto& f : scanned_all) {
+      if (dataless_paths_.count(f.path) != 0) continue;
       auto it = path_to_file_id_.find(f.path);
       if (it == path_to_file_id_.end()) {
         new_files.push_back(&f);
@@ -1990,45 +1800,59 @@ Result<RefreshStats> Warehouse::Refresh() {
       }
       const FileEntry& entry = files_[it->second - 1];
       if (f.mtime != entry.mtime || f.size != entry.size) {
-        modified.push_back(&f);
+        changed.push_back(entry.file_id);
       }
     }
     for (const auto& entry : files_) {
-      if (entry.file_id == 0) continue;
-      if (!seen.count(entry.path)) deleted.push_back(entry.file_id);
+      if (entry.file_id != 0 && !seen.count(entry.path)) {
+        changed.push_back(entry.file_id);
+      }
     }
   }
 
-  // Pass 3 (exclusive, only when the repository actually changed):
-  // re-check under the lock — a concurrent query's staleness pass or
-  // another Refresh may have raced us — and apply in one COW session.
-  if (!new_files.empty() || !modified.empty() || !deleted.empty()) {
+  // Pass 3: reload the changed files; the vanished come back empty.
+  ExecutionReport report;
+  std::vector<FileSnapshot> reconciled;
+  LAZYETL_RETURN_NOT_OK(
+      Reconcile(changed, /*need_records=*/false, &report, &reconciled));
+  stats.bytes_read += report.bytes_read;
+  std::vector<int64_t> vanished;
+  for (size_t i = 0; i < changed.size(); ++i) {
+    if (reconciled[i].file_id == 0) vanished.push_back(changed[i]);
+    if (reconciled[i].reloaded) ++stats.modified_files;
+  }
+
+  // Pass 4 (no lock): read the new files. Eager ones are read at attach,
+  // one at a time, as Reconcile does.
+  std::vector<std::optional<mseed::FullFile>> staged(new_files.size());
+  if (options_.strategy != LoadStrategy::kEager) {
+    const bool hydrate = options_.strategy != LoadStrategy::kLazyFilenameOnly;
+    for (size_t i = 0; i < new_files.size(); ++i) {
+      auto file = Stage(new_files[i]->path, hydrate);
+      if (file.ok()) staged[i] = std::move(file).MoveValueUnsafe();
+    }
+  }
+
+  // Pass 5 (exclusive, only when files came or went): attach the new ones
+  // and tombstone the vanished, in one COW session. Re-checked under the
+  // lock — a concurrent AttachRepository() or Refresh() may have raced us.
+  if (!new_files.empty() || !vanished.empty()) {
     std::unique_lock lock(meta_mu_);
     CatalogWriter writer(catalog_.get());
-    for (const mseed::ScannedFile* f : new_files) {
+    for (size_t i = 0; i < new_files.size(); ++i) {
+      const mseed::ScannedFile* f = new_files[i];
       if (path_to_file_id_.count(f->path)) continue;
       LoadStats ls;
       LAZYETL_RETURN_NOT_OK(AttachFileLocked(
-          f->path, roots[root_of[f - scanned_all.data()]], &writer, &ls));
+          f->path, roots[root_of[f - scanned_all.data()]],
+          std::move(staged[i]), &writer, &ls));
       stats.bytes_read += ls.bytes_read;
       if (ls.files > 0) ++stats.new_files;
     }
-    for (const mseed::ScannedFile* f : modified) {
-      auto it = path_to_file_id_.find(f->path);
-      if (it == path_to_file_id_.end()) continue;
-      FileEntry& entry = files_[it->second - 1];
-      if (f->mtime == entry.mtime && f->size == entry.size) continue;
-      ++stats.modified_files;
-      LAZYETL_RETURN_NOT_OK(
-          ReloadModifiedFileLocked(&entry, &writer, &stats.bytes_read));
-    }
-    for (int64_t fid : deleted) {
+    for (int64_t fid : vanished) {
       FileEntry& entry = files_[fid - 1];
       if (entry.file_id == 0) continue;
-      // Re-verify on disk: the lock-free scan races concurrent
-      // AttachRepository() calls, so an entry absent from the scan may
-      // simply have been attached after the snapshot — a file that still
-      // exists is never tombstoned.
+      // A file that exists again is never tombstoned.
       if (mseed::StatFile(entry.path).ok()) continue;
       ++stats.deleted_files;
       record_cache_->EraseIf(
@@ -2045,17 +1869,11 @@ Result<RefreshStats> Warehouse::Refresh() {
       path_to_file_id_.erase(entry.path);
       journal_.Forget(entry.file_id);
       entry.file_id = 0;  // tombstone
-      entry.metadata.reset();
-      entry.hydrated = false;
-      entry.seq_to_record.clear();
+      entry.records.reset();
     }
     writer.Publish();
   }
 
-  // Re-add the watches the journal lost and forget what it vouched for: the
-  // explicit rescan also covers changes no event reports (see
-  // ChangeJournal).
-  journal_.Rearm();
   result_cache_->Clear();
   stats.seconds = timer.ElapsedSeconds();
   LogOp(LogCategory::kRefresh,
@@ -2063,6 +1881,10 @@ Result<RefreshStats> Warehouse::Refresh() {
             std::to_string(stats.modified_files) + " modified, " +
             std::to_string(stats.deleted_files) + " deleted");
   return stats;
+}
+
+CacheContents Warehouse::CachedKeys() const {
+  return {record_cache_->Keys(), result_cache_->Keys()};
 }
 
 void Warehouse::ClearCaches() {
@@ -2084,7 +1906,7 @@ WarehouseStats Warehouse::Stats() const {
     for (const auto& entry : files_) {
       if (entry.file_id == 0) continue;
       ++stats.num_files;
-      if (entry.hydrated) ++stats.num_hydrated_files;
+      if (entry.records != nullptr) ++stats.num_hydrated_files;
       stats.repository_bytes += entry.size;
     }
   }

@@ -44,6 +44,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -282,6 +283,12 @@ struct WarehouseStats {
   ChangeJournalStats journal;
 };
 
+// The keys of both cache tiers, least recently used first.
+struct CacheContents {
+  std::vector<engine::RecordKey> records;
+  std::vector<std::string> results;  // SQL text of the cached results
+};
+
 class Warehouse {
  public:
   static Result<std::unique_ptr<Warehouse>> Open(WarehouseOptions options);
@@ -346,6 +353,7 @@ class Warehouse {
 
   const storage::Catalog& catalog() const { return *catalog_; }
   WarehouseStats Stats() const;
+  CacheContents CachedKeys() const;  // demo point 7
   const WarehouseOptions& options() const { return options_; }
 
   // Paths of the attached repository roots (snapshot).
@@ -355,18 +363,32 @@ class Warehouse {
   friend class WarehouseDataProvider;
   friend class WarehouseRecordStream;
 
-  // Everything known about one source file. Field access is guarded by
-  // meta_mu_; `metadata` is an immutable snapshot — re-hydration swaps in
-  // a new one, so extraction jobs holding the old snapshot stay safe.
+  // One version of a file's record metadata, immutable once published: a
+  // reload publishes a new one, so a query holding the old keeps reading
+  // one version of the file.
+  struct FileRecords {
+    mseed::FileMetadata metadata;
+    std::map<int64_t, size_t> seq_to_record;  // seq_no -> records index
+  };
+
+  // Everything known about one source file; guarded by meta_mu_.
   struct FileEntry {
-    int64_t file_id = 0;
+    int64_t file_id = 0;     // 0 = tombstone
     std::string path;
     NanoTime mtime = 0;      // as of the last metadata (re)load
     uint64_t size = 0;
     bool plain = false;      // mseed::FileStatInfo::plain of that load
-    bool hydrated = false;   // record metadata present?
-    std::shared_ptr<const mseed::FileMetadata> metadata;  // when hydrated
-    std::map<int64_t, size_t> seq_to_record;  // seq_no -> records index
+    std::shared_ptr<const FileRecords> records;  // null until hydrated
+  };
+
+  // A file as Reconcile left it: the (mtime, size) its metadata was loaded
+  // at and that metadata. A vanished file's snapshot has file_id 0.
+  struct FileSnapshot {
+    int64_t file_id = 0;
+    NanoTime mtime = 0;
+    uint64_t size = 0;
+    std::shared_ptr<const FileRecords> records;
+    bool reloaded = false;  // published by this Reconcile
   };
 
   // Copy-on-write session over catalog tables: Mutable() clones a table
@@ -377,31 +399,49 @@ class Warehouse {
 
   explicit Warehouse(WarehouseOptions options);
 
-  // The *Locked helpers require meta_mu_ held exclusively and stage their
-  // table changes in `writer` (published by the caller).
-  // `root` is the attached repository the file was found under.
-  Status AttachFileLocked(const std::string& path, const std::string& root,
-                          CatalogWriter* writer, LoadStats* stats);
-  Status LoadFileEagerLocked(FileEntry* entry, CatalogWriter* writer,
-                             LoadStats* stats);
-  Status LoadFileMetadataLocked(FileEntry* entry, CatalogWriter* writer,
-                                LoadStats* stats);
-  Status LoadFileFromFilenameLocked(FileEntry* entry, CatalogWriter* writer);
+  // The lazy refresh (§3.3), the one path by which a file's metadata is
+  // re-checked and reloaded (queries, streams and Refresh()), in three
+  // steps:
+  //   1. classify, under meta_mu_ shared: a file the change journal
+  //      vouches for is settled in memory; the others are noted for a stat;
+  //   2. stage, with no lock: stat them (counted in files_statted) and read
+  //      the metadata of every file whose (mtime, size) moved, and of every
+  //      unhydrated one when `need_records` is set;
+  //   3. publish, under meta_mu_ exclusive and only when something was
+  //      staged: re-stat each staged file and publish the staged read if
+  //      the file still has its (mtime, size), else read it again here.
+  // Fills `snapshots`, when given, with one snapshot per file of `fids`, in
+  // order. A file missing on disk or tombstoned is vanished; the caller
+  // decides what that means. Any other stat error fails the call. Eager
+  // files are read only in step 3, one at a time, so their samples are
+  // never all resident at once.
+  Status Reconcile(const std::vector<int64_t>& fids, bool need_records,
+                   engine::ExecutionReport* report,
+                   std::vector<FileSnapshot>* snapshots);
 
-  // Fills entry->metadata by scanning record headers; appends R rows.
-  Status HydrateFileLocked(FileEntry* entry, CatalogWriter* writer,
-                           uint64_t* bytes_read);
+  // Reads what publishing `path` takes: the whole file (eager), its record
+  // metadata (`hydrate`), else the extent its SDS filename implies.
+  Result<mseed::FullFile> Stage(const std::string& path, bool hydrate) const;
+
+  // Requires meta_mu_ exclusive. Makes `file` the current version of
+  // `entry`, staging the table changes in `writer`: its F row (replaced in
+  // place), its R rows when `hydrated`, its D rows (eager), and the
+  // registry fields. Drops cached records of an older version and clears
+  // the result cache.
+  Status PublishLocked(FileEntry* entry, mseed::FullFile file, bool hydrated,
+                       CatalogWriter* writer, LoadStats* stats);
+
+  // Requires meta_mu_ exclusive. Registers and publishes a file found under
+  // the attached repository `root`, from `staged` when the file still has
+  // its (mtime, size), else from a read made here.
+  Status AttachFileLocked(const std::string& path, const std::string& root,
+                          std::optional<mseed::FullFile> staged,
+                          CatalogWriter* writer, LoadStats* stats);
 
   // Loads a dataless SEED volume (ASCII control headers) into the
   // mseed.stations / mseed.channels inventory tables. Idempotent per path.
   Status LoadDatalessInventoryLocked(const std::string& path,
                                      CatalogWriter* writer, LoadStats* stats);
-
-  // Drops a modified file's table rows and cache entries and re-loads its
-  // metadata per the current strategy (shared by Refresh() and the lazy
-  // query-time staleness pass).
-  Status ReloadModifiedFileLocked(FileEntry* entry, CatalogWriter* writer,
-                                  uint64_t* bytes_read);
 
   // File ids whose cached metadata matches the identity part of the
   // query's file-level predicates (all files when there is none): the
@@ -447,26 +487,6 @@ class Warehouse {
   // Resolves a query's effective admission-queue timeout from its options
   // and the warehouse default (see QueryOptions::queue_timeout_ms).
   int64_t ResolveQueueTimeoutMs(int64_t query_timeout_ms) const;
-
-  // Lazy refresh (§3.3) at query time: checks the candidate files
-  // (counted in files_stat_checked) against the change journal and re-loads
-  // metadata of any whose mtime or size changed since it was read; only
-  // files the journal cannot vouch for are statted (files_statted). Takes
-  // meta_mu_ shared for the checks, exclusive only when a stale file must
-  // actually be re-loaded.
-  Status RefreshStaleCandidates(const std::vector<int64_t>& candidates,
-                                engine::ExecutionReport* report);
-
-  // Filename-only strategy: hydrate record metadata of the candidate files
-  // when the query needs R or D columns (called before planning). Same
-  // locking shape as the lazy refresh.
-  Status HydrateForQuery(const sql::BoundQuery& query,
-                         const std::vector<int64_t>& candidates,
-                         engine::ExecutionReport* report);
-
-  Result<storage::TablePtr> FilesTable() const;
-  Result<storage::TablePtr> RecordsTable() const;
-  Result<storage::TablePtr> DataTable() const;
 
   bool IsLazyStrategy() const {
     return options_.strategy != LoadStrategy::kEager;

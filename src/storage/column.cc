@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+
+#include "common/macros.h"
 
 namespace lazyetl::storage {
 namespace {
@@ -194,6 +197,24 @@ Status Column::AppendValue(const Value& v) {
   return Status::InvalidArgument(
       std::string("cannot append ") + DataTypeToString(v.type()) +
       " value to " + DataTypeToString(type_) + " column");
+}
+
+Status Column::SetValue(size_t row, const Value& v) {
+  // Append, then move the new last row into place: one set of type and
+  // dictionary rules for both mutators.
+  LAZYETL_RETURN_NOT_OK(AppendValue(v));
+  if (dict_) {
+    codes_[row] = codes_.back();
+    codes_.pop_back();
+    return Status::OK();
+  }
+  std::visit(
+      [row](auto& values) {
+        values[row] = std::move(values.back());
+        values.pop_back();
+      },
+      data_);
+  return Status::OK();
 }
 
 void Column::Reserve(size_t n) {

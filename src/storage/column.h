@@ -95,6 +95,8 @@ class Column {
   // Scalar access (slow path; bulk operators use the typed vectors).
   Value GetValue(size_t row) const;
   Status AppendValue(const Value& v);
+  // Overwrites row `row` with `v` (type-checked as AppendValue).
+  Status SetValue(size_t row, const Value& v);
   void Reserve(size_t n);
 
   // Appends all rows of `other` (same type) to this column.

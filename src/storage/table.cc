@@ -70,6 +70,21 @@ Status Table::AppendRow(const std::vector<Value>& values) {
   return Status::OK();
 }
 
+Status Table::SetRow(size_t row, const std::vector<Value>& values) {
+  if (values.size() != columns_.size() || row >= num_rows()) {
+    return Status::InvalidArgument("row " + std::to_string(row) +
+                                   " of arity " +
+                                   std::to_string(values.size()) +
+                                   " does not fit the table");
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    LAZYETL_RETURN_NOT_OK(columns_[i].SetValue(row, values[i]).WithContext(
+        "column '" + schema_[i].name + "'"));
+  }
+  InvalidateStats();
+  return Status::OK();
+}
+
 Status Table::AppendTable(const Table& other) {
   if (other.num_columns() != num_columns()) {
     return Status::InvalidArgument("appending table with different arity");

@@ -76,6 +76,9 @@ class Table {
   // Appends one row given values in schema order.
   Status AppendRow(const std::vector<Value>& values);
 
+  // Overwrites row `row` with values in schema order.
+  Status SetRow(size_t row, const std::vector<Value>& values);
+
   // Appends all rows of `other`, which must have an identical schema.
   Status AppendTable(const Table& other);
 
@@ -103,7 +106,8 @@ class Table {
 
   // --- Statistics & encodings ----------------------------------------------
   // Zone maps are rebuilt explicitly (the catalog does this when a table is
-  // published) and invalidated by any row-adding mutator above. Readers of a
+  // published) and invalidated by any row-adding or row-setting mutator
+  // above; values written through the typed column vectors bypass that. Readers of a
   // published (immutable) table may call zone_map() concurrently.
 
   // Recomputes per-chunk zone maps for every column. Idempotent.

@@ -189,5 +189,28 @@ TEST_F(PruningWarehouseTest, FilenameOnlyModeUsesConservativeDayBounds) {
   EXPECT_EQ(in_day->table.GetValue(0, 0).int64_value(), 5 * 40);
 }
 
+// Hydration rewrites a filename-only file's F row in place: its zone maps
+// must follow, or pruning on a corrected column drops the file.
+TEST_F(PruningWarehouseTest, HydratedFileRowsPruneOnTheirCorrectedValues) {
+  auto lazy = MustOpen(LoadStrategy::kLazy, dir_.path());
+  auto filename_only = MustOpen(LoadStrategy::kLazyFilenameOnly, dir_.path());
+  ASSERT_OK(filename_only->Query("SELECT COUNT(*) FROM mseed.dataview"));
+  EXPECT_EQ(filename_only->Stats().num_hydrated_files, repo_.files.size());
+  auto count = [](Warehouse* wh, const std::string& sql) -> int64_t {
+    auto result = wh->Query(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return result.ok() ? result->table.GetValue(0, 0).int64_value() : -1;
+  };
+  for (const char* where : {"sample_rate > 1", "num_records > 0",
+                            "end_time < '2010-01-10T12:00:00.000'"}) {
+    SCOPED_TRACE(where);
+    const std::string sql =
+        std::string("SELECT COUNT(*) FROM mseed.files WHERE ") + where;
+    const int64_t expected = count(lazy.get(), sql);
+    EXPECT_EQ(expected, static_cast<int64_t>(repo_.files.size()));
+    EXPECT_EQ(count(filename_only.get(), sql), expected);
+  }
+}
+
 }  // namespace
 }  // namespace lazyetl::core

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -82,6 +83,35 @@ int64_t CountOf(Warehouse* wh, const std::string& sql) {
   return result.ok() ? result->table.GetValue(0, 0).int64_value() : -1;
 }
 
+// Expects `wh` to hold the same file and record metadata as `fresh`: every
+// column of mseed.files and mseed.records.
+void ExpectSameCatalog(Warehouse* wh, Warehouse* fresh) {
+  for (const char* sql :
+       {"SELECT file_id, uri, dataquality, network, station, location, "
+        "channel, start_time, end_time, num_records, sample_rate, file_size, "
+        "last_modified FROM mseed.files ORDER BY file_id",
+        "SELECT file_id, seq_no, start_time, end_time, num_samples, "
+        "sample_rate, encoding FROM mseed.records ORDER BY file_id, "
+        "seq_no"}) {
+    SCOPED_TRACE(sql);
+    auto got = wh->Query(sql);
+    auto want = fresh->Query(sql);
+    ASSERT_OK(got);
+    ASSERT_OK(want);
+    ASSERT_EQ(got->table.num_rows(), want->table.num_rows());
+    ASSERT_EQ(got->table.num_columns(), want->table.num_columns());
+    for (size_t row = 0; row < got->table.num_rows(); ++row) {
+      for (size_t col = 0; col < got->table.num_columns(); ++col) {
+        EXPECT_TRUE(got->table.GetValue(row, col)
+                        .Equals(want->table.GetValue(row, col)))
+            << got->table.column_name(col) << " of row " << row << ": "
+            << got->table.GetValue(row, col).ToString() << " vs "
+            << want->table.GetValue(row, col).ToString();
+      }
+    }
+  }
+}
+
 class RefreshTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -90,18 +120,46 @@ class RefreshTest : public ::testing::Test {
     repo_ = MustGenerate(dir_.path(), cfg);
   }
 
-  // Answers the COUNT query `sql` on a lazy warehouse, runs `change` on the
-  // repository without calling Refresh(), and expects the same warehouse
-  // to change its answer to the one a freshly opened warehouse gives.
+  // Answers the COUNT query `sql` on a warehouse of every strategy, runs
+  // `change` on the repository, and expects each warehouse to answer as a
+  // freshly opened one of its strategy does: through the query-time lazy
+  // refresh (lazy strategies) and through Refresh() (all three). The
+  // mseed.files and mseed.records tables must then equal the fresh
+  // warehouse's too.
   void ExpectFreshAnswerAfter(const std::string& sql,
                               const std::function<void()>& change) {
-    auto wh = MustOpen(LoadStrategy::kLazy, dir_.path());
-    const int64_t before = CountOf(wh.get(), sql);
+    struct Subject {
+      LoadStrategy strategy;
+      bool refresh;
+      std::unique_ptr<Warehouse> wh;
+      int64_t before;
+    };
+    std::vector<Subject> subjects;
+    for (LoadStrategy strategy :
+         {LoadStrategy::kEager, LoadStrategy::kLazy,
+          LoadStrategy::kLazyFilenameOnly}) {
+      for (bool refresh : {false, true}) {
+        // An eager warehouse sees a change only through Refresh().
+        if (strategy == LoadStrategy::kEager && !refresh) continue;
+        auto wh = MustOpen(strategy, dir_.path());
+        const int64_t before = CountOf(wh.get(), sql);
+        subjects.push_back({strategy, refresh, std::move(wh), before});
+      }
+    }
     change();
-    auto fresh = MustOpen(LoadStrategy::kLazy, dir_.path());
-    const int64_t expected = CountOf(fresh.get(), sql);
-    EXPECT_NE(expected, before);
-    EXPECT_EQ(CountOf(wh.get(), sql), expected);
+    for (Subject& s : subjects) {
+      SCOPED_TRACE(std::string(LoadStrategyToString(s.strategy)) +
+                   (s.refresh ? " after Refresh()" : " at query time"));
+      if (s.refresh) ASSERT_OK(s.wh->Refresh());
+      auto fresh = MustOpen(s.strategy, dir_.path());
+      const int64_t expected = CountOf(fresh.get(), sql);
+      // Filename-only file rows only approximate what moved.
+      if (s.strategy != LoadStrategy::kLazyFilenameOnly) {
+        EXPECT_NE(expected, s.before);
+      }
+      EXPECT_EQ(CountOf(s.wh.get(), sql), expected);
+      ExpectSameCatalog(s.wh.get(), fresh.get());
+    }
   }
 
   // COUNT(*) of the samples of generated file `gf`.
@@ -573,6 +631,45 @@ TEST_F(RefreshTest, StationDirReplacedByChangedCopyIsSeen) {
     fs::rename(station_dir, fs::path(outside.path()) / "old");
     fs::rename(copy, station_dir);
   });
+}
+
+// A file that changes after a query's lazy refresh but before its record
+// stream opens is reloaded by the stream, whole: the file row then equals
+// a freshly opened warehouse's. The query waits for admission in between —
+// footprint-aware admission plans (and so refreshes) first.
+TEST_F(RefreshTest, ReloadByTheRecordStreamKeepsTheFileRowCurrent) {
+  WarehouseOptions options;
+  options.strategy = LoadStrategy::kLazy;
+  options.max_concurrent_queries = 1;
+  options.footprint_aware_admission = true;
+  auto opened = Warehouse::Open(options);
+  ASSERT_OK(opened);
+  std::unique_ptr<Warehouse> wh = std::move(*opened);
+  ASSERT_OK(wh->AttachRepository(dir_.path()));
+  const auto& gf = repo_.files[1];
+  auto md = mseed::ScanMetadata(gf.path);
+  ASSERT_OK(md);
+
+  auto holder = wh->OpenCursor("SELECT COUNT(*) FROM mseed.files");
+  ASSERT_OK(holder);
+  Result<QueryResult> waiting = Status::Internal("not run");
+  std::atomic<bool> done{false};
+  std::thread query([&] {
+    waiting = wh->Query(CountSql(gf));
+    done = true;
+  });
+  while (wh->Stats().queries_waiting == 0 && !done) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool queued = !done;
+  AppendSamples(gf.path, md->end_time + kNanosPerSecond / 40, 400);
+  (*holder)->Close();
+  query.join();
+  ASSERT_TRUE(queued) << "the query was never queued behind the holder";
+  ASSERT_OK(waiting);
+
+  auto fresh = MustOpen(LoadStrategy::kLazy, dir_.path());
+  ExpectSameCatalog(wh.get(), fresh.get());
 }
 
 }  // namespace

@@ -318,6 +318,23 @@ TEST_F(WarehouseTest, LazyRefreshStatChecksIdentityCandidates) {
   EXPECT_EQ(result->report.files_stat_checked, 0u);
 }
 
+// Demo point 7: the contents of both cache tiers, least recent first.
+TEST_F(WarehouseTest, CachedKeysListBothTiersInLruOrder) {
+  auto wh = MustOpen(LoadStrategy::kLazy, dir_.path());
+  EXPECT_TRUE(wh->CachedKeys().records.empty());
+  const std::string browse = "SELECT COUNT(*) FROM mseed.files";
+  ASSERT_OK(wh->Query(lazyetl::testing::kPaperQ1));
+  ASSERT_OK(wh->Query(browse));
+  const CacheContents contents = wh->CachedKeys();
+  EXPECT_EQ(contents.records.size(), wh->Stats().cache.entries);
+  EXPECT_FALSE(contents.records.empty());
+  EXPECT_EQ(contents.results,
+            (std::vector<std::string>{lazyetl::testing::kPaperQ1, browse}));
+  ASSERT_OK(wh->Query(lazyetl::testing::kPaperQ1));  // a hit bumps it
+  EXPECT_EQ(wh->CachedKeys().results,
+            (std::vector<std::string>{browse, lazyetl::testing::kPaperQ1}));
+}
+
 TEST_F(WarehouseTest, CacheBudgetForcesEviction) {
   // Budget fits roughly one record's samples.
   auto wh = MustOpen(LoadStrategy::kLazy, dir_.path(),
