@@ -70,8 +70,8 @@ SampleIndexRange SampleIndexesIn(NanoTime start, double rate, size_t count,
   return out;
 }
 
-Status PutFileRow(Table* files, int64_t file_id,
-                  const mseed::FileMetadata& md) {
+Status PutFileRow(Table* files, int64_t file_id, const mseed::FileMetadata& md,
+                  bool replace) {
   const std::vector<Value> row = {
       Value::Int64(file_id),
       Value::String(md.path),
@@ -87,10 +87,14 @@ Status PutFileRow(Table* files, int64_t file_id,
       Value::Int64(static_cast<int64_t>(md.file_size)),
       Value::Timestamp(md.mtime),
   };
+  if (!replace) return files->AppendRow(row);
   LAZYETL_ASSIGN_OR_RETURN(size_t fid_idx, files->ColumnIndex("file_id"));
   const auto& fids = files->column(fid_idx).int64_data();
   const auto it = std::find(fids.begin(), fids.end(), file_id);
-  if (it == fids.end()) return files->AppendRow(row);
+  if (it == fids.end()) {
+    return Status::Internal("no mseed.files row for file " +
+                            std::to_string(file_id));
+  }
   return files->SetRow(static_cast<size_t>(it - fids.begin()), row);
 }
 

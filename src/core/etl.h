@@ -57,10 +57,10 @@ struct SampleIndexRange {
 SampleIndexRange SampleIndexesIn(NanoTime start, double rate, size_t count,
                                  NanoTime lo, NanoTime hi);
 
-// Puts the F-table row describing `md` (with the given id): replaces the
-// file's row in place when it has one, else appends it.
+// Puts the F-table row describing `md` (with the given id): appends it for a
+// new file; with `replace`, overwrites the file's existing row in place.
 Status PutFileRow(storage::Table* files, int64_t file_id,
-                  const mseed::FileMetadata& md);
+                  const mseed::FileMetadata& md, bool replace);
 
 // Appends one R-table row per record of `md`.
 Status AppendRecordRows(storage::Table* records, int64_t file_id,

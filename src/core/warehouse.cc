@@ -154,9 +154,7 @@ class WarehouseDataProvider : public engine::LazyDataProvider {
   // the same file (another query's lazy refresh) never races the decode.
   struct ExtractJob {
     std::shared_ptr<const mseed::FileMetadata> metadata;
-    std::string path;
     int64_t file_id = 0;
-    NanoTime mtime = 0;
     std::vector<size_t> record_indexes;  // sorted by file offset
     std::vector<int64_t> seq_nos;        // parallel to record_indexes
     std::vector<std::shared_ptr<CachedRecord>> results;
@@ -213,7 +211,6 @@ class WarehouseRecordStream : public engine::RecordStream {
   // this version of it throughout.
   struct FileRequest {
     int64_t fid = 0;
-    NanoTime mtime = 0;
     std::vector<int64_t> seqs;  // requested records, in request order
     std::shared_ptr<const Warehouse::FileRecords> records;
   };
@@ -283,14 +280,15 @@ Status WarehouseDataProvider::RunExtractionJobs(std::vector<ExtractJob>* jobs) {
       auto transformed = TransformRecord(info.header, std::move((*samples)[i]));
       if (!transformed.ok()) {
         job->status = transformed.status().WithContext(
-            "record " + std::to_string(job->seq_nos[i]) + " of " + job->path);
+            "record " + std::to_string(job->seq_nos[i]) + " of " +
+            job->metadata->path);
         return;
       }
       auto record = std::make_shared<CachedRecord>();
       record->start_time = transformed->start_time;
       record->sample_rate = transformed->sample_rate;
       record->sample_values = std::move(transformed->sample_values);
-      record->file_mtime = job->mtime;
+      record->file_mtime = job->metadata->mtime;
       job->results.push_back(std::move(record));
     }
   };
@@ -459,7 +457,7 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
     }
     if (samples > 0) stream->chunks_ += (samples - 1) / batch_rows + 1;
     stream->files_.push_back(
-        {fid, snapshot.mtime, std::move(seqs), std::move(snapshot.records)});
+        {fid, std::move(seqs), std::move(snapshot.records)});
   }
   return std::unique_ptr<engine::RecordStream>(std::move(stream));
 }
@@ -540,7 +538,9 @@ Status WarehouseRecordStream::AdvanceWindow() {
         bool stale = false;
         engine::CachedRecordPtr hit = warehouse->record_cache_->Lookup(
             {fr.fid, seq},
-            [&fr](const CachedRecord& r) { return r.file_mtime == fr.mtime; },
+            [&records](const CachedRecord& r) {
+              return r.file_mtime == records.metadata.mtime;
+            },
             &stale);
         if (hit != nullptr) {
           ++report_->cache_hits;
@@ -576,9 +576,7 @@ Status WarehouseRecordStream::AdvanceWindow() {
         ExtractJob job;
         job.metadata = std::shared_ptr<const mseed::FileMetadata>(
             fr.records, &records.metadata);
-        job.path = records.metadata.path;
         job.file_id = fr.fid;
-        job.mtime = fr.mtime;
         for (const auto& [index, seq] : picks) {
           job.record_indexes.push_back(index);
           job.seq_nos.push_back(seq);
@@ -602,10 +600,11 @@ Status WarehouseRecordStream::AdvanceWindow() {
       ExtractJob& job = jobs[pending.job_index];
       LAZYETL_RETURN_NOT_OK(job.status);
       ++report_->files_opened;
-      report_->files_touched.push_back(job.path);
+      const std::string& path = job.metadata->path;
+      report_->files_touched.push_back(path);
       LogOp(LogCategory::kExtract,
             "extracted " + std::to_string(job.record_indexes.size()) +
-                " records from " + job.path);
+                " records from " + path);
       for (size_t i = 0; i < job.record_indexes.size(); ++i) {
         const mseed::RecordInfo& info =
             job.metadata->records[job.record_indexes[i]];
@@ -620,7 +619,7 @@ Status WarehouseRecordStream::AdvanceWindow() {
                                         record->Bytes());
         pending.staged[job.seq_nos[i]] = std::move(record);
       }
-      extracted_desc_.push_back(job.path + " (" +
+      extracted_desc_.push_back(path + " (" +
                                 std::to_string(job.record_indexes.size()) +
                                 " records)");
     }
@@ -849,6 +848,16 @@ Result<mseed::FullFile> Warehouse::Stage(const std::string& path,
   return file;
 }
 
+Result<mseed::FullFile> Warehouse::ConfirmOrStage(
+    const std::string& path, const Result<mseed::FileStatInfo>& now,
+    std::optional<StagedRead> staged, bool hydrate) const {
+  if (staged.has_value() && now.ok() && now->mtime == staged->mtime &&
+      now->size == staged->size) {
+    return std::move(staged->file);
+  }
+  return Stage(path, hydrate);
+}
+
 Status Warehouse::PublishLocked(FileEntry* entry, mseed::FullFile file,
                                 bool hydrated, CatalogWriter* writer,
                                 LoadStats* stats) {
@@ -875,7 +884,8 @@ Status Warehouse::PublishLocked(FileEntry* entry, mseed::FullFile file,
   // A registered file is a reload: its R rows (which a reopened eager
   // warehouse holds without record metadata), D rows and cached records
   // belong to the version being replaced.
-  if (path_to_file_id_.count(entry->path) != 0) {
+  const bool reload = path_to_file_id_.count(entry->path) != 0;
+  if (reload) {
     if (entry->records != nullptr || eager) {
       LAZYETL_RETURN_NOT_OK(RemoveFileRows(records, entry->file_id).status());
     }
@@ -888,7 +898,7 @@ Status Warehouse::PublishLocked(FileEntry* entry, mseed::FullFile file,
           [fid](const RecordKey& k) { return k.file_id == fid; });
     }
   }
-  LAZYETL_RETURN_NOT_OK(PutFileRow(files, entry->file_id, md));
+  LAZYETL_RETURN_NOT_OK(PutFileRow(files, entry->file_id, md, reload));
   if (hydrated) {
     LAZYETL_RETURN_NOT_OK(AppendRecordRows(records, entry->file_id, md));
   }
@@ -961,7 +971,7 @@ Status Warehouse::LoadDatalessInventoryLocked(const std::string& path,
 
 Status Warehouse::AttachFileLocked(const std::string& path,
                                    const std::string& root,
-                                   std::optional<mseed::FullFile> staged,
+                                   std::optional<StagedRead> staged,
                                    CatalogWriter* writer, LoadStats* stats) {
   // Dataless SEED volumes hold inventory control headers, not waveforms.
   if (mseed::IsDatalessFilename(fs::path(path).filename().string())) {
@@ -974,16 +984,11 @@ Status Warehouse::AttachFileLocked(const std::string& path,
   // staged read, else the read's own.
   ChangeJournal::Ticket ticket;
   if (IsLazyStrategy()) ticket = journal_.Watch(entry.file_id, path, root);
-  if (staged.has_value()) {
-    auto st = mseed::StatFile(path);
-    if (!st.ok() || st->mtime != staged->metadata.mtime ||
-        st->size != staged->metadata.file_size) {
-      staged.reset();
-    }
-  }
   const bool hydrate = options_.strategy != LoadStrategy::kLazyFilenameOnly;
   Result<mseed::FullFile> file =
-      staged.has_value() ? std::move(*staged) : Stage(path, hydrate);
+      staged.has_value() ? ConfirmOrStage(path, mseed::StatFile(path),
+                                          std::move(staged), hydrate)
+                         : Stage(path, hydrate);
   Status load_status = file.status();
   if (load_status.ok()) {
     load_status = PublishLocked(&entry, std::move(file).MoveValueUnsafe(),
@@ -1161,9 +1166,10 @@ Status Warehouse::Reconcile(const std::vector<int64_t>& fids,
   struct Pending {
     size_t index = 0;
     std::string path;
-    bool stale = false;  // known stale without a stat
+    bool stale = false;  // known stale without a stat: `stat` is vouched
+    mseed::FileStatInfo stat;
     bool stage = false;
-    std::optional<mseed::FullFile> staged;
+    std::optional<StagedRead> staged;
     FileSnapshot snapshot;
   };
   std::vector<Pending> pending;
@@ -1188,7 +1194,7 @@ Status Warehouse::Reconcile(const std::vector<int64_t>& fids,
         }
         continue;
       }
-      pending.push_back({i, entry.path, vouched, false, std::nullopt,
+      pending.push_back({i, entry.path, vouched, st, false, std::nullopt,
                          {fid, entry.mtime, entry.size, entry.records, false}});
     }
   }
@@ -1208,11 +1214,11 @@ Status Warehouse::Reconcile(const std::vector<int64_t>& fids,
                   *st)) {
         continue;
       }
+      p.stat = *st;
     }
     p.stage = any_staged = true;
     if (options_.strategy == LoadStrategy::kEager) continue;
-    auto file = Stage(p.path, hydrate);
-    if (file.ok()) p.staged = std::move(file).MoveValueUnsafe();
+    p.staged.emplace(p.stat.mtime, p.stat.size, Stage(p.path, hydrate));
   }
 
   // 3. Publish (exclusive lock, one COW session), only when something was
@@ -1238,18 +1244,17 @@ Status Warehouse::Reconcile(const std::vector<int64_t>& fids,
         continue;
       }
       if (!current(entry.mtime, entry.size, entry.records != nullptr, *st)) {
-        if (!p.staged.has_value() || p.staged->metadata.mtime != st->mtime ||
-            p.staged->metadata.file_size != st->size) {
-          LAZYETL_ASSIGN_OR_RETURN(p.staged, Stage(entry.path, hydrate));
-        }
+        LAZYETL_ASSIGN_OR_RETURN(
+            mseed::FullFile file,
+            ConfirmOrStage(entry.path, *st, std::move(p.staged), hydrate));
         if (st->mtime != entry.mtime || st->size != entry.size) {
           LogOp(LogCategory::kRefresh,
                 "metadata refresh: " + entry.path +
                     " changed; re-loading its metadata");
         }
         if (hydrate && entry.records == nullptr) ++hydrated;
-        LAZYETL_RETURN_NOT_OK(PublishLocked(&entry, std::move(*p.staged),
-                                            hydrate, &writer, &loaded));
+        LAZYETL_RETURN_NOT_OK(PublishLocked(&entry, std::move(file), hydrate,
+                                            &writer, &loaded));
         snapshot.reloaded = true;
       }
       snapshot.mtime = entry.mtime;
@@ -1785,10 +1790,11 @@ Result<RefreshStats> Warehouse::Refresh() {
   }
 
   // Pass 2 (shared lock): classify against the registry — paths never
-  // attached, and attached files whose scanned (mtime, size) moved or that
+  // attached, attached files whose scanned (mtime, size) moved, and those
   // the scan no longer found.
   std::vector<const mseed::ScannedFile*> new_files;
   std::vector<int64_t> changed;
+  std::vector<int64_t> vanished;
   {
     std::shared_lock lock(meta_mu_);
     for (const auto& f : scanned_all) {
@@ -1805,18 +1811,18 @@ Result<RefreshStats> Warehouse::Refresh() {
     }
     for (const auto& entry : files_) {
       if (entry.file_id != 0 && !seen.count(entry.path)) {
-        changed.push_back(entry.file_id);
+        vanished.push_back(entry.file_id);
       }
     }
   }
 
-  // Pass 3: reload the changed files; the vanished come back empty.
+  // Pass 3: reload the changed files; those gone since the scan come back
+  // empty and join the vanished.
   ExecutionReport report;
   std::vector<FileSnapshot> reconciled;
   LAZYETL_RETURN_NOT_OK(
       Reconcile(changed, /*need_records=*/false, &report, &reconciled));
   stats.bytes_read += report.bytes_read;
-  std::vector<int64_t> vanished;
   for (size_t i = 0; i < changed.size(); ++i) {
     if (reconciled[i].file_id == 0) vanished.push_back(changed[i]);
     if (reconciled[i].reloaded) ++stats.modified_files;
@@ -1824,12 +1830,12 @@ Result<RefreshStats> Warehouse::Refresh() {
 
   // Pass 4 (no lock): read the new files. Eager ones are read at attach,
   // one at a time, as Reconcile does.
-  std::vector<std::optional<mseed::FullFile>> staged(new_files.size());
+  std::vector<std::optional<StagedRead>> staged(new_files.size());
   if (options_.strategy != LoadStrategy::kEager) {
     const bool hydrate = options_.strategy != LoadStrategy::kLazyFilenameOnly;
     for (size_t i = 0; i < new_files.size(); ++i) {
-      auto file = Stage(new_files[i]->path, hydrate);
-      if (file.ok()) staged[i] = std::move(file).MoveValueUnsafe();
+      const mseed::ScannedFile* f = new_files[i];
+      staged[i].emplace(f->mtime, f->size, Stage(f->path, hydrate));
     }
   }
 
@@ -1852,19 +1858,17 @@ Result<RefreshStats> Warehouse::Refresh() {
     for (int64_t fid : vanished) {
       FileEntry& entry = files_[fid - 1];
       if (entry.file_id == 0) continue;
-      // A file that exists again is never tombstoned.
+      // Any stat failure, not only a missing file, counts as vanished, so an
+      // unreadable path cannot fail every later Refresh(); a file that
+      // exists again is never tombstoned.
       if (mseed::StatFile(entry.path).ok()) continue;
       ++stats.deleted_files;
       record_cache_->EraseIf(
           [fid](const RecordKey& k) { return k.file_id == fid; });
-      LAZYETL_ASSIGN_OR_RETURN(Table * files, writer.Mutable(kFilesTable));
-      LAZYETL_ASSIGN_OR_RETURN(Table * records,
-                               writer.Mutable(kRecordsTable));
-      LAZYETL_RETURN_NOT_OK(RemoveFileRows(files, entry.file_id).status());
-      LAZYETL_RETURN_NOT_OK(RemoveFileRows(records, entry.file_id).status());
-      if (options_.strategy == LoadStrategy::kEager) {
-        LAZYETL_ASSIGN_OR_RETURN(Table * data, writer.Mutable(kDataTable));
-        LAZYETL_RETURN_NOT_OK(RemoveFileRows(data, entry.file_id).status());
+      for (const char* name : {kFilesTable, kRecordsTable, kDataTable}) {
+        if (name == kDataTable && IsLazyStrategy()) continue;
+        LAZYETL_ASSIGN_OR_RETURN(Table * table, writer.Mutable(name));
+        LAZYETL_RETURN_NOT_OK(RemoveFileRows(table, entry.file_id).status());
       }
       path_to_file_id_.erase(entry.path);
       journal_.Forget(entry.file_id);

@@ -337,8 +337,9 @@ class Warehouse {
   Result<engine::ExecutionReport> Explain(const std::string& sql);
 
   // Re-scans attached repositories: registers new files, refreshes the
-  // metadata of modified ones (and drops deleted ones). Actual data held
-  // in the cache is refreshed lazily at query time via mtime checks; with
+  // metadata of modified ones and drops those the scan no longer finds and
+  // that cannot be statted, for any reason. Actual data held in the cache
+  // is refreshed lazily at query time via (mtime, size) checks; with
   // the eager strategy modified files are re-loaded here. Safe to call
   // concurrently with queries (it serialises with hydration, and
   // executing queries keep scanning their catalog snapshots).
@@ -408,8 +409,8 @@ class Warehouse {
   //      the metadata of every file whose (mtime, size) moved, and of every
   //      unhydrated one when `need_records` is set;
   //   3. publish, under meta_mu_ exclusive and only when something was
-  //      staged: re-stat each staged file and publish the staged read if
-  //      the file still has its (mtime, size), else read it again here.
+  //      staged: re-stat each staged file and publish it through
+  //      ConfirmOrStage().
   // Fills `snapshots`, when given, with one snapshot per file of `fids`, in
   // order. A file missing on disk or tombstoned is vanished; the caller
   // decides what that means. Any other stat error fails the call. Eager
@@ -423,6 +424,27 @@ class Warehouse {
   // metadata (`hydrate`), else the extent its SDS filename implies.
   Result<mseed::FullFile> Stage(const std::string& path, bool hydrate) const;
 
+  // A Stage() made off the lock, kept with the (mtime, size) it read: the
+  // read's own stat, or for a failed read the stat taken before it.
+  struct StagedRead {
+    StagedRead(NanoTime stat_mtime, uint64_t stat_size,
+               Result<mseed::FullFile> read)
+        : mtime(read.ok() ? read->metadata.mtime : stat_mtime),
+          size(read.ok() ? read->metadata.file_size : stat_size),
+          file(std::move(read)) {}
+    NanoTime mtime;
+    uint64_t size;
+    Result<mseed::FullFile> file;
+  };
+
+  // Under meta_mu_ exclusive: `staged`, error included, when `now` (the
+  // re-stat of `path`) still shows the (mtime, size) it was read at; else a
+  // Stage() made here, the fallback for a file that moved meanwhile.
+  Result<mseed::FullFile> ConfirmOrStage(const std::string& path,
+                                         const Result<mseed::FileStatInfo>& now,
+                                         std::optional<StagedRead> staged,
+                                         bool hydrate) const;
+
   // Requires meta_mu_ exclusive. Makes `file` the current version of
   // `entry`, staging the table changes in `writer`: its F row (replaced in
   // place), its R rows when `hydrated`, its D rows (eager), and the
@@ -432,10 +454,10 @@ class Warehouse {
                        CatalogWriter* writer, LoadStats* stats);
 
   // Requires meta_mu_ exclusive. Registers and publishes a file found under
-  // the attached repository `root`, from `staged` when the file still has
-  // its (mtime, size), else from a read made here.
+  // the attached repository `root`, through ConfirmOrStage() when it was
+  // staged, else from a read made here.
   Status AttachFileLocked(const std::string& path, const std::string& root,
-                          std::optional<mseed::FullFile> staged,
+                          std::optional<StagedRead> staged,
                           CatalogWriter* writer, LoadStats* stats);
 
   // Loads a dataless SEED volume (ASCII control headers) into the
@@ -447,8 +469,8 @@ class Warehouse {
   // query's file-level predicates (all files when there is none): the
   // comparisons on uri, file_id, network, station, location or channel,
   // which an append or in-place rewrite of a file cannot change. Bounds
-  // the staleness checks, hydration and the cold-footprint estimate. Reads only an immutable catalog snapshot — no
-  // lock needed.
+  // the staleness checks, hydration and the cold-footprint estimate. Reads
+  // only an immutable catalog snapshot — no lock needed.
   Result<std::vector<int64_t>> CandidateFileIds(const sql::BoundQuery& query);
 
   // Footprint-aware admission: summed source-file bytes of the query's

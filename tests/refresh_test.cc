@@ -533,6 +533,33 @@ TEST_F(RefreshTest, QueryFailsWithIOErrorWhenStationDirBecomesFile) {
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
   EXPECT_EQ(result.status().ToString().find("disappeared"), std::string::npos);
+
+  // Refresh() counts the files it can no longer stat as vanished: it
+  // tombstones them, still attaches a file added elsewhere, and keeps
+  // working on later calls.
+  size_t lost = 0;
+  for (const auto& f : repo_.files) {
+    if (fs::path(f.path).parent_path().parent_path() == station_dir) ++lost;
+  }
+  const size_t before = wh->Stats().num_files;
+  mseed::RepositoryConfig extra;
+  extra.stations = {{"CH", "DAVOX", "", {"HHZ"}, 40.0}};
+  extra.num_days = 1;
+  extra.seconds_per_segment = 10.0;
+  MustGenerate(dir_.path(), extra);
+  auto stats = wh->Refresh();
+  ASSERT_OK(stats);
+  EXPECT_EQ(stats->deleted_files, lost);
+  EXPECT_EQ(stats->new_files, 1u);
+  EXPECT_EQ(wh->Stats().num_files, before - lost + 1);
+  EXPECT_EQ(CountOf(wh.get(), CountSql(gf)), 0);
+  EXPECT_EQ(CountOf(wh.get(), "SELECT COUNT(*) FROM mseed.dataview WHERE "
+                              "F.station = 'DAVOX'"),
+            400);
+  auto again = wh->Refresh();
+  ASSERT_OK(again);
+  EXPECT_EQ(again->deleted_files + again->new_files + again->modified_files,
+            0u);
 }
 
 // Each kind of change to a repository file below is seen by the next query,
